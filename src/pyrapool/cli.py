@@ -27,12 +27,14 @@ EXIT_BAD_CHECKPOINT = 3
 EXIT_SPEC_MISMATCH = 4
 
 
-def atomic_write_text(path, text: str):
+def atomic_write(path, data: str | bytes):
+    """Write text or bytes to a fresh temp file beside `path`, then rename it
+    over `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -115,7 +117,7 @@ def build_network(args) -> net.NetworkSpec:
     return net.build_net(args.net, **kwargs)
 
 
-def load_store(args, spec) -> net.ParameterStore:
+def load_store(args) -> net.ParameterStore:
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError(f"checkpoint {args.checkpoint} does not exist")
     store = net.ParameterStore(seed=args.seed or 0)
@@ -152,13 +154,10 @@ def cmd_train(args) -> int:
         seed=args.seed or 0,
     )
     params, reports = training.train(spec, dataset, config, eval_set=eval_set)
-    out = _require_path(args.out, "--out")
-    tmp = out + ".tmp-ckpt"
-    net.save_checkpoint(params, tmp)
-    os.replace(tmp, out)
+    atomic_write(_require_path(args.out, "--out"),
+                 net.checkpoint_bytes(params))
     if args.log:
-        atomic_write_text(args.log,
-                          "".join(r.line() + "\n" for r in reports))
+        atomic_write(args.log, "".join(r.line() + "\n" for r in reports))
     print(f"trained {len(reports)} epochs; final loss "
           f"{reports[-1].loss:.4f} accuracy {reports[-1].accuracy:.4f}")
     return EXIT_OK
@@ -172,13 +171,15 @@ def _require_path(path, what):
 
 def cmd_eval(args) -> int:
     manifest = _require(args.test_manifest, "--test-manifest")
+    dataset = dataio.load_manifest(manifest)
+    if not dataset:
+        raise FileNotFoundError(f"test manifest {manifest} lists no images")
     spec = build_network(args)
-    params = load_store(args, spec)
+    params = load_store(args)
     try:
         net.instantiate(spec, (args.view or 32,) * 2, params)  # slot check
     except GraphError:
         pass  # too small for this net; slots get checked on first use
-    dataset = dataio.load_manifest(manifest)
     mode = args.mode or "single"
     scale = args.scale or 32
     view = args.view or 32
@@ -212,7 +213,7 @@ def cmd_eval(args) -> int:
     report = (f"mode,{mode}\nimages,{len(dataset)}\ncorrect,{correct}\n"
               f"accuracy,{accuracy:.6f}\n")
     if args.out:
-        atomic_write_text(args.out, report)
+        atomic_write(args.out, report)
     print(report, end="")
     return EXIT_OK
 
@@ -220,7 +221,7 @@ def cmd_eval(args) -> int:
 def cmd_extract(args) -> int:
     manifest = _require(args.manifest, "--manifest")
     spec = build_network(args)
-    params = load_store(args, spec)
+    params = load_store(args)
     entries = dataio.load_manifest(manifest)
     scale = args.scale or 32
     lines = []
@@ -233,7 +234,7 @@ def cmd_extract(args) -> int:
         rel = os.path.relpath(path, base)
         lines.append(rel + "," + ",".join(f"{v:.6g}" for v in vec))
     out = _require_path(args.out, "--out")
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} feature vectors to {out}")
     return EXIT_OK
 
@@ -246,7 +247,7 @@ def _load_images(manifest_path):
 
 def cmd_detect(args) -> int:
     spec = build_network(args)
-    params = load_store(args, spec)
+    params = load_store(args)
     scales = args.scales or detection.DETECTION_SCALES
     pyramid = args.pyramid or detection.DETECTION_PYRAMID
     view = args.view_size or 224
@@ -273,7 +274,7 @@ def cmd_detect(args) -> int:
         spec, params, model, images, proposals, scales, pyramid, view,
         nms_t, apply_bbox=not args.no_bbox, threads=threads)
     out = _require_path(args.out, "--out")
-    atomic_write_text(out, detection.format_detections(detections))
+    atomic_write(out, detection.format_detections(detections))
     print(f"wrote {len(detections)} detections to {out}")
     if args.gt:
         gt = detection.read_ground_truth(_require(args.gt, "--gt"))
@@ -282,7 +283,7 @@ def cmd_detect(args) -> int:
         lines.append(f"mAP,{mean:.6f}")
         report = "\n".join(lines) + "\n"
         if args.map_report:
-            atomic_write_text(args.map_report, report)
+            atomic_write(args.map_report, report)
         print(report, end="")
     return EXIT_OK
 
@@ -310,7 +311,7 @@ def _detect_parallel(spec, params, model, images, proposals, scales, pyramid,
 
 def cmd_bench(args) -> int:
     spec = build_network(args)
-    params = load_store(args, spec) if args.checkpoint else \
+    params = load_store(args) if args.checkpoint else \
         net.ParameterStore(seed=args.seed or 0)
     if args.checkpoint is None:
         net.instantiate(spec, (args.window_size or 224,) * 2, params)
@@ -352,7 +353,7 @@ def cmd_bench(args) -> int:
     lines.append(f"speedup_total,{total_ratio:.3f}")
     table = "\n".join(lines) + "\n"
     if args.out:
-        atomic_write_text(args.out, table)
+        atomic_write(args.out, table)
     print(table, end="")
     return EXIT_OK
 

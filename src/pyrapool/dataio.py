@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .geometry import WindowRect, iou
 
 CLASS_NAMES = ("circle", "triangle", "square", "cross", "blank")
 DETECT_CLASS_NAMES = CLASS_NAMES[:4]  # blank is background only
@@ -118,11 +119,6 @@ def load_image(path) -> Image:
 def save_image(path, image: Image):
     with open(path, "wb") as f:
         f.write(encode_netpbm(image))
-
-
-def subtract_mean(image: Image, mean: float = DEFAULT_MEAN) -> np.ndarray:
-    """Constant-mean subtraction; returns float32 (c,h,w) planes."""
-    return image.pixels.astype(np.float32) - np.float32(mean)
 
 
 def preprocess(pixels: np.ndarray, mean: float = DEFAULT_MEAN,
@@ -284,8 +280,8 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
             for _attempt in range(20):
                 y0 = int(rng.integers(0, h - side))
                 x0 = int(rng.integers(0, w - side))
-                cand = (x0, y0, x0 + side, y0 + side)
-                if all(_box_iou(cand, b[1]) < 0.15 for b in boxes):
+                cand = WindowRect(x0, y0, x0 + side, y0 + side)
+                if all(iou(cand, WindowRect(*b[1])) < 0.15 for b in boxes):
                     break
             else:
                 continue
@@ -321,18 +317,6 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
         with open(paths[key], "w") as f:
             f.write("\n".join(lines) + "\n")
     return paths
-
-
-def _box_iou(a, b) -> float:
-    ix0, iy0 = max(a[0], b[0]), max(a[1], b[1])
-    ix1, iy1 = min(a[2], b[2]), min(a[3], b[3])
-    iw, ih = max(0, ix1 - ix0), max(0, iy1 - iy0)
-    inter = iw * ih
-    if inter == 0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
 
 
 def load_detection_manifest(path):

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import WindowRect, map_window, resize_image, resize_to, select_scale
+from .geometry import (WindowRect, iou, map_window, resize_image, resize_to,
+                       select_scale)
 from .net import NetworkSpec, ParameterStore, instantiate
 from .spp import PyramidSpec, spp_forward
 
@@ -35,20 +36,6 @@ class Detection:
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise ShapeError(f"non-finite detection score for {self.image_id}")
-
-
-def iou(a: WindowRect, b: WindowRect) -> float:
-    """Intersection-over-union of two rectangles, in [0, 1]."""
-    ix0 = max(a.x0, b.x0)
-    iy0 = max(a.y0, b.y0)
-    ix1 = min(a.x1, b.x1)
-    iy1 = min(a.y1, b.y1)
-    iw = max(0, ix1 - ix0)
-    ih = max(0, iy1 - iy0)
-    inter = iw * ih
-    if inter == 0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
 
 
 # ---------------------------------------------------------------------------

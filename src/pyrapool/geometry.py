@@ -74,6 +74,20 @@ class WindowRect:
         return WindowRect(x0, y0, x1, y1)
 
 
+def iou(a: WindowRect, b: WindowRect) -> float:
+    """Intersection-over-union of two rectangles, in [0, 1]."""
+    ix0 = max(a.x0, b.x0)
+    iy0 = max(a.y0, b.y0)
+    ix1 = min(a.x1, b.x1)
+    iy1 = min(a.y1, b.y1)
+    iw = max(0, ix1 - ix0)
+    ih = max(0, iy1 - iy0)
+    inter = iw * ih
+    if inter == 0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
 @dataclass(frozen=True)
 class FeatureRect:
     """Inclusive feature-map cell interval [fx0,fx1] x [fy0,fy1]."""

@@ -115,7 +115,8 @@ class NetworkSpec:
             if not layer.name:
                 prefix = _KIND_PREFIX[type(layer)]
                 counts[prefix] = counts.get(prefix, 0) + 1
-                layer = dataclass_replace(layer, name=f"{prefix}{counts[prefix]}")
+                layer = dataclasses.replace(
+                    layer, name=f"{prefix}{counts[prefix]}")
             named.append(layer)
         self.layers = tuple(named)
         self._validate()
@@ -169,10 +170,6 @@ class NetworkSpec:
         if self.spp_index is None:
             raise GraphError("network has no pyramid layer")
         return self.layers[self.spp_index + 1:]
-
-
-def dataclass_replace(layer, **kw):
-    return dataclasses.replace(layer, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +374,9 @@ class NetworkInstance:
         if train_mode and rng is None:
             rng = np.random.default_rng(0)
         stats.trunk_passes += 1
-        x = batch
-        saved = {"train_mode": train_mode, "caches": []}
-        for layer in self.spec.layers:
-            x, cache = self._layer_forward(layer, x, train_mode, rng)
-            saved["caches"].append(cache)
-        return x, saved
+        x, caches = forward_layers(self.spec.layers, batch, self.slots,
+                                   train_mode, rng, self.spp_layout)
+        return x, {"train_mode": train_mode, "caches": caches}
 
     def _check_input(self, batch):
         expect = (self.spec.in_channels, *self.input_size)
@@ -391,89 +385,21 @@ class NetworkInstance:
                 f"batch shaped {batch.shape}, instance expects (B, {expect[0]}, "
                 f"{expect[1]}, {expect[2]})")
 
-    def _layer_forward(self, layer, x, train_mode, rng):
-        if isinstance(layer, Conv):
-            wslot, bslot = self.slots[layer.name]
-            spec = tensor.ConvSpec(layer.out_channels, layer.kernel,
-                                   layer.stride, layer.pad())
-            out = tensor.conv_forward(x, wslot.value, bslot.value, spec)
-            return out, ("conv", layer, x)
-        if isinstance(layer, MaxPool):
-            out, argmax = tensor.maxpool_forward(
-                x, (layer.window, layer.window), (layer.stride, layer.stride),
-                (layer.pad(), layer.pad()))
-            return out, ("pool", layer, argmax, x.shape)
-        if isinstance(layer, SPP):
-            out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels),
-                                            layout=self.spp_layout)
-            return out, ("spp", layer, argmax, x.shape)
-        if isinstance(layer, FC):
-            orig = x.shape
-            flat = x.reshape(orig[0], -1)
-            wslot, bslot = self.slots[layer.name]
-            out = tensor.fc_forward(flat, wslot.value, bslot.value)
-            return out, ("fc", layer, flat, orig)
-        if isinstance(layer, ReLU):
-            out, mask = tensor.relu_forward(x)
-            return out, ("relu", layer, mask)
-        if isinstance(layer, Dropout):
-            out, mask = tensor.dropout(x, layer.rate, train_mode, rng)
-            return out, ("drop", layer, mask)
-        if isinstance(layer, Softmax):
-            # training couples the softmax with the loss; forward yields logits
-            return x, ("softmax", layer)
-        raise GraphError(f"unknown layer {layer!r}")
-
     def backward(self, saved, grad_logits: np.ndarray):
         """Accumulate parameter gradients from a train-mode forward pass."""
         if not saved["train_mode"]:
             raise GraphError(
                 "backward requires activations saved with train_mode=True")
-        g = grad_logits
-        for cache in reversed(saved["caches"]):
-            kind = cache[0]
-            if kind == "conv":
-                _, layer, x = cache
-                wslot, bslot = self.slots[layer.name]
-                spec = tensor.ConvSpec(layer.out_channels, layer.kernel,
-                                       layer.stride, layer.pad())
-                g, gw, gb = tensor.conv_backward(g, x, wslot.value, spec)
-                wslot.grad += gw
-                bslot.grad += gb
-            elif kind == "pool":
-                _, layer, argmax, in_shape = cache
-                g = tensor.maxpool_backward(g, argmax, in_shape)
-            elif kind == "spp":
-                _, layer, argmax, in_shape = cache
-                g = spp_backward_batch(g, argmax, in_shape)
-            elif kind == "fc":
-                _, layer, flat, orig = cache
-                wslot, bslot = self.slots[layer.name]
-                g, gw, gb = tensor.fc_backward(g, flat, wslot.value)
-                wslot.grad += gw
-                bslot.grad += gb
-                g = g.reshape(orig)
-            elif kind == "relu":
-                g = tensor.relu_backward(g, cache[2])
-            elif kind == "drop":
-                g = tensor.dropout_backward(g, cache[2])
-            elif kind == "softmax":
-                pass  # loss gradient already w.r.t. logits
-        return g
+        return backward_layers(self.spec.layers, saved["caches"], self.slots,
+                               grad_logits)
 
     def feature_at(self, batch: np.ndarray, layer_name: str) -> np.ndarray:
         """Eval-mode activation after the named layer."""
-        self.spec.layer_named(layer_name)
+        layer = self.spec.layer_named(layer_name)
         self._check_input(batch)
-        x = batch
-        for layer in self.spec.layers:
-            if isinstance(layer, Softmax):
-                x = tensor.softmax(x)
-            else:
-                x, _ = self._layer_forward(layer, x, False, None)
-            if layer.name == layer_name:
-                return x
-        raise GraphError(f"no layer named {layer_name!r}")  # pragma: no cover
+        upto = self.spec.layers[:self.spec.layers.index(layer) + 1]
+        x, _ = forward_layers(upto, batch, self.slots, layout=self.spp_layout)
+        return tensor.softmax(x) if isinstance(layer, Softmax) else x
 
     def conv_features(self, batch: np.ndarray) -> np.ndarray:
         """Eval-mode feature map entering the pyramid layer (one trunk pass)."""
@@ -481,18 +407,13 @@ class NetworkInstance:
             raise GraphError("network has no pyramid layer")
         self._check_input(batch)
         stats.trunk_passes += 1
-        x = batch
-        for layer in self.spec.layers[:self.spec.spp_index]:
-            x, _ = self._layer_forward(layer, x, False, None)
+        x, _ = forward_layers(self.spec.layers[:self.spec.spp_index], batch,
+                              self.slots)
         return x
 
     def head_forward(self, pooled: np.ndarray) -> np.ndarray:
         """Eval-mode logits from an already-pooled (B, k*M) feature batch."""
-        x = pooled
-        for layer in self.spec.head_layers():
-            if isinstance(layer, Softmax):
-                break
-            x, _ = self._layer_forward(layer, x, False, None)
+        x, _ = forward_layers(self.spec.head_layers(), pooled, self.slots)
         return x
 
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
@@ -504,6 +425,91 @@ def instantiate(spec: NetworkSpec, input_size,
                 params: ParameterStore) -> NetworkInstance:
     """Resolve `spec` at (h, w) against `params`; see NetworkInstance."""
     return NetworkInstance(spec, input_size, params)
+
+
+# ---------------------------------------------------------------------------
+# the layer interpreter
+# ---------------------------------------------------------------------------
+
+def _conv_spec(layer: Conv) -> tensor.ConvSpec:
+    return tensor.ConvSpec(layer.out_channels, layer.kernel, layer.stride,
+                           layer.pad())
+
+
+def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
+                   rng: np.random.Generator | None = None,
+                   layout: BinLayout | None = None):
+    """Run a slice of a layer chain on `x`; returns (output, caches).
+
+    `slots` maps each conv / fc layer name to its (weight, bias) slots, and
+    `layout` is the precomputed bin layout of the slice's pyramid layer, if
+    any. Softmax passes its input through: training couples it with the
+    loss. Caches for `backward_layers` are kept in train mode only; in eval
+    mode the list is empty.
+    """
+    caches = []
+    for layer in layers:
+        if isinstance(layer, Conv):
+            wslot, bslot = slots[layer.name]
+            out = tensor.conv_forward(x, wslot.value, bslot.value,
+                                      _conv_spec(layer))
+            cache = x
+        elif isinstance(layer, MaxPool):
+            out, argmax = tensor.maxpool_forward(
+                x, (layer.window, layer.window), (layer.stride, layer.stride),
+                (layer.pad(), layer.pad()))
+            cache = (argmax, x.shape)
+        elif isinstance(layer, SPP):
+            out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels),
+                                            layout=layout)
+            cache = (argmax, x.shape)
+        elif isinstance(layer, FC):
+            flat = x.reshape(x.shape[0], -1)
+            wslot, bslot = slots[layer.name]
+            out = tensor.fc_forward(flat, wslot.value, bslot.value)
+            cache = (flat, x.shape)
+        elif isinstance(layer, ReLU):
+            out, cache = tensor.relu_forward(x)
+        elif isinstance(layer, Dropout):
+            out, cache = tensor.dropout(x, layer.rate, train_mode, rng)
+        elif isinstance(layer, Softmax):
+            out, cache = x, None
+        else:
+            raise GraphError(f"unknown layer {layer!r}")
+        if train_mode:
+            caches.append(cache)
+        x = out
+    return x, caches
+
+
+def backward_layers(layers, caches, slots, grad: np.ndarray) -> np.ndarray:
+    """Back-propagate `grad` through the slice `forward_layers` ran in train
+    mode; accumulates conv / fc parameter gradients into `slots` and returns
+    the gradient with respect to the slice's input."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        if isinstance(layer, Conv):
+            wslot, bslot = slots[layer.name]
+            grad, gw, gb = tensor.conv_backward(grad, cache, wslot.value,
+                                                _conv_spec(layer))
+            wslot.grad += gw
+            bslot.grad += gb
+        elif isinstance(layer, MaxPool):
+            grad = tensor.maxpool_backward(grad, *cache)
+        elif isinstance(layer, SPP):
+            grad = spp_backward_batch(grad, *cache)
+        elif isinstance(layer, FC):
+            flat, in_shape = cache
+            wslot, bslot = slots[layer.name]
+            grad, gw, gb = tensor.fc_backward(grad, flat, wslot.value)
+            wslot.grad += gw
+            bslot.grad += gb
+            grad = grad.reshape(in_shape)
+        elif isinstance(layer, ReLU):
+            grad = tensor.relu_backward(grad, cache)
+        elif isinstance(layer, Dropout):
+            grad = tensor.dropout_backward(grad, cache)
+        # softmax: the loss gradient is already w.r.t. the logits
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +593,7 @@ CHECKPOINT_MAGIC = b"SPPCKPT1"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(store: ParameterStore, path):
+def checkpoint_bytes(store: ParameterStore) -> bytes:
     """Binary, bit-exact parameter dump: magic, version byte, slot count, then
     per-slot (name, shape, raw little-endian float32 values)."""
     blob = bytearray()
@@ -604,8 +610,13 @@ def save_checkpoint(store: ParameterStore, path):
         for dim in value.shape:
             blob += struct.pack("<I", dim)
         blob += value.tobytes()
+    return bytes(blob)
+
+
+def save_checkpoint(store: ParameterStore, path):
+    """Write `checkpoint_bytes(store)` to `path`."""
     with open(path, "wb") as f:
-        f.write(bytes(blob))
+        f.write(checkpoint_bytes(store))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -641,4 +652,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         n_values = int(np.prod(shape)) if shape else 1
         raw = take(4 * n_values, f"values of {name}")
         out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    if off != len(data):
+        raise CheckpointError(
+            f"checkpoint {path} has {len(data) - off} trailing bytes at byte "
+            f"{off}")
     return out

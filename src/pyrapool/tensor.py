@@ -21,28 +21,6 @@ from .errors import ShapeError
 
 
 @dataclass(frozen=True)
-class Tensor:
-    """A value array with an optional gradient of identical shape.
-
-    Used for parameter slots; layer functions below take and return bare
-    ndarrays.
-    """
-
-    data: np.ndarray
-    grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.grad is not None and self.grad.shape != self.data.shape:
-            raise ShapeError(
-                f"grad shape {self.grad.shape} != data shape {self.data.shape}"
-            )
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-@dataclass(frozen=True)
 class ConvSpec:
     """Convolution hyper-parameters: `out_channels` p×p filters (`kernel` = p),
     square stride, and symmetric zero padding per side."""
@@ -57,7 +35,7 @@ class ConvSpec:
             raise ShapeError(f"invalid conv spec {self}")
 
     def out_size(self, size: int) -> int:
-        return (size + 2 * self.padding - self.kernel) // self.stride + 1
+        return conv_out_size(size, self.kernel, self.stride, self.padding)
 
 
 def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:

@@ -16,7 +16,8 @@ import numpy as np
 from . import dataio, tensor
 from .errors import GraphError, TrainingDivergedError
 from .geometry import resize_image
-from .net import FC, Dropout, NetworkSpec, ParameterStore, ReLU, Softmax, instantiate
+from .net import (FC, NetworkSpec, ParameterStore, Softmax, backward_layers,
+                  forward_layers, instantiate)
 
 
 @dataclass
@@ -72,9 +73,12 @@ def multi_size_schedule(config: TrainConfig):
             yield int(rng.integers(lo, hi + 1))
 
 
-def sgd_step(params: ParameterStore, lr: float, momentum: float):
-    """Classic momentum update; clears gradients. Aborts on non-finite grads."""
-    for name, slot in params.items():
+def sgd_step(params: ParameterStore, lr: float, momentum: float,
+             names=None):
+    """Classic momentum update of the named slots (all when `names` is None);
+    clears their gradients. Aborts on non-finite grads."""
+    for name in params.names() if names is None else names:
+        slot = params[name]
         if not np.isfinite(slot.grad).all():
             raise TrainingDivergedError(
                 f"non-finite gradient in slot {name!r}; aborting")
@@ -210,100 +214,31 @@ class FinetuneConfig:
     seed: int = 0
 
 
-class FcHead:
+def _finetune_head(spec: NetworkSpec, params: ParameterStore,
+                   config: FinetuneConfig):
     """The fc stack after the pyramid layer, with the final classifier layer
-    replaced by a freshly initialized one: label 0 is background.
-
-    Operates on already-pooled fixed-length features, touching only fc slots.
-    """
-
-    def __init__(self, spec: NetworkSpec, params: ParameterStore,
-                 config: FinetuneConfig):
-        self.params = params
-        self.config = config
-        self.layers = []
-        head = [l for l in spec.head_layers() if not isinstance(l, Softmax)]
-        fc_layers = [l for l in head if isinstance(l, FC)]
-        if not fc_layers:
-            raise GraphError("network head has no fc layer to fine-tune")
-        last_fc = fc_layers[-1]
-        in_features = None
-        for layer in head:
-            if layer is last_fc:
-                break
-            if isinstance(layer, FC):
-                wname = f"{layer.name}.weight"
-                if wname not in params:
-                    raise GraphError(
-                        f"slot {wname} missing; fine-tune after pre-training")
-                in_features = params[wname].value.shape[0]
-                self.layers.append(("fc", layer.name))
-            elif isinstance(layer, ReLU):
-                self.layers.append(("relu", layer.name))
-            elif isinstance(layer, Dropout):
-                self.layers.append(("drop", layer.name, layer.rate))
-        if in_features is None:
-            # single-fc head: the new layer reads the pooled features directly
-            wname = f"{last_fc.name}.weight"
-            if wname not in params:
-                raise GraphError(
-                    f"slot {wname} missing; fine-tune after pre-training")
-            in_features = params[wname].value.shape[1]
+    replaced by a freshly initialized `config.head_name` layer (label 0 is
+    background); returns (layers, name -> (weight, bias) slot map)."""
+    head = [l for l in spec.head_layers() if not isinstance(l, Softmax)]
+    fc_layers = [l for l in head if isinstance(l, FC)]
+    if not fc_layers:
+        raise GraphError("network head has no fc layer to fine-tune")
+    for layer in fc_layers:
+        if f"{layer.name}.weight" not in params:
+            raise GraphError(f"slot {layer.name}.weight missing; fine-tune "
+                             f"after pre-training")
+    last_fc = fc_layers[-1]
+    layers = head[:head.index(last_fc)]
+    slots = {l.name: (params[f"{l.name}.weight"], params[f"{l.name}.bias"])
+             for l in layers if isinstance(l, FC)}
+    in_features = params[f"{last_fc.name}.weight"].value.shape[1]
+    slots[config.head_name] = (
         params.reinit_slot(f"{config.head_name}.weight",
-                           (config.n_classes, in_features), config.sigma)
+                           (config.n_classes, in_features), config.sigma),
         params.reinit_slot(f"{config.head_name}.bias", (config.n_classes,),
-                           init="zeros")
-        self.layers.append(("fc", config.head_name))
-        self.fc_slot_names = [f"{name}.{suffix}"
-                              for kind, name, *rest in self.layers
-                              if kind == "fc" for suffix in ("weight", "bias")]
-
-    def forward(self, x: np.ndarray, train_mode: bool,
-                rng: np.random.Generator | None):
-        caches = []
-        for entry in self.layers:
-            kind, name = entry[0], entry[1]
-            if kind == "fc":
-                w = self.params[f"{name}.weight"].value
-                b = self.params[f"{name}.bias"].value
-                caches.append(("fc", name, x))
-                x = tensor.fc_forward(x, w, b)
-            elif kind == "relu":
-                x, mask = tensor.relu_forward(x)
-                caches.append(("relu", name, mask))
-            else:
-                x, mask = tensor.dropout(x, entry[2], train_mode, rng)
-                caches.append(("drop", name, mask))
-        return x, caches
-
-    def backward(self, caches, grad):
-        for cache in reversed(caches):
-            kind, name = cache[0], cache[1]
-            if kind == "fc":
-                wslot = self.params[f"{name}.weight"]
-                bslot = self.params[f"{name}.bias"]
-                grad, gw, gb = tensor.fc_backward(grad, cache[2], wslot.value)
-                wslot.grad += gw
-                bslot.grad += gb
-            elif kind == "relu":
-                grad = tensor.relu_backward(grad, cache[2])
-            else:
-                grad = tensor.dropout_backward(grad, cache[2])
-        return grad
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(features, train_mode=False, rng=None)
-        return logits
-
-    def _sgd_fc_only(self, lr):
-        for name in self.fc_slot_names:
-            slot = self.params[name]
-            if not np.isfinite(slot.grad).all():
-                raise TrainingDivergedError(f"non-finite gradient in {name!r}")
-            slot.momentum *= self.config.momentum
-            slot.momentum -= lr * slot.grad
-            slot.value += slot.momentum
-            slot.grad[...] = 0.0
+                           init="zeros"))
+    layers.append(FC(config.n_classes, name=config.head_name))
+    return layers, slots
 
 
 def finetune_fc(params: ParameterStore, spec: NetworkSpec,
@@ -313,7 +248,9 @@ def finetune_fc(params: ParameterStore, spec: NetworkSpec,
 
     Labels: 0 = background, 1..n-1 = object classes. Each mini-batch holds
     `positive_fraction` positives (label > 0). Conv slots are untouched and
-    verified bit-identical before/after. Returns the trained FcHead.
+    verified bit-identical before/after. Returns the fine-tuned head's
+    scoring function: pooled (N, k*M) features -> eval-mode (N, n_classes)
+    logits.
     """
     labels = np.asarray(labels)
     pos_idx = np.flatnonzero(labels > 0)
@@ -323,8 +260,9 @@ def finetune_fc(params: ParameterStore, spec: NetworkSpec,
 
     conv_before = {name: slot.value.copy() for name, slot in params.items()
                    if name.startswith("conv")}
-    head = FcHead(spec, params, config)
-    frozen = set(params.names()) - set(head.fc_slot_names)
+    layers, slots = _finetune_head(spec, params, config)
+    fc_names = [f"{name}.{suffix}" for name in slots
+                for suffix in ("weight", "bias")]
     rng = np.random.default_rng(config.seed)
     n_pos = max(1, int(round(config.batch_size * config.positive_fraction)))
     switch = int(config.steps * (1.0 - config.late_fraction))
@@ -337,17 +275,13 @@ def finetune_fc(params: ParameterStore, spec: NetworkSpec,
         rng.shuffle(idx)
         xb = features[idx].astype(np.float32)
         yb = labels[idx]
-        logits, caches = head.forward(xb, True, rng)
+        logits, caches = forward_layers(layers, xb, slots, True, rng)
         loss, grad = tensor.softmax_cross_entropy(logits, yb)
-        head.backward(caches, grad)
-        for name in frozen:
-            if params[name].grad.any():
-                raise GraphError(
-                    f"fine-tuning attempted to update frozen slot {name!r}")
-        head._sgd_fc_only(lr)
+        backward_layers(layers, caches, slots, grad)
+        sgd_step(params, lr, config.momentum, names=fc_names)
         if on_batch is not None:
             on_batch(step, yb, loss)
     for name, before in conv_before.items():
         if not np.array_equal(params[name].value, before):
             raise GraphError(f"conv slot {name!r} changed during fine-tuning")
-    return head
+    return lambda pooled: forward_layers(layers, pooled, slots)[0]

@@ -86,6 +86,21 @@ class TestTrainReproducibility:
         assert open(str(outs[0]) + ".log").read() == \
             open(str(outs[1]) + ".log").read()
 
+    def test_stale_staging_path_does_not_block(self, corpus, tmp_path):
+        root, _ = corpus
+        out = tmp_path / "model.ckpt"
+        os.makedirs(str(out) + ".tmp-ckpt")
+        rc = cli.main([
+            "train",
+            "--train-manifest", str(root / "cls" / "train.txt"),
+            "--epochs", "1", "--sizes", "24", "--seed", "7",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert net.load_checkpoint(out)
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt",
+                                                "model.ckpt.tmp-ckpt"]
+
     def test_checkpoint_round_trip_identical_eval(self, corpus, checkpoint,
                                                   tmp_path, capsys):
         root, _ = corpus
@@ -223,6 +238,14 @@ class TestExitCodes:
         rc = cli.main(["eval", "--checkpoint", "/nonexistent.ckpt",
                        "--test-manifest", str(root / "cls" / "test.txt")])
         assert rc == cli.EXIT_MISSING_INPUT
+
+    def test_empty_manifest(self, checkpoint, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        rc = cli.main(["eval", "--checkpoint", str(checkpoint),
+                       "--test-manifest", str(empty)])
+        assert rc == cli.EXIT_MISSING_INPUT
+        assert str(empty) in capsys.readouterr().err
 
     def test_corrupt_checkpoint(self, corpus, tmp_path):
         root, _ = corpus

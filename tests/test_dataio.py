@@ -56,22 +56,24 @@ class TestNetpbm:
 
 
 class TestSubtractMean:
+    """`preprocess` at scale 1 is plain constant-mean subtraction."""
+
     def test_constant_image_zeroes(self):
-        img = dataio.Image(np.full((1, 3, 3), 128.0, np.float32))
-        assert not dataio.subtract_mean(img, 128.0).any()
+        px = np.full((1, 3, 3), 128.0, np.float32)
+        assert not dataio.preprocess(px, 128.0, 1.0).any()
 
     def test_zero_mean_identity(self):
-        img = dataio.Image(np.arange(9, dtype=np.float32).reshape(1, 3, 3))
-        np.testing.assert_array_equal(dataio.subtract_mean(img, 0.0), img.pixels)
+        px = np.arange(9, dtype=np.float32).reshape(1, 3, 3)
+        np.testing.assert_array_equal(dataio.preprocess(px, 0.0, 1.0), px)
 
     def test_white_minus_mean(self):
-        img = dataio.Image(np.full((1, 1, 1), 255.0, np.float32))
-        assert dataio.subtract_mean(img, 128.0)[0, 0, 0] == 127.0
+        px = np.full((1, 1, 1), 255.0, np.float32)
+        assert dataio.preprocess(px, 128.0, 1.0)[0, 0, 0] == 127.0
 
     def test_add_back_recovers(self):
         rng = np.random.default_rng(33)
         planes = rng.integers(0, 256, size=(1, 6, 6)).astype(np.float32)
-        out = dataio.subtract_mean(dataio.Image(planes), 128.0)
+        out = dataio.preprocess(planes, 128.0, 1.0)
         np.testing.assert_array_equal(out + 128.0, planes)
 
 

@@ -256,9 +256,18 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         net.save_checkpoint(params, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])
-        with pytest.raises(CheckpointError, match="truncated"):
-            net.load_checkpoint(path)
+        rng = np.random.default_rng(23)
+        for cut in (*rng.integers(0, len(blob), size=20), len(blob) // 2):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                net.load_checkpoint(path)
+        for pad in (1, 7, *rng.integers(2, 64, size=8)):
+            path.write_bytes(blob + rng.bytes(int(pad)))
+            with pytest.raises(CheckpointError,
+                               match=f"{pad} trailing bytes at byte "
+                                     f"{len(blob)}") as err:
+                net.load_checkpoint(path)
+            assert str(path) in str(err.value)
 
     def test_spec_mismatch_detected(self, tmp_path):
         params = net.ParameterStore(seed=24)

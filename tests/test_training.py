@@ -48,6 +48,25 @@ class TestSgdStep:
         # v1 = -0.1; v2 = 0.5*(-0.1) - 0.1 = -0.15; w = -0.25
         assert np.isclose(slot.value[0], -0.25)
 
+    def test_unnamed_slots_untouched(self):
+        params = net.ParameterStore(seed=2)
+        for name in ("a", "b", "c"):
+            slot = params.slot(name, (2, 3))
+            slot.grad[:] = 1.5
+            slot.momentum[:] = -0.25
+        before = {n: (s.value.copy(), s.momentum.copy(), s.grad.copy())
+                  for n, s in params.items()}
+        training.sgd_step(params, lr=0.1, momentum=0.9, names=["b"])
+        for name in ("a", "c"):
+            for arr, old in zip((params[name].value, params[name].momentum,
+                                 params[name].grad), before[name]):
+                np.testing.assert_array_equal(arr, old)
+        b = params["b"]
+        np.testing.assert_allclose(b.momentum, 0.9 * -0.25 - 0.1 * 1.5,
+                                   rtol=1e-6)
+        np.testing.assert_array_equal(b.value, before["b"][0] + b.momentum)
+        assert not b.grad.any()
+
     def test_nan_gradient_aborts_with_slot_name(self):
         params = net.ParameterStore()
         slot = params.slot("fc1.weight", (2, 2), "zeros")
@@ -176,10 +195,10 @@ class TestFinetune:
         before = {n: s.value.copy() for n, s in params.items()
                   if n.startswith("conv")}
         cfg = training.FinetuneConfig(n_classes=4, steps=40, seed=2)
-        head = training.finetune_fc(params, spec, feats, labels, cfg)
+        scores = training.finetune_fc(params, spec, feats, labels, cfg)
         for name, value in before.items():
             np.testing.assert_array_equal(params[name].value, value)
-        assert head.scores(feats[:5]).shape == (5, 4)
+        assert scores(feats[:5]).shape == (5, 4)
 
     def test_minibatches_are_quarter_positive(self):
         spec, params = self._pretrained()
@@ -217,8 +236,8 @@ class TestFinetune:
         feats, labels = self._region_features(rng, n=400)
         cfg = training.FinetuneConfig(n_classes=4, steps=300, seed=5,
                                       lr_initial=0.01, lr_late=0.001)
-        head = training.finetune_fc(params, spec, feats, labels, cfg)
-        pred = head.scores(feats).argmax(axis=1)
+        scores = training.finetune_fc(params, spec, feats, labels, cfg)
+        pred = scores(feats).argmax(axis=1)
         assert (pred == labels).mean() > 0.8
 
 
