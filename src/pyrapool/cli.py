@@ -29,10 +29,13 @@ EXIT_SPEC_MISMATCH = 4
 
 def atomic_write(path, data: str | bytes):
     """Write text or bytes to a fresh temp file beside `path`, then rename it
-    over `path`."""
+    over `path`. The file gets the mode `open()` would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -140,6 +143,8 @@ def _require(path, what):
 def cmd_train(args) -> int:
     manifest = _require(args.train_manifest, "--train-manifest")
     dataset = dataio.load_dataset(manifest)
+    if not dataset:
+        raise FileNotFoundError(f"train manifest {manifest} lists no images")
     eval_set = (dataio.load_dataset(args.test_manifest)
                 if args.test_manifest else None)
     spec = build_network(args)

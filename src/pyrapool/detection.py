@@ -17,9 +17,9 @@ import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import (WindowRect, iou, map_window, resize_image, resize_to,
-                       select_scale)
-from .net import NetworkSpec, ParameterStore, instantiate
+from .geometry import WindowRect, iou, map_window, resize_to, select_scale
+from .inference import network_input
+from .net import Conv, NetworkSpec, ParameterStore, instantiate
 from .spp import PyramidSpec, spp_forward
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
@@ -45,8 +45,8 @@ class Detection:
 class RegionFeatureExtractor:
     """Pools fixed-length window features from per-scale conv feature maps.
 
-    Maps are computed once per (image, scale) and cached for the lifetime of
-    this extractor; `conv_passes` counts actual trunk runs.
+    Maps are computed once per (image, scale) and cached until `drop`;
+    `conv_passes` counts actual trunk runs.
     """
 
     def __init__(self, spec: NetworkSpec, params: ParameterStore,
@@ -66,14 +66,9 @@ class RegionFeatureExtractor:
 
     @property
     def feature_length(self) -> int:
-        k = self._trunk_channels()
-        return self.pyramid.output_length(k)
-
-    def _trunk_channels(self) -> int:
-        from .net import Conv
         convs = [l for l in self.spec.layers[:self.spec.spp_index]
                  if isinstance(l, Conv)]
-        return convs[-1].out_channels
+        return self.pyramid.output_length(convs[-1].out_channels)
 
     def prepare(self, image_id: str, pixels: np.ndarray):
         """Compute and cache the per-scale feature maps of one image."""
@@ -81,13 +76,11 @@ class RegionFeatureExtractor:
             return self._cache[image_id]
         entry = {"size": (pixels.shape[2], pixels.shape[1]), "maps": {}}
         for s in self.scales:
-            resized = resize_image(pixels, s)
-            _, rh, rw = resized.shape
-            x = dataio.preprocess(resized, self.mean, self.input_scale)
-            inst = instantiate(self.spec, (rh, rw), self.params)
-            featmap = inst.conv_features(x[None])[0]
+            inst, x = network_input(self.spec, self.params, pixels, s, False,
+                                    self.mean, self.input_scale)
+            rh, rw = inst.input_size
+            entry["maps"][s] = (inst.conv_features(x)[0], (rw, rh))
             self.conv_passes += 1
-            entry["maps"][s] = (featmap, (rw, rh))
         self._cache[image_id] = entry
         return entry
 
@@ -101,7 +94,8 @@ class RegionFeatureExtractor:
         img_w, img_h = entry["size"]
         if (window.x0 >= img_w or window.y0 >= img_h
                 or window.x1 <= 0 or window.y1 <= 0):
-            raise ShapeError(f"proposal {window} lies outside {img_w}x{img_h}")
+            raise ShapeError(f"proposal {window} of image {image_id} lies "
+                             f"outside {img_w}x{img_h}")
         win = window.clamped(img_w, img_h)
         s = select_scale(win, (img_w, img_h), self.scales, self.view)
         featmap, (rw, rh) = entry["maps"][s]
@@ -425,26 +419,28 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                  ridge_lambda: float = 1.0) -> DetectorModel:
     """Train per-class SVMs (positives = ground-truth windows, mined
     negatives = low-overlap proposals) and optional bbox regressors from one
-    shared feature extractor."""
-    svms = {}
-    regressors = {}
-    for cls in classes:
-        feats, labels = [], []
-        reg_feats, reg_targets = [], []
-        for image_id, pixels in images.items():
-            gt_cls = [w for c, w in ground_truth.get(image_id, []) if c == cls]
-            props = proposals.get(image_id, [])
+    shared feature extractor. Images are visited one at a time: each window
+    is pooled once, then the image's maps are dropped."""
+    samples = {cls: ([], [], [], []) for cls in classes}
+    for image_id, pixels in images.items():
+        gt = ground_truth.get(image_id, [])
+        props = proposals.get(image_id, [])
+        pooled = {}
+        for win in [*props, *(w for c, w in gt if c in samples)]:
+            if win not in pooled:
+                pooled[win] = extractor.extract(image_id, pixels, win)
+        extractor.drop(image_id)
+        for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
+            gt_cls = [w for c, w in gt if c == cls]
             pos, neg = mine_svm_samples(props, gt_cls)
-            for win in pos:
-                feats.append(extractor.extract(image_id, pixels, win))
-                labels.append(1.0)
-            for win in neg:
-                feats.append(extractor.extract(image_id, pixels, win))
-                labels.append(-1.0)
+            feats.extend(pooled[win] for win in pos + neg)
+            labels.extend([1.0] * len(pos) + [-1.0] * len(neg))
             if with_bbox and gt_cls:
                 for win, target in collect_bbox_pairs(props, gt_cls):
-                    reg_feats.append(extractor.extract(image_id, pixels, win))
+                    reg_feats.append(pooled[win])
                     reg_targets.append(target)
+    svms, regressors = {}, {}
+    for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
         svms[cls] = train_svm(np.array(feats), np.array(labels), c=svm_c,
                               hard_negative_rounds=hard_negative_rounds,
                               initial_negatives=initial_negatives)
@@ -469,6 +465,7 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
             continue
         feats = np.array([extractor.extract(image_id, pixels, p)
                           for p in props])
+        row_of = dict(zip(props, feats))
         image_size = (pixels.shape[2], pixels.shape[1])
         for cls, svm in sorted(model.svms.items()):
             scores = svm.scores(feats)
@@ -478,13 +475,10 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
             survivors = nms(dets, nms_threshold)
             if apply_bbox and model.regressors.get(cls, BBoxRegressor()).enabled:
                 reg = model.regressors[cls]
-                adjusted = []
-                for d in survivors:
-                    f = extractor.extract(image_id, pixels, d.window)
-                    adjusted.append(Detection(
-                        image_id, reg.apply(f, d.window, image_size),
-                        cls, d.score))
-                survivors = adjusted
+                survivors = [Detection(
+                    image_id, reg.apply(row_of[d.window], d.window,
+                                        image_size), cls, d.score)
+                    for d in survivors]
             out.extend(survivors)
         extractor.drop(image_id)
     return out

@@ -2,12 +2,12 @@
 crop scheme, and multi-view testing pooled directly from feature maps.
 
 Views are (scale, window, flip) triples on the min-side-resized image. The
-feature-map path computes one conv trunk pass per (scale, flip) and pools
-every window of that scale from the shared map, so the conv cost never depends
-on the view count. Windows are projected with the boundary formulas; on any
-side where a view touches the resized-image border, the mapped rect is
-snapped to the map border so that a full-image view pools exactly the full
-map (the raw left-boundary formula would drop row/column 0).
+feature-map path runs the conv trunk and the fc head once per (scale, flip),
+pooling every window of the group from the shared map. Windows are projected
+with the boundary formulas; on any side where a view touches the
+resized-image border, the mapped rect is snapped to the map border so that a
+full-image view pools exactly the full map (the raw left-boundary formula
+would drop row/column 0).
 """
 
 from __future__ import annotations
@@ -87,12 +87,26 @@ def view_to_feature_rect(window: WindowRect, resized_size, stride: int,
     return FeatureRect(fx0, fy0, max(fx1, fx0), max(fy1, fy0))
 
 
+def network_input(spec: NetworkSpec, params: ParameterStore,
+                  pixels: np.ndarray, s: int, flip: bool = False,
+                  mean: float = dataio.DEFAULT_MEAN,
+                  input_scale: float = 1.0 / 128.0):
+    """The one path from an image to the network: resize to min side `s`,
+    optionally mirror, preprocess, and instantiate the net at that size.
+    Returns (instance, (1, C, h, w) input batch)."""
+    resized = resize_image(pixels, s)
+    if flip:
+        resized = resized[:, :, ::-1]
+    inst = instantiate(spec, resized.shape[1:], params)
+    return inst, dataio.preprocess(resized, mean, input_scale)[None]
+
+
 def predict_views(spec: NetworkSpec, params: ParameterStore,
                   pixels: np.ndarray, views,
                   mean: float = dataio.DEFAULT_MEAN,
                   input_scale: float = 1.0 / 128.0) -> np.ndarray:
     """Average the softmax scores of all views, pooling each window from the
-    feature map of its (scale, flip) group: one trunk pass per group."""
+    feature map of its (scale, flip) group; trunk and head run once a group."""
     if not views:
         raise ShapeError("view list is empty")
     stride = spec.trunk_geometry().stride
@@ -102,26 +116,22 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
         groups.setdefault((view.scale, view.flip), []).append(view)
 
     total = None
-    count = 0
     for (s, flip), members in groups.items():
-        resized = resize_image(pixels, s)
-        if flip:
-            resized = resized[:, :, ::-1]
-        _, rh, rw = resized.shape
-        x = dataio.preprocess(resized, mean, input_scale)
-        inst = instantiate(spec, (rh, rw), params)
-        featmap = inst.conv_features(x[None])[0]
-        map_hw = featmap.shape[1:]
+        inst, x = network_input(spec, params, pixels, s, flip, mean,
+                                input_scale)
+        rh, rw = inst.input_size
+        featmap = inst.conv_features(x)[0]
+        vecs = []
         for view in members:
             win = view.window.hflipped(rw) if flip else view.window
-            rect = view_to_feature_rect(win, (rw, rh), stride, map_hw)
+            rect = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
             crop = featmap[:, rect.fy0:rect.fy1 + 1, rect.fx0:rect.fx1 + 1]
-            vec, _ = spp_forward(crop, pyramid)
-            probs = softmax(inst.head_forward(vec[None].astype(np.float32)))[0]
-            total = probs.astype(np.float64) if total is None \
-                else total + probs
-            count += 1
-    return total / count
+            vecs.append(spp_forward(crop, pyramid)[0])
+        probs = softmax(inst.head_forward(np.array(vecs, dtype=np.float32)))
+        # row by row, in view order: the float64 sum is the per-view one
+        for row in probs:
+            total = row.astype(np.float64) if total is None else total + row
+    return total / len(views)
 
 
 def predict_crops(spec: NetworkSpec, params: ParameterStore,
@@ -170,11 +180,9 @@ def full_image_representation(spec: NetworkSpec, params: ParameterStore,
     """One forward pass over the whole min-side-s image; returns the named
     layer's activations flattened (default: the pooled pyramid vector),
     optionally l2-normalized for classifier export."""
-    resized = resize_image(pixels, s)
-    _, rh, rw = resized.shape
-    inst = instantiate(spec, (rh, rw), params)
+    inst, x = network_input(spec, params, pixels, s, mean=mean,
+                            input_scale=input_scale)
     if layer is None:
         layer = spec.layers[spec.spp_index].name
-    x = dataio.preprocess(resized, mean, input_scale)
-    feat = inst.feature_at(x[None], layer)[0].reshape(-1)
+    feat = inst.feature_at(x, layer)[0].reshape(-1)
     return l2_normalize(feat) if l2 else feat

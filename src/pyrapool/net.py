@@ -257,9 +257,6 @@ class ParameterStore:
         for name, arr in values.items():
             self._slots[name] = Slot(np.ascontiguousarray(arr, dtype=np.float32))
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: slot.value.copy() for name, slot in self._slots.items()}
-
 
 # ---------------------------------------------------------------------------
 # shape resolution and instantiation
@@ -384,6 +381,9 @@ class NetworkInstance:
             raise ShapeError(
                 f"batch shaped {batch.shape}, instance expects (B, {expect[0]}, "
                 f"{expect[1]}, {expect[2]})")
+        if not np.isfinite(batch).all():
+            bad = batch.size - int(np.count_nonzero(np.isfinite(batch)))
+            raise ShapeError(f"batch holds {bad} non-finite values")
 
     def backward(self, saved, grad_logits: np.ndarray):
         """Accumulate parameter gradients from a train-mode forward pass."""

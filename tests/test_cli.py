@@ -119,6 +119,19 @@ class TestTrainReproducibility:
         assert outputs[0] == outputs[1]
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            cli.atomic_write(tmp_path / "text.txt", "x\n")
+            cli.atomic_write(tmp_path / "bytes.bin", b"x")
+        finally:
+            os.umask(old)
+        for name in ("text.txt", "bytes.bin"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
+
 class TestDetect:
     def test_detect_writes_reproducible_outputs(self, corpus, checkpoint,
                                                 tmp_path):
@@ -246,6 +259,15 @@ class TestExitCodes:
                        "--test-manifest", str(empty)])
         assert rc == cli.EXIT_MISSING_INPUT
         assert str(empty) in capsys.readouterr().err
+
+    def test_empty_train_manifest(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        rc = cli.main(["train", "--train-manifest", str(empty),
+                       "--out", str(tmp_path / "m.ckpt")])
+        assert rc == cli.EXIT_MISSING_INPUT
+        assert str(empty) in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_corrupt_checkpoint(self, corpus, tmp_path):
         root, _ = corpus

@@ -379,6 +379,115 @@ class TestRegionFeatures:
             ex.extract("img", self.pixels, W(100, 100, 120, 120))
 
 
+def _counting(extractor):
+    """Record every (image_id, window) the extractor is asked to pool."""
+    calls = []
+    extract = extractor.extract
+
+    def counted(image_id, pixels, window):
+        calls.append((image_id, window))
+        return extract(image_id, pixels, window)
+
+    extractor.extract = counted
+    return calls
+
+
+def _class_major_fit(extractor, images, proposals, ground_truth, classes):
+    """Class-by-class oracle: pool each class's samples in image order."""
+    svms, regressors = {}, {}
+    for cls in classes:
+        feats, labels, reg_feats, reg_targets = [], [], [], []
+        for image_id, pixels in images.items():
+            gt_cls = [w for c, w in ground_truth.get(image_id, []) if c == cls]
+            props = proposals.get(image_id, [])
+            pos, neg = det.mine_svm_samples(props, gt_cls)
+            feats += [extractor.extract(image_id, pixels, w) for w in pos + neg]
+            labels += [1.0] * len(pos) + [-1.0] * len(neg)
+            for win, target in (det.collect_bbox_pairs(props, gt_cls)
+                                if gt_cls else []):
+                reg_feats.append(extractor.extract(image_id, pixels, win))
+                reg_targets.append(target)
+        svms[cls] = det.train_svm(np.array(feats), np.array(labels))
+        regressors[cls] = det.bbox_regress_train(np.array(reg_feats),
+                                                 np.array(reg_targets))
+    return svms, regressors
+
+
+class TestPoolOnce:
+    SCALES = (48, 64)
+
+    def setup_method(self):
+        self.spec = net.toy_shape_net()
+        self.params = net.ParameterStore(seed=65, sigma=0.05)
+        rng = np.random.default_rng(66)
+        self.images = {i: rng.uniform(0, 255, (1, 64, 80)).astype(np.float32)
+                       for i in ("a", "b")}
+        self.gt = {"a": [(0, W(5, 5, 35, 35)), (1, W(40, 20, 75, 60))],
+                   "b": [(0, W(30, 10, 70, 50))]}
+        self.proposals = {}
+        for image_id, boxes in self.gt.items():
+            props = []
+            for _, g in boxes:
+                for dx, dy in ((0, 0), (2, 1), (-3, 2), (1, -2)):
+                    props.append(W(max(0, g.x0 + dx), max(0, g.y0 + dy),
+                                   g.x1 + dx, g.y1 + dy))
+            for _ in range(12):
+                x0, y0 = int(rng.integers(0, 60)), int(rng.integers(0, 44))
+                props.append(W(x0, y0, x0 + int(rng.integers(8, 20)),
+                               y0 + int(rng.integers(8, 20))))
+            props.append(props[-1])  # a duplicate proposal
+            self.proposals[image_id] = props
+
+    def _extractor(self):
+        return det.RegionFeatureExtractor(self.spec, self.params,
+                                          scales=self.SCALES, view=32)
+
+    def _fit(self, extractor):
+        return det.fit_detector(extractor, self.images, self.proposals,
+                                self.gt, classes=(0, 1))
+
+    def test_fit_pools_each_window_once_and_drops_maps(self):
+        ex = self._extractor()
+        calls = _counting(ex)
+        self._fit(ex)
+        distinct = {(i, w) for i in self.images
+                    for w in self.proposals[i] + [g for _, g in self.gt[i]]}
+        assert len(calls) == len(set(calls)) == len(distinct)
+        assert set(calls) == distinct
+        assert ex.conv_passes == len(self.images) * len(self.SCALES)
+        assert ex._cache == {}
+
+    def test_fit_matches_class_major_pooling(self):
+        model = self._fit(self._extractor())
+        svms, regressors = _class_major_fit(
+            self._extractor(), self.images, self.proposals, self.gt, (0, 1))
+        for cls in (0, 1):
+            np.testing.assert_array_equal(model.svms[cls].weight,
+                                          svms[cls].weight)
+            assert model.svms[cls].bias == svms[cls].bias
+            assert model.regressors[cls].enabled
+            np.testing.assert_array_equal(model.regressors[cls].weights,
+                                          regressors[cls].weights)
+
+    def test_run_with_bbox_pools_each_proposal_once(self):
+        model = self._fit(self._extractor())
+        ex = self._extractor()
+        calls = _counting(ex)
+        dets = det.run_detector(ex, model, self.images, self.proposals,
+                                apply_bbox=True)
+        assert dets
+        assert len(calls) == sum(len(p) for p in self.proposals.values())
+
+    def test_training_proposal_outside_image_rejected(self):
+        # the second proposal lies wholly right of the 80-px image and
+        # overlaps the first by IoU > 0.7, so negative dedup would drop it
+        images = {"edge": self.images["a"]}
+        proposals = {"edge": [W(75, 0, 125, 40), W(80, 0, 130, 40)]}
+        gt = {"edge": [(0, W(0, 0, 30, 30))]}
+        with pytest.raises(ShapeError, match="edge"):
+            det.fit_detector(self._extractor(), images, proposals, gt, (0,))
+
+
 class TestSpeedBench:
     def setup_method(self):
         self.spec = net.toy_shape_net()

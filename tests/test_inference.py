@@ -7,6 +7,7 @@ from pyrapool import inference, net
 from pyrapool import spp as spp_mod
 from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect
+from pyrapool.tensor import softmax
 
 
 class TestTenViews:
@@ -102,6 +103,53 @@ class TestPredictViews:
         p = inference.predict_views(self.spec, self.params, self.pixels, views)
         assert p.shape == (5,)
         assert np.isclose(p.sum(), 1.0, atol=1e-9)
+
+
+    def test_head_once_per_scale_flip_group(self, monkeypatch):
+        views = inference.multi_view_windows((48, 40), scales=(32, 36, 40),
+                                             view=28)
+        head_forward = net.NetworkInstance.head_forward
+        batches = []
+
+        def counted(inst, pooled):
+            batches.append(len(pooled))
+            return head_forward(inst, pooled)
+
+        monkeypatch.setattr(net.NetworkInstance, "head_forward", counted)
+        inference.predict_views(self.spec, self.params, self.pixels, views)
+        assert len(batches) == 6  # (scale, flip) groups
+        assert sum(batches) == len(views)
+
+    def test_batched_head_equals_per_view_sum(self):
+        # oracle: one head call per view, summed in view order in float64
+        views = inference.multi_view_windows((40, 40), scales=(32, 36),
+                                             view=28)
+        stride = self.spec.trunk_geometry().stride
+        total = None
+        for view in views:
+            inst, x = inference.network_input(self.spec, self.params,
+                                              self.pixels, view.scale,
+                                              view.flip)
+            rh, rw = inst.input_size
+            featmap = inst.conv_features(x)[0]
+            win = view.window.hflipped(rw) if view.flip else view.window
+            r = inference.view_to_feature_rect(win, (rw, rh), stride,
+                                               featmap.shape[1:])
+            vec, _ = spp_mod.spp_forward(
+                featmap[:, r.fy0:r.fy1 + 1, r.fx0:r.fx1 + 1],
+                self.spec.pyramid())
+            row = softmax(inst.head_forward(vec[None]))[0]
+            total = row.astype(np.float64) if total is None else total + row
+        got = inference.predict_views(self.spec, self.params, self.pixels,
+                                      views)
+        np.testing.assert_array_equal(got, total / len(views))
+
+    def test_nan_pixel_rejected(self):
+        pixels = self.pixels.copy()
+        pixels[0, 10, 10] = np.nan
+        views = inference.ten_view_windows((40, 40), s=36, view=32)
+        with pytest.raises(ShapeError, match="non-finite"):
+            inference.predict_views(self.spec, self.params, pixels, views)
 
 
 class TestFlipConsistency:

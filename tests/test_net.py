@@ -219,6 +219,21 @@ class TestParameterSharing:
             net.instantiate(spec, (10, 10), params)
 
 
+class TestNonFiniteInput:
+    def test_nan_pixel_rejected_with_count(self):
+        spec = net.toy_shape_net()
+        inst = net.instantiate(spec, (24, 24), net.ParameterStore(seed=23))
+        batch = np.zeros((1, 1, 24, 24), dtype=np.float32)
+        batch[0, 0, 3, 5] = np.nan
+        with pytest.raises(ShapeError, match="1 non-finite"):
+            inst.predict_proba(batch)
+        batch[0, 0, 7, 7] = -np.inf
+        for run in (inst.predict_proba, inst.conv_features,
+                    lambda b: inst.feature_at(b, "fc1")):
+            with pytest.raises(ShapeError, match="2 non-finite"):
+                run(batch)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         spec = net.toy_shape_net()
