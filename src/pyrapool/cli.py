@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import dataio, detection, inference, net, training
-from .errors import CheckpointError, GraphError, ShapeError, SpecMismatchError
+from .errors import CheckpointError, ShapeError, SpecMismatchError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -82,26 +82,52 @@ def _bool(text) -> bool:
     return str(text).lower() in ("1", "true", "yes", "on")
 
 
-def apply_config_defaults(parser: argparse.ArgumentParser, args, config):
-    """File values fill any flag the command line left at None."""
-    known = set()
+def apply_config_defaults(parser: argparse.ArgumentParser, config):
+    """File values become the subcommand's defaults, so flags given on the
+    command line still override them."""
+    defaults = {}
     for action in parser._actions:
-        known.add(action.dest)
-        if action.dest == "help" or action.dest not in config:
+        if action.dest in ("help", "config") or action.dest not in config:
             continue
-        if getattr(args, action.dest) is None:
-            raw = config[action.dest]
-            if isinstance(action, (argparse._StoreTrueAction,
-                                   argparse._StoreFalseAction)):
-                setattr(args, action.dest, _bool(raw))
-            elif action.type is not None:
-                setattr(args, action.dest, action.type(raw))
-            else:
-                setattr(args, action.dest, raw)
-    unknown = set(config) - known - {"config"}
+        raw = config[action.dest]
+        if isinstance(action, argparse._StoreTrueAction):
+            defaults[action.dest] = _bool(raw)
+        elif action.type is not None:
+            defaults[action.dest] = action.type(raw)
+        else:
+            defaults[action.dest] = raw
+    unknown = set(config) - {a.dest for a in parser._actions}
     if unknown:
         raise ShapeError(f"unknown config keys: {sorted(unknown)}")
-    return args
+    parser.set_defaults(**defaults)
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+# flags that hold counts or sizes: every value must be a positive integer
+POSITIVE_FLAGS = ("classes", "levels", "channels", "in_channels", "fc_width",
+                  "epochs", "batch_size", "sizes", "eval_size", "scale",
+                  "scales", "view", "pyramid", "view_size", "n_proposals",
+                  "repeats", "window_size")
+
+
+def check_args(args):
+    """Reject a missing required option or a non-positive count or size,
+    naming the flag."""
+    for dest in args.required:
+        if getattr(args, dest) is None:
+            raise ShapeError(f"missing required option: {_flag(dest)}")
+    for dest in POSITIVE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        values = value if isinstance(value, tuple) else (value,)
+        if not values or min(values) < 1:
+            raise ShapeError(
+                f"{_flag(dest)} must be positive, got "
+                f"{','.join(map(str, values)) or 'nothing'}")
 
 
 def build_network(args) -> net.NetworkSpec:
@@ -120,17 +146,25 @@ def build_network(args) -> net.NetworkSpec:
     return net.build_net(args.net, **kwargs)
 
 
-def load_store(args) -> net.ParameterStore:
-    if not os.path.exists(args.checkpoint):
-        raise FileNotFoundError(f"checkpoint {args.checkpoint} does not exist")
-    store = net.ParameterStore(seed=args.seed or 0)
-    store.load_values(net.load_checkpoint(args.checkpoint))
+def load_store(args, spec: net.NetworkSpec) -> net.ParameterStore:
+    """Load the checkpoint; its slots must be exactly the weight and bias of
+    every conv and fc layer of `spec`."""
+    values = net.load_checkpoint(_existing(args.checkpoint, "--checkpoint"))
+    expected = {f"{layer.name}.{part}" for layer in spec.layers
+                if isinstance(layer, (net.Conv, net.FC))
+                for part in ("weight", "bias")}
+    for names, what in ((expected - set(values), "lacks"),
+                        (set(values) - expected, "has unknown")):
+        if names:
+            raise SpecMismatchError(
+                f"checkpoint {args.checkpoint} {what} slot(s) "
+                f"{', '.join(sorted(names))} for this network")
+    store = net.ParameterStore(seed=args.seed)
+    store.load_values(values)
     return store
 
 
-def _require(path, what):
-    if path is None:
-        raise ShapeError(f"missing required option: {what}")
+def _existing(path, what):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} {path} does not exist")
     return path
@@ -141,7 +175,7 @@ def _require(path, what):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    manifest = _require(args.train_manifest, "--train-manifest")
+    manifest = _existing(args.train_manifest, "--train-manifest")
     dataset = dataio.load_dataset(manifest)
     if not dataset:
         raise FileNotFoundError(f"train manifest {manifest} lists no images")
@@ -149,18 +183,11 @@ def cmd_train(args) -> int:
                 if args.test_manifest else None)
     spec = build_network(args)
     config = training.TrainConfig(
-        lr=args.lr if args.lr is not None else 0.01,
-        momentum=args.momentum if args.momentum is not None else 0.9,
-        batch_size=args.batch_size or 32,
-        epochs=args.epochs or 10,
-        schedule=args.schedule or "single",
-        sizes=args.sizes or (32,),
-        eval_size=args.eval_size,
-        seed=args.seed or 0,
-    )
+        lr=args.lr, momentum=args.momentum, batch_size=args.batch_size,
+        epochs=args.epochs, schedule=args.schedule, sizes=args.sizes,
+        eval_size=args.eval_size, seed=args.seed)
     params, reports = training.train(spec, dataset, config, eval_set=eval_set)
-    atomic_write(_require_path(args.out, "--out"),
-                 net.checkpoint_bytes(params))
+    atomic_write(args.out, net.checkpoint_bytes(params))
     if args.log:
         atomic_write(args.log, "".join(r.line() + "\n" for r in reports))
     print(f"trained {len(reports)} epochs; final loss "
@@ -168,26 +195,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _require_path(path, what):
-    if path is None:
-        raise ShapeError(f"missing required option: {what}")
-    return path
-
-
 def cmd_eval(args) -> int:
-    manifest = _require(args.test_manifest, "--test-manifest")
+    manifest = _existing(args.test_manifest, "--test-manifest")
     dataset = dataio.load_manifest(manifest)
     if not dataset:
         raise FileNotFoundError(f"test manifest {manifest} lists no images")
     spec = build_network(args)
-    params = load_store(args)
-    try:
-        net.instantiate(spec, (args.view or 32,) * 2, params)  # slot check
-    except GraphError:
-        pass  # too small for this net; slots get checked on first use
-    mode = args.mode or "single"
-    scale = args.scale or 32
-    view = args.view or 32
+    params = load_store(args, spec)
+    mode, scale, view = args.mode, args.scale, args.view
     correct = 0
     for path, label in dataset:
         pixels = dataio.load_image(path).pixels
@@ -208,7 +223,7 @@ def cmd_eval(args) -> int:
         elif mode == "96view":
             views = inference.multi_view_windows(
                 (pixels.shape[2], pixels.shape[1]),
-                scales=args.scales or inference.MULTI_VIEW_SCALES, view=view)
+                scales=args.scales, view=view)
             pred = int(np.argmax(inference.predict_views(
                 spec, params, pixels, views)))
         else:
@@ -224,23 +239,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    manifest = _require(args.manifest, "--manifest")
+    manifest = _existing(args.manifest, "--manifest")
     spec = build_network(args)
-    params = load_store(args)
+    params = load_store(args, spec)
     entries = dataio.load_manifest(manifest)
-    scale = args.scale or 32
     lines = []
     base = os.path.dirname(os.path.abspath(manifest))
     for path, _ in entries:
         pixels = dataio.load_image(path).pixels
         vec = inference.full_image_representation(
-            spec, params, pixels, scale, layer=args.layer,
-            l2=bool(args.l2))
+            spec, params, pixels, args.scale, layer=args.layer, l2=args.l2)
         rel = os.path.relpath(path, base)
         lines.append(rel + "," + ",".join(f"{v:.6g}" for v in vec))
-    out = _require_path(args.out, "--out")
-    atomic_write(out, "\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} feature vectors to {out}")
+    atomic_write(args.out, "\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} feature vectors to {args.out}")
     return EXIT_OK
 
 
@@ -252,37 +264,33 @@ def _load_images(manifest_path):
 
 def cmd_detect(args) -> int:
     spec = build_network(args)
-    params = load_store(args)
-    scales = args.scales or detection.DETECTION_SCALES
-    pyramid = args.pyramid or detection.DETECTION_PYRAMID
-    view = args.view_size or 224
-    train_images = _load_images(_require(args.train_images, "--train-images"))
+    params = load_store(args, spec)
+    scales, pyramid, view = args.scales, args.pyramid, args.view_size
+    train_images = _load_images(
+        _existing(args.train_images, "--train-images"))
     train_props = detection.read_proposals(
-        _require(args.train_proposals, "--train-proposals"))
+        _existing(args.train_proposals, "--train-proposals"))
     train_gt = detection.read_ground_truth(
-        _require(args.train_gt, "--train-gt"))
+        _existing(args.train_gt, "--train-gt"))
     classes = sorted({c for entries in train_gt.values()
                       for c, _ in entries})
     extractor = detection.RegionFeatureExtractor(
         spec, params, scales=scales, pyramid=pyramid, view=view)
     model = detection.fit_detector(
         extractor, train_images, train_props, train_gt, classes,
-        svm_c=args.svm_c if args.svm_c is not None else 1.0,
-        with_bbox=not args.no_bbox)
+        svm_c=args.svm_c, with_bbox=not args.no_bbox)
 
-    images = _load_images(_require(args.images, "--images"))
-    proposals = detection.read_proposals(_require(args.proposals,
-                                                  "--proposals"))
-    nms_t = args.nms_threshold if args.nms_threshold is not None else 0.3
-    threads = thread_count()
+    images = _load_images(_existing(args.images, "--images"))
+    proposals = detection.read_proposals(
+        _existing(args.proposals, "--proposals"))
     detections = _detect_parallel(
         spec, params, model, images, proposals, scales, pyramid, view,
-        nms_t, apply_bbox=not args.no_bbox, threads=threads)
-    out = _require_path(args.out, "--out")
-    atomic_write(out, detection.format_detections(detections))
-    print(f"wrote {len(detections)} detections to {out}")
+        args.nms_threshold, apply_bbox=not args.no_bbox,
+        threads=thread_count())
+    atomic_write(args.out, detection.format_detections(detections))
+    print(f"wrote {len(detections)} detections to {args.out}")
     if args.gt:
-        gt = detection.read_ground_truth(_require(args.gt, "--gt"))
+        gt = detection.read_ground_truth(_existing(args.gt, "--gt"))
         aps, mean = detection.evaluate_map(detections, gt)
         lines = [f"class,{cls},ap,{ap:.6f}" for cls, ap in sorted(aps.items())]
         lines.append(f"mAP,{mean:.6f}")
@@ -316,18 +324,19 @@ def _detect_parallel(spec, params, model, images, proposals, scales, pyramid,
 
 def cmd_bench(args) -> int:
     spec = build_network(args)
-    params = load_store(args) if args.checkpoint else \
-        net.ParameterStore(seed=args.seed or 0)
-    if args.checkpoint is None:
-        net.instantiate(spec, (args.window_size or 224,) * 2, params)
-    if args.image:
-        pixels = dataio.load_image(_require(args.image, "--image")).pixels
+    if args.checkpoint:
+        params = load_store(args, spec)
     else:
-        rng = np.random.default_rng(args.seed or 0)
+        params = net.ParameterStore(seed=args.seed)
+        net.instantiate(spec, (args.window_size,) * 2, params)
+    if args.image:
+        pixels = dataio.load_image(_existing(args.image, "--image")).pixels
+    else:
+        rng = np.random.default_rng(args.seed)
         pixels = rng.uniform(0, 255, size=(spec.in_channels, 96, 128)) \
                     .astype(np.float32)
-    n = args.n_proposals or 100
-    rng = np.random.default_rng((args.seed or 0) + 1)
+    n = args.n_proposals
+    rng = np.random.default_rng(args.seed + 1)
     img_h, img_w = pixels.shape[1], pixels.shape[2]
     proposals = []
     for _ in range(n):
@@ -336,15 +345,13 @@ def cmd_bench(args) -> int:
         x0 = int(rng.integers(0, img_w - w))
         y0 = int(rng.integers(0, img_h - h))
         proposals.append(detection.WindowRect(x0, y0, x0 + w, y0 + h))
-    repeats = args.repeats or 5
-    scales = args.scales or (480,)
     lines = ["mode,n,conv_time,pool_time,fc_time,total_time"]
     medians = {}
     for mode in ("shared", "per_window"):
         runs = [detection.speed_bench(
-            spec, params, pixels, proposals, mode, scales=scales,
-            window_size=args.window_size or 224)
-            for _ in range(repeats)]
+            spec, params, pixels, proposals, mode, scales=args.scales,
+            window_size=args.window_size)
+            for _ in range(args.repeats)]
         conv = float(np.median([r.conv_time for r in runs]))
         pool = float(np.median([r.pool_time for r in runs]))
         fc = float(np.median([r.fc_time for r in runs]))
@@ -368,14 +375,14 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_net_flags(p):
-    p.add_argument("--net", default=None, help="network name (toy | zf5)")
+    p.add_argument("--net", default="toy", help="network name (toy | zf5)")
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--levels", type=_int_tuple, default=None,
                    help="pyramid grid sizes, e.g. 3,2,1")
     p.add_argument("--channels", type=_int_tuple, default=None)
     p.add_argument("--in-channels", type=int, default=None)
     p.add_argument("--fc-width", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -385,45 +392,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="pyramid-pooled network toolkit: train, evaluate, "
                     "extract features, detect, benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = training.TrainConfig
 
     p = sub.add_parser("train", help="train a classifier")
     _add_net_flags(p)
     p.add_argument("--train-manifest", default=None)
     p.add_argument("--test-manifest", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--schedule", default=None,
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--momentum", type=float, default=defaults.momentum)
+    p.add_argument("--schedule", default=defaults.schedule,
                    help="single | alternate | random")
-    p.add_argument("--sizes", type=_int_tuple, default=None,
+    p.add_argument("--sizes", type=_int_tuple, default=(32,),
                    help="input sizes, e.g. 32,24")
     p.add_argument("--eval-size", type=int, default=None)
     p.add_argument("--out", default=None, help="checkpoint path")
     p.add_argument("--log", default=None, help="epoch log path")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, required=("train_manifest", "out"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     _add_net_flags(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--test-manifest", default=None)
-    p.add_argument("--mode", default=None,
+    p.add_argument("--mode", default="single",
                    help="single | 10view | 10view-pixels | 96view")
-    p.add_argument("--scale", type=int, default=None)
-    p.add_argument("--scales", type=_int_tuple, default=None)
-    p.add_argument("--view", type=int, default=None)
+    p.add_argument("--scale", type=int, default=32)
+    p.add_argument("--scales", type=_int_tuple,
+                   default=inference.MULTI_VIEW_SCALES)
+    p.add_argument("--view", type=int, default=32)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, required=("test_manifest", "checkpoint"))
 
     p = sub.add_parser("extract", help="write full-image feature vectors")
     _add_net_flags(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--manifest", default=None)
-    p.add_argument("--scale", type=int, default=None)
+    p.add_argument("--scale", type=int, default=32)
     p.add_argument("--layer", default=None)
-    p.add_argument("--l2", action="store_true", default=None)
+    p.add_argument("--l2", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=cmd_extract,
+                   required=("manifest", "checkpoint", "out"))
 
     p = sub.add_parser("detect", help="train SVMs on proposals and detect")
     _add_net_flags(p)
@@ -434,26 +444,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", default=None)
     p.add_argument("--proposals", default=None)
     p.add_argument("--gt", default=None, help="enables the mAP report")
-    p.add_argument("--scales", type=_int_tuple, default=None)
-    p.add_argument("--pyramid", type=_int_tuple, default=None)
-    p.add_argument("--view-size", type=int, default=None)
-    p.add_argument("--nms-threshold", type=float, default=None)
-    p.add_argument("--svm-c", type=float, default=None)
-    p.add_argument("--no-bbox", action="store_true", default=None)
+    p.add_argument("--scales", type=_int_tuple,
+                   default=detection.DETECTION_SCALES)
+    p.add_argument("--pyramid", type=_int_tuple,
+                   default=detection.DETECTION_PYRAMID)
+    p.add_argument("--view-size", type=int, default=224)
+    p.add_argument("--nms-threshold", type=float, default=0.3)
+    p.add_argument("--svm-c", type=float, default=1.0)
+    p.add_argument("--no-bbox", action="store_true")
     p.add_argument("--out", default=None, help="detections path")
     p.add_argument("--map-report", default=None)
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, required=(
+        "checkpoint", "train_images", "train_proposals", "train_gt",
+        "images", "proposals", "out"))
 
     p = sub.add_parser("bench", help="shared vs per-window timing")
     _add_net_flags(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--image", default=None)
-    p.add_argument("--n-proposals", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--scales", type=_int_tuple, default=None)
-    p.add_argument("--window-size", type=int, default=None)
+    p.add_argument("--n-proposals", type=int, default=100)
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--scales", type=_int_tuple, default=(480,))
+    p.add_argument("--window-size", type=int, default=224)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, required=())
     return parser
 
 
@@ -465,13 +479,11 @@ def main(argv=None) -> int:
             config = read_config_file(args.config)
             for action in parser._actions:
                 if isinstance(action, argparse._SubParsersAction):
-                    apply_config_defaults(action.choices[args.command], args,
+                    apply_config_defaults(action.choices[args.command],
                                           config)
                     break
-        if args.net is None:
-            args.net = "toy"
-        if getattr(args, "no_bbox", False) is None:
-            args.no_bbox = False
+            args = parser.parse_args(argv)
+        check_args(args)
         return args.func(args)
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)

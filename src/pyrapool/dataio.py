@@ -14,7 +14,6 @@ from .geometry import WindowRect, iou
 
 CLASS_NAMES = ("circle", "triangle", "square", "cross", "blank")
 DETECT_CLASS_NAMES = CLASS_NAMES[:4]  # blank is background only
-DEFAULT_MEAN = 128.0
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,11 @@ def save_image(path, image: Image):
         f.write(encode_netpbm(image))
 
 
-def preprocess(pixels: np.ndarray, mean: float = DEFAULT_MEAN,
+def preprocess(pixels: np.ndarray, mean: float = 128.0,
                scale: float = 1.0 / 128.0) -> np.ndarray:
-    """Network input conditioning: subtract the constant mean, then scale."""
+    """Network input conditioning: subtract the constant mean, then scale.
+    The defaults, (x - 128) / 128, are the one normalisation that training,
+    view testing and detection all feed the network."""
     return ((pixels.astype(np.float32) - np.float32(mean))
             * np.float32(scale))
 

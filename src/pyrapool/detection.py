@@ -51,15 +51,12 @@ class RegionFeatureExtractor:
 
     def __init__(self, spec: NetworkSpec, params: ParameterStore,
                  scales=DETECTION_SCALES, pyramid=DETECTION_PYRAMID,
-                 view: int = 224, mean: float = dataio.DEFAULT_MEAN,
-                 input_scale: float = 1.0 / 128.0):
+                 view: int = 224):
         self.spec = spec
         self.params = params
         self.scales = tuple(scales)
         self.pyramid = PyramidSpec(pyramid)
         self.view = view
-        self.mean = mean
-        self.input_scale = input_scale
         self.stride = spec.trunk_geometry().stride
         self.conv_passes = 0
         self._cache: dict[str, dict] = {}
@@ -76,8 +73,7 @@ class RegionFeatureExtractor:
             return self._cache[image_id]
         entry = {"size": (pixels.shape[2], pixels.shape[1]), "maps": {}}
         for s in self.scales:
-            inst, x = network_input(self.spec, self.params, pixels, s, False,
-                                    self.mean, self.input_scale)
+            inst, x = network_input(self.spec, self.params, pixels, s)
             rh, rw = inst.input_size
             entry["maps"][s] = (inst.conv_features(x)[0], (rw, rh))
             self.conv_passes += 1
@@ -413,10 +409,8 @@ class DetectorModel:
 
 def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                  proposals: dict, ground_truth: dict, classes,
-                 svm_c: float = 1.0, hard_negative_rounds: int = 1,
-                 initial_negatives: int | None = None,
-                 with_bbox: bool = True,
-                 ridge_lambda: float = 1.0) -> DetectorModel:
+                 svm_c: float = 1.0,
+                 with_bbox: bool = True) -> DetectorModel:
     """Train per-class SVMs (positives = ground-truth windows, mined
     negatives = low-overlap proposals) and optional bbox regressors from one
     shared feature extractor. Images are visited one at a time: each window
@@ -441,18 +435,16 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                     reg_targets.append(target)
     svms, regressors = {}, {}
     for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
-        svms[cls] = train_svm(np.array(feats), np.array(labels), c=svm_c,
-                              hard_negative_rounds=hard_negative_rounds,
-                              initial_negatives=initial_negatives)
+        svms[cls] = train_svm(np.array(feats), np.array(labels), c=svm_c)
         if with_bbox:
-            regressors[cls] = bbox_regress_train(
-                np.array(reg_feats), np.array(reg_targets), ridge_lambda)
+            regressors[cls] = bbox_regress_train(np.array(reg_feats),
+                                                 np.array(reg_targets))
     return DetectorModel(svms, regressors)
 
 
 def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
                  images: dict, proposals: dict, nms_threshold: float = 0.3,
-                 apply_bbox: bool = False, score_threshold: float | None = None):
+                 apply_bbox: bool = False):
     """Score every proposal with every class SVM, NMS per class, optionally
     bbox-regress the survivors. Returns detections sorted by image then
     class."""
@@ -470,8 +462,7 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
         for cls, svm in sorted(model.svms.items()):
             scores = svm.scores(feats)
             dets = [Detection(image_id, p, cls, float(s))
-                    for p, s in zip(props, scores)
-                    if score_threshold is None or s > score_threshold]
+                    for p, s in zip(props, scores)]
             survivors = nms(dets, nms_threshold)
             if apply_bbox and model.regressors.get(cls, BBoxRegressor()).enabled:
                 reg = model.regressors[cls]
@@ -560,10 +551,8 @@ class BenchReport:
 
 
 def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
-                proposals, mode: str, scales=(480,), view: int = 224,
-                window_size: int = 224, pyramid=DETECTION_PYRAMID,
-                mean: float = dataio.DEFAULT_MEAN,
-                input_scale: float = 1.0 / 128.0) -> BenchReport:
+                proposals, mode: str, scales=(480,),
+                window_size: int = 224) -> BenchReport:
     """Time the conv / pool / fc stages of region feature extraction.
 
     shared: conv trunk once per scale on the full image, then per-window
@@ -573,15 +562,12 @@ def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
     """
     if not proposals:
         raise ShapeError("benchmark needs at least one proposal")
-    pyr = PyramidSpec(pyramid)
     clock = time.perf_counter
     img_w, img_h = pixels.shape[2], pixels.shape[1]
 
     # fixed fc-stage projection, built outside the timed regions; identical
     # width in both modes so the fc row is comparable
-    extractor = RegionFeatureExtractor(
-        spec, params, scales=scales, pyramid=pyramid, view=view,
-        mean=mean, input_scale=input_scale)
+    extractor = RegionFeatureExtractor(spec, params, scales=scales)
     proj = np.random.default_rng(0).normal(
         0.0, 0.01, size=(64, extractor.feature_length)).astype(np.float32)
 
@@ -605,10 +591,10 @@ def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
         crop = pixels[:, w.y0:w.y1, w.x0:w.x1]
         t0 = clock()
         warped = resize_to(crop, window_size, window_size)
-        x = dataio.preprocess(warped, mean, input_scale)
+        x = dataio.preprocess(warped)
         featmap = inst.conv_features(x[None])[0]
         t1 = clock()
-        vec, _ = spp_forward(featmap, pyr)
+        vec, _ = spp_forward(featmap, extractor.pyramid)
         t2 = clock()
         conv_t += t1 - t0
         pool_t += t2 - t1

@@ -88,9 +88,7 @@ def view_to_feature_rect(window: WindowRect, resized_size, stride: int,
 
 
 def network_input(spec: NetworkSpec, params: ParameterStore,
-                  pixels: np.ndarray, s: int, flip: bool = False,
-                  mean: float = dataio.DEFAULT_MEAN,
-                  input_scale: float = 1.0 / 128.0):
+                  pixels: np.ndarray, s: int, flip: bool = False):
     """The one path from an image to the network: resize to min side `s`,
     optionally mirror, preprocess, and instantiate the net at that size.
     Returns (instance, (1, C, h, w) input batch)."""
@@ -98,13 +96,11 @@ def network_input(spec: NetworkSpec, params: ParameterStore,
     if flip:
         resized = resized[:, :, ::-1]
     inst = instantiate(spec, resized.shape[1:], params)
-    return inst, dataio.preprocess(resized, mean, input_scale)[None]
+    return inst, dataio.preprocess(resized)[None]
 
 
 def predict_views(spec: NetworkSpec, params: ParameterStore,
-                  pixels: np.ndarray, views,
-                  mean: float = dataio.DEFAULT_MEAN,
-                  input_scale: float = 1.0 / 128.0) -> np.ndarray:
+                  pixels: np.ndarray, views) -> np.ndarray:
     """Average the softmax scores of all views, pooling each window from the
     feature map of its (scale, flip) group; trunk and head run once a group."""
     if not views:
@@ -117,8 +113,7 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
 
     total = None
     for (s, flip), members in groups.items():
-        inst, x = network_input(spec, params, pixels, s, flip, mean,
-                                input_scale)
+        inst, x = network_input(spec, params, pixels, s, flip)
         rh, rw = inst.input_size
         featmap = inst.conv_features(x)[0]
         vecs = []
@@ -135,9 +130,7 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
 
 
 def predict_crops(spec: NetworkSpec, params: ParameterStore,
-                  pixels: np.ndarray, views,
-                  mean: float = dataio.DEFAULT_MEAN,
-                  input_scale: float = 1.0 / 128.0) -> np.ndarray:
+                  pixels: np.ndarray, views) -> np.ndarray:
     """Baseline view averaging from pixel crops: each view is cropped out of
     the resized image and run through the whole network (one trunk pass per
     view)."""
@@ -159,7 +152,7 @@ def predict_crops(spec: NetworkSpec, params: ParameterStore,
         if hw not in inst_cache:
             inst_cache[hw] = instantiate(spec, hw, params)
         inst = inst_cache[hw]
-        x = dataio.preprocess(crop, mean, input_scale)
+        x = dataio.preprocess(crop)
         probs = inst.predict_proba(x[None])[0]
         total = probs.astype(np.float64) if total is None else total + probs
     return total / len(views)
@@ -174,14 +167,12 @@ def l2_normalize(vec: np.ndarray) -> np.ndarray:
 
 def full_image_representation(spec: NetworkSpec, params: ParameterStore,
                               pixels: np.ndarray, s: int,
-                              layer: str | None = None, l2: bool = False,
-                              mean: float = dataio.DEFAULT_MEAN,
-                              input_scale: float = 1.0 / 128.0) -> np.ndarray:
+                              layer: str | None = None,
+                              l2: bool = False) -> np.ndarray:
     """One forward pass over the whole min-side-s image; returns the named
     layer's activations flattened (default: the pooled pyramid vector),
     optionally l2-normalized for classifier export."""
-    inst, x = network_input(spec, params, pixels, s, mean=mean,
-                            input_scale=input_scale)
+    inst, x = network_input(spec, params, pixels, s)
     if layer is None:
         layer = spec.layers[spec.spp_index].name
     feat = inst.feature_at(x, layer)[0].reshape(-1)

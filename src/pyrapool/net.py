@@ -3,10 +3,9 @@ input-size instantiations, and forward/backward execution.
 
 A `NetworkSpec` is an ordered chain of conv / maxpool / spp / fc / relu /
 dropout / softmax layers. Instantiating it at a concrete input size resolves
-every feature-map shape and precomputes the pyramid bin layout for that size;
-all instantiations of one spec resolve their parameter slots to the identical
-arrays in one `ParameterStore`, which is what makes multi-size training a
-single model rather than several.
+every feature-map shape; all instantiations of one spec resolve their
+parameter slots to the identical arrays in one `ParameterStore`, which is
+what makes multi-size training a single model rather than several.
 
 With a pyramid layer present, the pooled length k*M is independent of the
 input size, so the fully-connected stack (and therefore the whole parameter
@@ -25,7 +24,7 @@ from . import tensor
 from .errors import (CheckpointError, GraphError, ShapeError,
                      SpecMismatchError)
 from .geometry import FeatureGeometry, GeomLayer
-from .spp import BinLayout, PyramidSpec, spp_backward_batch, spp_forward_batch
+from .spp import PyramidSpec, spp_backward_batch, spp_forward_batch
 
 
 class ForwardStats:
@@ -317,14 +316,6 @@ class NetworkInstance:
         self.shapes = compute_shapes(spec, input_size)
         self._shape_by_name = dict(self.shapes)
         self._bind_slots()
-        if spec.spp_index is not None:
-            if spec.spp_index == 0:
-                c, h, w = (spec.in_channels, *self.input_size)
-            else:
-                c, h, w = self.shapes[spec.spp_index - 1][1]
-            self.spp_layout = BinLayout(spec.pyramid(), h, w)
-        else:
-            self.spp_layout = None
 
     def _bind_slots(self):
         in_shape: tuple = (self.spec.in_channels, *self.input_size)
@@ -372,7 +363,7 @@ class NetworkInstance:
             rng = np.random.default_rng(0)
         stats.trunk_passes += 1
         x, caches = forward_layers(self.spec.layers, batch, self.slots,
-                                   train_mode, rng, self.spp_layout)
+                                   train_mode, rng)
         return x, {"train_mode": train_mode, "caches": caches}
 
     def _check_input(self, batch):
@@ -398,7 +389,7 @@ class NetworkInstance:
         layer = self.spec.layer_named(layer_name)
         self._check_input(batch)
         upto = self.spec.layers[:self.spec.layers.index(layer) + 1]
-        x, _ = forward_layers(upto, batch, self.slots, layout=self.spp_layout)
+        x, _ = forward_layers(upto, batch, self.slots)
         return tensor.softmax(x) if isinstance(layer, Softmax) else x
 
     def conv_features(self, batch: np.ndarray) -> np.ndarray:
@@ -437,15 +428,13 @@ def _conv_spec(layer: Conv) -> tensor.ConvSpec:
 
 
 def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
-                   rng: np.random.Generator | None = None,
-                   layout: BinLayout | None = None):
+                   rng: np.random.Generator | None = None):
     """Run a slice of a layer chain on `x`; returns (output, caches).
 
-    `slots` maps each conv / fc layer name to its (weight, bias) slots, and
-    `layout` is the precomputed bin layout of the slice's pyramid layer, if
-    any. Softmax passes its input through: training couples it with the
-    loss. Caches for `backward_layers` are kept in train mode only; in eval
-    mode the list is empty.
+    `slots` maps each conv / fc layer name to its (weight, bias) slots.
+    Softmax passes its input through: training couples it with the loss.
+    Caches for `backward_layers` are kept in train mode only; in eval mode
+    the list is empty.
     """
     caches = []
     for layer in layers:
@@ -460,8 +449,7 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
                 (layer.pad(), layer.pad()))
             cache = (argmax, x.shape)
         elif isinstance(layer, SPP):
-            out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels),
-                                            layout=layout)
+            out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels))
             cache = (argmax, x.shape)
         elif isinstance(layer, FC):
             flat = x.reshape(x.shape[0], -1)

@@ -9,8 +9,9 @@ Two bin geometries are provided:
   the floor on the left/top boundary and the ceiling on the right/bottom.
   Intervals are half-open over 0-based cell indices; this is the only reading
   that tiles [0, w) exactly, and it stays well defined even when n > w (bins
-  then overlap but are never empty). This form is the canonical one used by
-  every runtime path.
+  then overlap but are never empty). Every runtime path pools with this
+  form: `spp_forward_batch` computes the bounds on each call from the same
+  integer floor/ceil formula, so nothing is cached per map size.
 * `sliding_pool_params` gives the window/stride pair (ceil(a/n), floor(a/n))
   of the fixed-input-size formulation; it matches `bin_range` whenever n
   divides the map side and exists mainly for that agreement check.
@@ -21,7 +22,7 @@ channels. Downstream fully-connected weights depend on this order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +74,12 @@ def sliding_pool_params(a: int, n: int) -> tuple[int, int]:
     return -(-a // n), a // n
 
 
+def _bounds(k: int, n: int, side: int) -> tuple[int, int]:
+    """Cells [floor(k*side/n), ceil((k+1)*side/n)) of the k-th (0-based) of
+    n bins along a side of `side` cells."""
+    return k * side // n, -(-(k + 1) * side // n)
+
+
 def bin_range(i: int, j: int, n: int, w: int, h: int) -> BinRange:
     """Cell range of the (i, j)-th bin (1-based column i, row j) of an n x n
     grid over a w x h map: columns [floor((i-1)*w/n), ceil(i*w/n)) and rows
@@ -81,39 +88,10 @@ def bin_range(i: int, j: int, n: int, w: int, h: int) -> BinRange:
         raise ShapeError(f"bin index ({i},{j}) outside 1..{n}")
     if w < 1 or h < 1:
         raise ShapeError(f"feature map must be at least 1x1, got {w}x{h}")
-    return BinRange(
-        r0=(j - 1) * h // n,
-        r1=-(-j * h // n),
-        c0=(i - 1) * w // n,
-        c1=-(-i * w // n),
-    )
+    return BinRange(*_bounds(j - 1, n, h), *_bounds(i - 1, n, w))
 
 
-def level_bins(n: int, w: int, h: int) -> list[BinRange]:
-    """All n*n bins of one level in row-major order."""
-    return [bin_range(i, j, n, w, h) for j in range(1, n + 1)
-            for i in range(1, n + 1)]
-
-
-@dataclass
-class BinLayout:
-    """Precomputed bin ranges of a whole pyramid for one map size."""
-
-    pyramid: PyramidSpec
-    height: int
-    width: int
-    bins: list[BinRange] = field(init=False)
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ShapeError(
-                f"cannot pool an empty {self.height}x{self.width} feature map")
-        self.bins = []
-        for n in self.pyramid.levels:
-            self.bins.extend(level_bins(n, self.width, self.height))
-
-
-def spp_forward_batch(x: np.ndarray, pyr: PyramidSpec, layout: BinLayout | None = None):
+def spp_forward_batch(x: np.ndarray, pyr: PyramidSpec):
     """Pool (B,K,H,W) into (B, K*M) plus an argmax map of flat k*H*W + r*W + c
     indices, ordered (level, bin row-major, channel)."""
     if x.ndim != 4:
@@ -121,22 +99,24 @@ def spp_forward_batch(x: np.ndarray, pyr: PyramidSpec, layout: BinLayout | None 
     b, k, h, w = x.shape
     if h < 1 or w < 1:
         raise ShapeError(f"cannot pool an empty {h}x{w} feature map")
-    if layout is None or (layout.height, layout.width) != (h, w):
-        layout = BinLayout(pyr, h, w)
     m = pyr.num_bins
     out = np.empty((b, m, k), dtype=x.dtype)
     argmax = np.empty((b, m, k), dtype=np.int64)
     chan_base = np.arange(k) * (h * w)
-    for t, rng in enumerate(layout.bins):
-        region = x[:, :, rng.r0:rng.r1, rng.c0:rng.c1]
-        bh = rng.r1 - rng.r0
-        bw = rng.c1 - rng.c0
-        flat = region.reshape(b, k, bh * bw)
-        local = flat.argmax(axis=-1)
-        out[:, t, :] = np.take_along_axis(flat, local[..., None], axis=-1)[..., 0]
-        row = rng.r0 + local // bw
-        col = rng.c0 + local % bw
-        argmax[:, t, :] = chan_base + row * w + col
+    t = 0
+    for n in pyr.levels:
+        cols = [_bounds(i, n, w) for i in range(n)]
+        for j in range(n):
+            r0, r1 = _bounds(j, n, h)
+            for c0, c1 in cols:
+                bw = c1 - c0
+                flat = x[:, :, r0:r1, c0:c1].reshape(b, k, (r1 - r0) * bw)
+                local = flat.argmax(axis=-1)
+                out[:, t, :] = np.take_along_axis(
+                    flat, local[..., None], axis=-1)[..., 0]
+                argmax[:, t, :] = (chan_base + (r0 + local // bw) * w
+                                   + c0 + local % bw)
+                t += 1
     return out.reshape(b, m * k), argmax.reshape(b, m * k)
 
 

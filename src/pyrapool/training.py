@@ -4,7 +4,7 @@ fc-only fine-tuning on pooled region features.
 
 Learning rate starts at the configured value and is divided by 10 (at most
 twice) when eval accuracy plateaus: improvement below 0.2 points over 3
-consecutive epochs.
+consecutive epochs. Training batches are mirrored with probability 1/2.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .geometry import resize_image
 from .net import (FC, NetworkSpec, ParameterStore, Softmax, backward_layers,
                   forward_layers, instantiate)
 
+LR_DECAY_FACTOR = 0.1
+PLATEAU_PATIENCE = 3           # stale epochs before a decay
+PLATEAU_MIN_IMPROVE = 0.002    # 0.2 accuracy points
+MAX_DECAYS = 2
+
 
 @dataclass
 class TrainConfig:
@@ -30,13 +35,6 @@ class TrainConfig:
     sizes: tuple[int, ...] = (224,)   # alternate: (s1, s2); random: (lo, hi)
     eval_size: int | None = None      # None -> sizes[0]
     seed: int = 0
-    flip_augment: bool = True
-    input_mean: float = dataio.DEFAULT_MEAN
-    input_scale: float = 1.0 / 128.0
-    lr_decay_factor: float = 0.1
-    plateau_patience: int = 3
-    plateau_min_improve: float = 0.002  # 0.2 accuracy points
-    max_decays: int = 2
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -97,16 +95,18 @@ def resize_square(pixels: np.ndarray, s: int) -> np.ndarray:
     return out[:, y0:y0 + s, x0:x0 + s]
 
 
-def _make_batch(dataset, indices, size, config, rng):
+def _make_batch(dataset, indices, size, rng):
+    """Square `size` inputs of the indexed samples, each mirrored with
+    probability 1/2 when `rng` is given (training), never when it is None."""
     xs = np.empty((len(indices), dataset[0][0].shape[0], size, size),
                   dtype=np.float32)
     ys = np.empty(len(indices), dtype=np.int64)
     for row, i in enumerate(indices):
         pixels, label = dataset[i]
         img = resize_square(pixels, size)
-        if config.flip_augment and rng is not None and rng.random() < 0.5:
+        if rng is not None and rng.random() < 0.5:
             img = img[:, :, ::-1]
-        xs[row] = dataio.preprocess(img, config.input_mean, config.input_scale)
+        xs[row] = dataio.preprocess(img)
         ys[row] = label
     return xs, ys
 
@@ -121,32 +121,30 @@ def evaluate(spec: NetworkSpec, params: ParameterStore, dataset, size: int,
     bs = config.batch_size
     for start in range(0, len(dataset), bs):
         idx = range(start, min(start + bs, len(dataset)))
-        xs, ys = _make_batch(dataset, idx, size, config, rng=None)
+        xs, ys = _make_batch(dataset, idx, size, rng=None)
         logits, _ = instance.forward(xs, train_mode=False)
         correct += int((logits.argmax(axis=1) == ys).sum())
     return correct / len(dataset)
 
 
 class _PlateauDecay:
-    """Divide lr by the decay factor when best accuracy stalls; fires at most
-    `max_decays` times."""
+    """Multiply lr by LR_DECAY_FACTOR when the best metric stalls for
+    PLATEAU_PATIENCE epochs; fires at most MAX_DECAYS times."""
 
     def __init__(self, config: TrainConfig):
-        self.config = config
         self.lr = config.lr
         self.best = -np.inf
         self.stale = 0
         self.decays = 0
 
     def update(self, metric: float) -> float:
-        if metric >= self.best + self.config.plateau_min_improve:
+        if metric >= self.best + PLATEAU_MIN_IMPROVE:
             self.best = metric
             self.stale = 0
         else:
             self.stale += 1
-            if (self.stale >= self.config.plateau_patience
-                    and self.decays < self.config.max_decays):
-                self.lr *= self.config.lr_decay_factor
+            if self.stale >= PLATEAU_PATIENCE and self.decays < MAX_DECAYS:
+                self.lr *= LR_DECAY_FACTOR
                 self.decays += 1
                 self.stale = 0
         return self.lr
@@ -176,7 +174,7 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
         losses = []
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            xs, ys = _make_batch(dataset, idx, size, config, rng)
+            xs, ys = _make_batch(dataset, idx, size, rng)
             logits, saved = instance.forward(xs, train_mode=True, rng=rng)
             loss, grad = tensor.softmax_cross_entropy(logits, ys)
             if not np.isfinite(loss):
@@ -199,25 +197,27 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
 # fc-only fine-tuning on pooled region features
 # ---------------------------------------------------------------------------
 
+FINETUNE_HEAD = "fc_det"           # name of the fresh output layer
+FINETUNE_POSITIVE_FRACTION = 0.25  # positives per mini-batch
+FINETUNE_LATE_FRACTION = 0.2       # tail of steps run at lr_late
+FINETUNE_MOMENTUM = 0.9
+
+
 @dataclass
 class FinetuneConfig:
     n_classes: int                     # detection classes + background
     steps: int = 400
     batch_size: int = 32
-    positive_fraction: float = 0.25    # positives per mini-batch
     lr_initial: float = 1e-4
     lr_late: float = 1e-5
-    late_fraction: float = 0.2         # tail of steps run at lr_late
-    momentum: float = 0.9
     sigma: float = 0.01                # init of the new output layer
-    head_name: str = "fc_det"
     seed: int = 0
 
 
 def _finetune_head(spec: NetworkSpec, params: ParameterStore,
                    config: FinetuneConfig):
     """The fc stack after the pyramid layer, with the final classifier layer
-    replaced by a freshly initialized `config.head_name` layer (label 0 is
+    replaced by a freshly initialized FINETUNE_HEAD layer (label 0 is
     background); returns (layers, name -> (weight, bias) slot map)."""
     head = [l for l in spec.head_layers() if not isinstance(l, Softmax)]
     fc_layers = [l for l in head if isinstance(l, FC)]
@@ -232,12 +232,12 @@ def _finetune_head(spec: NetworkSpec, params: ParameterStore,
     slots = {l.name: (params[f"{l.name}.weight"], params[f"{l.name}.bias"])
              for l in layers if isinstance(l, FC)}
     in_features = params[f"{last_fc.name}.weight"].value.shape[1]
-    slots[config.head_name] = (
-        params.reinit_slot(f"{config.head_name}.weight",
+    slots[FINETUNE_HEAD] = (
+        params.reinit_slot(f"{FINETUNE_HEAD}.weight",
                            (config.n_classes, in_features), config.sigma),
-        params.reinit_slot(f"{config.head_name}.bias", (config.n_classes,),
+        params.reinit_slot(f"{FINETUNE_HEAD}.bias", (config.n_classes,),
                            init="zeros"))
-    layers.append(FC(config.n_classes, name=config.head_name))
+    layers.append(FC(config.n_classes, name=FINETUNE_HEAD))
     return layers, slots
 
 
@@ -247,7 +247,7 @@ def finetune_fc(params: ParameterStore, spec: NetworkSpec,
     """Fine-tune the fc layers on fixed-length pooled region features.
 
     Labels: 0 = background, 1..n-1 = object classes. Each mini-batch holds
-    `positive_fraction` positives (label > 0). Conv slots are untouched and
+    FINETUNE_POSITIVE_FRACTION positives (label > 0). Conv slots are untouched and
     verified bit-identical before/after. Returns the fine-tuned head's
     scoring function: pooled (N, k*M) features -> eval-mode (N, n_classes)
     logits.
@@ -264,8 +264,8 @@ def finetune_fc(params: ParameterStore, spec: NetworkSpec,
     fc_names = [f"{name}.{suffix}" for name in slots
                 for suffix in ("weight", "bias")]
     rng = np.random.default_rng(config.seed)
-    n_pos = max(1, int(round(config.batch_size * config.positive_fraction)))
-    switch = int(config.steps * (1.0 - config.late_fraction))
+    n_pos = max(1, int(round(config.batch_size * FINETUNE_POSITIVE_FRACTION)))
+    switch = int(config.steps * (1.0 - FINETUNE_LATE_FRACTION))
     for step in range(config.steps):
         lr = config.lr_initial if step < switch else config.lr_late
         pick_pos = rng.choice(pos_idx, size=n_pos, replace=True)
@@ -278,7 +278,7 @@ def finetune_fc(params: ParameterStore, spec: NetworkSpec,
         logits, caches = forward_layers(layers, xb, slots, True, rng)
         loss, grad = tensor.softmax_cross_entropy(logits, yb)
         backward_layers(layers, caches, slots, grad)
-        sgd_step(params, lr, config.momentum, names=fc_names)
+        sgd_step(params, lr, FINETUNE_MOMENTUM, names=fc_names)
         if on_batch is not None:
             on_batch(step, yb, loss)
     for name, before in conv_before.items():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from pyrapool import cli, dataio, net
+from pyrapool import cli, dataio, net, training
 
 
 @pytest.fixture(scope="module")
@@ -287,3 +287,79 @@ class TestExitCodes:
     def test_missing_required_flag(self):
         rc = cli.main(["extract", "--scale", "32"])
         assert rc == cli.EXIT_ERROR
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"], ["--epochs", "-1"], ["--batch-size", "0"],
+        ["--sizes", "32,0"]])
+    def test_train_rejects_nonpositive(self, corpus, tmp_path, capsys, flags):
+        root, _ = corpus
+        out = tmp_path / "m.ckpt"
+        rc = cli.main(["train", "--train-manifest",
+                       str(root / "cls" / "train.txt"), "--out", str(out),
+                       *flags])
+        assert rc == cli.EXIT_ERROR
+        assert f"{flags[0]} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--scale", "0"], ["--view", "0"]])
+    def test_eval_rejects_nonpositive(self, corpus, checkpoint, capsys,
+                                      flags):
+        root, _ = corpus
+        rc = cli.main(["eval", "--checkpoint", str(checkpoint),
+                       "--test-manifest", str(root / "cls" / "test.txt"),
+                       "--mode", "10view", *flags])
+        assert rc == cli.EXIT_ERROR
+        assert f"{flags[0]} must be positive" in capsys.readouterr().err
+
+    def test_config_value_checked_like_a_flag(self, corpus, checkpoint,
+                                              tmp_path, capsys):
+        root, _ = corpus
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scale=0\ncheckpoint={checkpoint}\n"
+                       f"test_manifest={root / 'cls' / 'test.txt'}\n")
+        rc = cli.main(["eval", "--config", str(cfg)])
+        assert rc == cli.EXIT_ERROR
+        assert "--scale must be positive" in capsys.readouterr().err
+
+    def test_missing_output_fails_before_training(self, corpus, capsys,
+                                                  monkeypatch):
+        root, _ = corpus
+        monkeypatch.setattr(training, "train",
+                            lambda *a, **k: pytest.fail("trained"))
+        rc = cli.main(["train", "--train-manifest",
+                       str(root / "cls" / "train.txt")])
+        assert rc == cli.EXIT_ERROR
+        assert "missing required option: --out" in capsys.readouterr().err
+
+
+class TestCheckpointSlots:
+    def _rewrite(self, checkpoint, tmp_path, edit):
+        values = net.load_checkpoint(checkpoint)
+        edit(values)
+        store = net.ParameterStore()
+        store.load_values(values)
+        path = tmp_path / "edited.ckpt"
+        net.save_checkpoint(store, path)
+        return path
+
+    def _eval(self, corpus, path):
+        root, _ = corpus
+        return cli.main(["eval", "--checkpoint", str(path),
+                         "--test-manifest", str(root / "cls" / "test.txt")])
+
+    def test_missing_slot(self, corpus, checkpoint, tmp_path, capsys):
+        path = self._rewrite(checkpoint, tmp_path,
+                             lambda v: v.pop("fc2.weight"))
+        assert self._eval(corpus, path) == cli.EXIT_SPEC_MISMATCH
+        err = capsys.readouterr().err
+        assert "lacks" in err and "fc2.weight" in err
+
+    def test_unknown_slot(self, corpus, checkpoint, tmp_path, capsys):
+        def add(values):
+            values["fc9.weight"] = np.zeros((2, 2), np.float32)
+        path = self._rewrite(checkpoint, tmp_path, add)
+        assert self._eval(corpus, path) == cli.EXIT_SPEC_MISMATCH
+        err = capsys.readouterr().err
+        assert "unknown" in err and "fc9.weight" in err

@@ -138,6 +138,33 @@ class TestSppForward:
         with pytest.raises(ShapeError):
             spp.PyramidSpec([2, 0])
 
+    def test_matches_bin_max_oracle_on_every_small_map(self):
+        # maps the grids do not divide, and grids finer than the map (n > h
+        # or n > w): each output is the max over its `bin_range` cells, and
+        # its argmax index points at a cell of that bin holding the value
+        rng = np.random.default_rng(15)
+        levels = (6, 5, 4, 3, 2, 1)
+        for h in range(1, 13):
+            for w in range(1, 13):
+                x = rng.normal(size=(2, h, w)).astype(np.float32)
+                out, argmax = spp.spp_forward(x, spp.PyramidSpec(levels))
+                expect, cells = [], []
+                for n in levels:
+                    for j in range(1, n + 1):
+                        for i in range(1, n + 1):
+                            r = spp.bin_range(i, j, n, w, h)
+                            for c in range(2):
+                                expect.append(
+                                    np.max(x[c, r.r0:r.r1, r.c0:r.c1]))
+                                cells.append((c, r))
+                np.testing.assert_array_equal(out, expect)
+                for idx, (c, r) in zip(argmax, cells):
+                    cc, rest = divmod(int(idx), h * w)
+                    row, col = divmod(rest, w)
+                    assert cc == c
+                    assert r.r0 <= row < r.r1 and r.c0 <= col < r.c1
+                np.testing.assert_array_equal(x.reshape(-1)[argmax], out)
+
 
 class TestSppBackward:
     def test_zero_grad(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pyrapool import detection, net, training
+from pyrapool import detection, inference, net, training
 from pyrapool.errors import TrainingDivergedError
 from pyrapool.geometry import WindowRect
 
@@ -101,6 +101,22 @@ class TestSchedule:
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError, match="learning rate"):
             training.TrainConfig(lr=0.0)
+
+
+class TestNormalisation:
+    def test_training_batch_equals_network_input(self):
+        # the training batch of a square image at size s (no mirroring) is
+        # bit for bit the input the inference path feeds the network
+        rng = np.random.default_rng(74)
+        spec = net.toy_shape_net(n_classes=4)
+        params = net.ParameterStore(seed=0)
+        for side in (24, 37, 40):
+            px = rng.uniform(0, 255, size=(1, side, side)).astype(np.float32)
+            for s in (24, 32, 40):
+                xs, _ = training._make_batch([(px, 0)], [0], s, rng=None)
+                _, x = inference.network_input(spec, params, px, s)
+                assert xs.dtype == x.dtype
+                np.testing.assert_array_equal(xs, x)
 
 
 class TestPlateauDecay:
