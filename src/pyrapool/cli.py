@@ -1,10 +1,12 @@
 """Operator entry point: train, eval, extract, detect, bench.
 
 Configuration is line-based `key=value` (keys match the long flag names with
-underscores); command-line flags override file values. Output files are
-written atomically (temp file + rename) and every run is reproducible from
-its seed: same config + seed gives identical output bytes, timing values
-excepted. PYRAPOOL_THREADS caps internal parallelism (0 = auto).
+underscores); command-line flags override file values. Config, manifest,
+proposal and ground-truth files are read by `dataio.read_records`, so a
+malformed line exits 1 naming `path:line`. Output files are written atomically
+(temp file + rename) and every run is reproducible from its seed: same config
++ seed gives identical output bytes, timing values excepted. PYRAPOOL_THREADS
+caps internal parallelism (0 = auto).
 """
 
 from __future__ import annotations
@@ -56,49 +58,52 @@ def thread_count() -> int:
     return max(1, n)
 
 
+def _config_entry(line: str):
+    if line.startswith("#"):
+        return None
+    key, sep, value = line.partition("=")
+    if not sep:
+        raise ValueError("expected key=value")
+    return key.strip().replace("-", "_"), value.strip()
+
+
 def read_config_file(path) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file {path} does not exist")
-    out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ShapeError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+    """`key=value` lines; a line starting with `#` is a comment."""
+    entries = dataio.read_records(_existing(path, "config file"),
+                                  _config_entry)
+    return dict(entry for entry in entries if entry is not None)
 
 
 def _int_tuple(text: str):
     return tuple(int(v) for v in str(text).split(",") if v != "")
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    return str(text).lower() in ("1", "true", "yes", "on")
+def _bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(
+            f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
-def apply_config_defaults(parser: argparse.ArgumentParser, config):
+def apply_config_defaults(parser: argparse.ArgumentParser, config, path):
     """File values become the subcommand's defaults, so flags given on the
-    command line still override them."""
-    defaults = {}
-    for action in parser._actions:
-        if action.dest in ("help", "config") or action.dest not in config:
-            continue
-        raw = config[action.dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            defaults[action.dest] = _bool(raw)
-        elif action.type is not None:
-            defaults[action.dest] = action.type(raw)
-        else:
-            defaults[action.dest] = raw
-    unknown = set(config) - {a.dest for a in parser._actions}
+    command line still override them. A bad key or value names the file and
+    the key."""
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("help", "config")}
+    unknown = set(config) - set(actions)
     if unknown:
-        raise ShapeError(f"unknown config keys: {sorted(unknown)}")
+        raise ShapeError(f"{path}: unknown config keys: {sorted(unknown)}")
+    defaults = {}
+    for key, raw in config.items():
+        action = actions[key]
+        convert = (_bool if isinstance(action, argparse._StoreTrueAction)
+                   else action.type or str)
+        try:
+            defaults[key] = convert(raw)
+        except ValueError as e:
+            raise ShapeError(f"{path}: {key}: {e}") from None
     parser.set_defaults(**defaults)
 
 
@@ -136,13 +141,14 @@ def build_network(args) -> net.NetworkSpec:
         kwargs["n_classes"] = args.classes
     if args.levels is not None:
         kwargs["levels"] = args.levels
-    if args.net == "toy":
-        if args.channels is not None:
-            kwargs["channels"] = args.channels
-        if args.in_channels is not None:
-            kwargs["in_channels"] = args.in_channels
-        if args.fc_width is not None:
-            kwargs["fc_width"] = args.fc_width
+    for dest in ("channels", "in_channels", "fc_width"):  # toy net only
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if args.net != "toy":
+            raise ShapeError(
+                f"{_flag(dest)} applies to --net toy only, not {args.net}")
+        kwargs[dest] = value
     return net.build_net(args.net, **kwargs)
 
 
@@ -477,11 +483,10 @@ def main(argv=None) -> int:
     try:
         if args.config:
             config = read_config_file(args.config)
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    apply_config_defaults(action.choices[args.command],
-                                          config)
-                    break
+            sub = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            apply_config_defaults(sub.choices[args.command], config,
+                                  args.config)
             args = parser.parse_args(argv)
         check_args(args)
         return args.func(args)

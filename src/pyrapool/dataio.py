@@ -201,22 +201,34 @@ def generate_toy_dataset(root, seed: int, n_per_class: int,
     return train_path, test_path
 
 
-def load_manifest(path):
-    """Classification manifest lines `relative/path,label` -> list of tuples
-    (absolute path, int label)."""
-    base = os.path.dirname(os.path.abspath(path))
-    entries = []
+def read_records(path, parse):
+    """`parse(line)` for each non-blank, stripped line of the operator text
+    file `path`, in file order; a ValueError (ShapeError too) from `parse` is
+    re-raised as ShapeError("path:line: reason")."""
+    records = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rel, label = line.rsplit(",", 1)
-                entries.append((os.path.join(base, rel), int(label)))
-            except ValueError:
-                raise ShapeError(f"{path}:{lineno}: bad manifest line {line!r}")
-    return entries
+                records.append(parse(line))
+            except ValueError as e:
+                raise ShapeError(f"{path}:{lineno}: {e}") from None
+    return records
+
+
+def load_manifest(path):
+    """Classification manifest lines `relative/path,label` -> list of tuples
+    (absolute path, int label). The label is split off the right, so paths
+    may hold commas."""
+    base = os.path.dirname(os.path.abspath(path))
+
+    def entry(line):
+        rel, label = line.rsplit(",", 1)
+        return os.path.join(base, rel), int(label)
+
+    return read_records(path, entry)
 
 
 def load_dataset(manifest_path):
@@ -323,15 +335,9 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
 def load_detection_manifest(path):
     """Detection manifest lines `image_id,relative path` -> dict id -> path."""
     base = os.path.dirname(os.path.abspath(path))
-    out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                image_id, rel = line.split(",", 1)
-            except ValueError:
-                raise ShapeError(f"{path}:{lineno}: bad manifest line {line!r}")
-            out[image_id] = os.path.join(base, rel)
-    return out
+
+    def entry(line):
+        image_id, rel = line.split(",", 1)
+        return image_id, os.path.join(base, rel)
+
+    return dict(read_records(path, entry))

@@ -479,39 +479,31 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
 # file formats
 # ---------------------------------------------------------------------------
 
+def _by_image(records) -> dict[str, list]:
+    out: dict[str, list] = {}
+    for image_id, item in records:
+        out.setdefault(image_id, []).append(item)
+    return out
+
+
+def _proposal(line: str):
+    image_id, x0, y0, x1, y1 = line.split(",")
+    return image_id, WindowRect(int(x0), int(y0), int(x1), int(y1))
+
+
+def _ground_truth(line: str):
+    image_id, cls, x0, y0, x1, y1 = line.split(",")
+    return image_id, (int(cls), WindowRect(int(x0), int(y0), int(x1), int(y1)))
+
+
 def read_proposals(path) -> dict[str, list[WindowRect]]:
     """Lines `image_id,x0,y0,x1,y1` -> per-image window lists (file order)."""
-    out: dict[str, list[WindowRect]] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ShapeError(f"{path}:{lineno}: expected 5 fields")
-            image_id = parts[0]
-            x0, y0, x1, y1 = (int(v) for v in parts[1:])
-            out.setdefault(image_id, []).append(WindowRect(x0, y0, x1, y1))
-    return out
+    return _by_image(dataio.read_records(path, _proposal))
 
 
 def read_ground_truth(path) -> dict[str, list[tuple[int, WindowRect]]]:
-    """Lines `image_id,class_id,x0,y0,x1,y1`."""
-    out: dict[str, list] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ShapeError(f"{path}:{lineno}: expected 6 fields")
-            image_id = parts[0]
-            cls = int(parts[1])
-            x0, y0, x1, y1 = (int(v) for v in parts[2:])
-            out.setdefault(image_id, []).append((cls, WindowRect(x0, y0, x1, y1)))
-    return out
+    """Lines `image_id,class_id,x0,y0,x1,y1` -> per-image (class, window)."""
+    return _by_image(dataio.read_records(path, _ground_truth))
 
 
 def format_detections(detections) -> str:

@@ -125,8 +125,7 @@ class FeatureGeometry:
     """
 
     def __init__(self, layers):
-        self.layers = tuple(GeomLayer(*l) if not isinstance(l, GeomLayer) else l
-                            for l in layers)
+        self.layers = tuple(layers)
         for idx, layer in enumerate(self.layers):
             if layer.padding != layer.kernel // 2:
                 raise GraphError(
@@ -139,21 +138,13 @@ def stride_product(layers) -> int:
     """Cumulative sub-sampling factor: the product of all layer strides."""
     s = 1
     for layer in layers:
-        s *= layer.stride if isinstance(layer, GeomLayer) else layer[1]
+        s *= layer.stride
     return s
 
 
 def receptive_center(cell: int, s: int) -> int:
     """Image coordinate of the receptive-field center of feature cell `cell`."""
     return s * cell
-
-
-def _floor_div(a: int, s: int) -> int:
-    return a // s
-
-
-def _ceil_div(a: int, s: int) -> int:
-    return -(-a // s)
 
 
 def map_window(win: WindowRect, s: int, map_size) -> FeatureRect:
@@ -170,10 +161,10 @@ def map_window(win: WindowRect, s: int, map_size) -> FeatureRect:
     if win.x0 >= map_w * s or win.y0 >= map_h * s or win.x1 <= 0 or win.y1 <= 0:
         raise ShapeError(f"window {win} lies entirely outside the mapped image")
 
-    fx0 = _floor_div(win.x0, s) + 1
-    fy0 = _floor_div(win.y0, s) + 1
-    fx1 = _ceil_div(win.x1, s) - 1
-    fy1 = _ceil_div(win.y1, s) - 1
+    fx0 = win.x0 // s + 1
+    fy0 = win.y0 // s + 1
+    fx1 = -(-win.x1 // s) - 1
+    fy1 = -(-win.y1 // s) - 1
 
     fx0 = min(max(fx0, 0), map_w - 1)
     fy0 = min(max(fy0, 0), map_h - 1)

@@ -293,7 +293,6 @@ def compute_shapes(spec: NetworkSpec, input_size) -> list[tuple[str, tuple]]:
             c, hh, ww = _require_spatial(shape, layer)
             shape = (PyramidSpec(layer.levels).output_length(c),)
         elif isinstance(layer, FC):
-            flat = int(np.prod(shape))
             shape = (layer.out_features,)
         # relu/dropout/softmax keep the shape
         out.append((layer.name, shape))
@@ -358,15 +357,15 @@ class NetworkInstance:
         Logits are the activations entering the softmax layer (or the final
         layer's output when no softmax is declared).
         """
-        self._check_input(batch)
+        self._begin_pass(batch)
         if train_mode and rng is None:
             rng = np.random.default_rng(0)
-        stats.trunk_passes += 1
         x, caches = forward_layers(self.spec.layers, batch, self.slots,
                                    train_mode, rng)
         return x, {"train_mode": train_mode, "caches": caches}
 
-    def _check_input(self, batch):
+    def _begin_pass(self, batch):
+        """Reject a batch this instance cannot run, else count a trunk pass."""
         expect = (self.spec.in_channels, *self.input_size)
         if batch.ndim != 4 or batch.shape[1:] != expect:
             raise ShapeError(
@@ -375,6 +374,7 @@ class NetworkInstance:
         if not np.isfinite(batch).all():
             bad = batch.size - int(np.count_nonzero(np.isfinite(batch)))
             raise ShapeError(f"batch holds {bad} non-finite values")
+        stats.trunk_passes += 1
 
     def backward(self, saved, grad_logits: np.ndarray):
         """Accumulate parameter gradients from a train-mode forward pass."""
@@ -387,7 +387,7 @@ class NetworkInstance:
     def feature_at(self, batch: np.ndarray, layer_name: str) -> np.ndarray:
         """Eval-mode activation after the named layer."""
         layer = self.spec.layer_named(layer_name)
-        self._check_input(batch)
+        self._begin_pass(batch)
         upto = self.spec.layers[:self.spec.layers.index(layer) + 1]
         x, _ = forward_layers(upto, batch, self.slots)
         return tensor.softmax(x) if isinstance(layer, Softmax) else x
@@ -396,8 +396,7 @@ class NetworkInstance:
         """Eval-mode feature map entering the pyramid layer (one trunk pass)."""
         if self.spec.spp_index is None:
             raise GraphError("network has no pyramid layer")
-        self._check_input(batch)
-        stats.trunk_passes += 1
+        self._begin_pass(batch)
         x, _ = forward_layers(self.spec.layers[:self.spec.spp_index], batch,
                               self.slots)
         return x

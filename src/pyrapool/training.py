@@ -42,6 +42,12 @@ class TrainConfig:
         if self.schedule not in ("single", "alternate", "random"):
             raise ValueError(f"unknown size schedule {self.schedule!r}")
         self.sizes = tuple(int(s) for s in self.sizes)
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(f"sizes must be positive, got {self.sizes}")
+        for name in ("batch_size", "epochs", "eval_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass

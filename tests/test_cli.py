@@ -1,6 +1,7 @@
 """Command-line behavior: config merging, reproducible outputs, exit codes."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +66,43 @@ class TestConfigFile:
         rc = cli.main(["eval", "--config", "/nonexistent.cfg"])
         assert rc == cli.EXIT_MISSING_INPUT
 
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=abc\n")
+        rc = cli.main(["train", "--config", str(cfg)])
+        assert rc == cli.EXIT_ERROR
+        assert f"{cfg}: epochs: invalid literal" in capsys.readouterr().err
+
+    def test_unknown_key_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus_key=1\n")
+        rc = cli.main(["eval", "--config", str(cfg)])
+        assert rc == cli.EXIT_ERROR
+        assert f"{cfg}: unknown config keys: ['bogus_key']" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("word", ["ture", "flase", "2"])
+    def test_bad_store_true_value_names_file_and_key(self, tmp_path, capsys,
+                                                     word):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"l2={word}\n")
+        rc = cli.main(["extract", "--config", str(cfg)])
+        assert rc == cli.EXIT_ERROR
+        assert f"{cfg}: l2: expected 1/0, true/false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("TRUE", True), ("yes", True), ("On", True),
+        ("0", False), ("false", False), ("no", False), ("off", False)])
+    def test_store_true_words(self, tmp_path, monkeypatch, word, value):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_extract",
+                            lambda args: seen.append(args.l2) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\nl2 = {word}\n"
+                       "manifest=m.txt\ncheckpoint=m.ckpt\nout=f.txt\n")
+        assert cli.main(["extract", "--config", str(cfg)]) == cli.EXIT_OK
+        assert seen == [value]
+
 
 class TestTrainReproducibility:
     def test_same_seed_same_bytes(self, corpus, tmp_path):
@@ -83,8 +121,8 @@ class TestTrainReproducibility:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert (str(outs[0]) + ".log" != str(outs[1]) + ".log")
-        assert open(str(outs[0]) + ".log").read() == \
-            open(str(outs[1]) + ".log").read()
+        assert Path(str(outs[0]) + ".log").read_text() == \
+            Path(str(outs[1]) + ".log").read_text()
 
     def test_stale_staging_path_does_not_block(self, corpus, tmp_path):
         root, _ = corpus
@@ -154,8 +192,8 @@ class TestDetect:
             assert rc == 0
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert open(str(outs[0]) + ".map").read() == \
-            open(str(outs[1]) + ".map").read()
+        assert Path(str(outs[0]) + ".map").read_text() == \
+            Path(str(outs[1]) + ".map").read_text()
 
     def test_empty_proposals_empty_detections(self, corpus, checkpoint,
                                               tmp_path):
@@ -175,6 +213,27 @@ class TestDetect:
         ])
         assert rc == 0
         assert out.read_text() == ""
+
+    def test_corrupt_proposals_line_exits_1(self, corpus, checkpoint,
+                                            tmp_path, capsys):
+        root, det_paths = corpus
+        lines = Path(det_paths["proposals"]).read_text().splitlines()
+        lines[2] = "det_0000,1,x,3,4"
+        bad = tmp_path / "props.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = cli.main([
+            "detect", "--checkpoint", str(checkpoint),
+            "--train-images", det_paths["manifest"],
+            "--train-proposals", det_paths["proposals"],
+            "--train-gt", det_paths["gt"],
+            "--images", det_paths["manifest"],
+            "--proposals", str(bad),
+            "--scales", "48", "--view-size", "32",
+            "--out", str(tmp_path / "dets.txt"),
+        ])
+        assert rc == cli.EXIT_ERROR
+        assert f"{bad}:3: " in capsys.readouterr().err
+        assert not (tmp_path / "dets.txt").exists()
 
     def test_threads_env_same_output(self, corpus, checkpoint, tmp_path,
                                      monkeypatch):
@@ -322,6 +381,18 @@ class TestFlagValues:
         rc = cli.main(["eval", "--config", str(cfg)])
         assert rc == cli.EXIT_ERROR
         assert "--scale must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--channels", "4,8"], ["--in-channels", "1"], ["--fc-width", "7"]])
+    def test_toy_only_flags_rejected_for_zf5(self, corpus, checkpoint, capsys,
+                                             flags):
+        root, _ = corpus
+        rc = cli.main(["eval", "--net", "zf5", "--checkpoint", str(checkpoint),
+                       "--test-manifest", str(root / "cls" / "test.txt"),
+                       *flags])
+        assert rc == cli.EXIT_ERROR
+        assert f"{flags[0]} applies to --net toy only" in \
+            capsys.readouterr().err
 
     def test_missing_output_fails_before_training(self, corpus, capsys,
                                                   monkeypatch):

@@ -1,11 +1,13 @@
-"""NetPBM codec, mean subtraction, and the synthetic corpora."""
+"""NetPBM codec, mean subtraction, the synthetic corpora, and the line
+reader behind the operator text files."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pyrapool import dataio
+from pyrapool import cli, dataio, detection
 from pyrapool.errors import ShapeError
 
 
@@ -145,4 +147,98 @@ class TestDetectionCorpus:
         pb = dataio.generate_toy_detection_dataset(tmp_path / "b", seed=8,
                                                    n_images=4)
         for key in ("gt", "proposals"):
-            assert open(pa[key]).read() == open(pb[key]).read()
+            assert Path(pa[key]).read_text() == Path(pb[key]).read_text()
+
+
+# the five operator text files and the reader of each
+READERS = {
+    "manifest": dataio.load_manifest,
+    "detection_manifest": dataio.load_detection_manifest,
+    "proposals": detection.read_proposals,
+    "gt": detection.read_ground_truth,
+    "config": cli.read_config_file,
+}
+# the corruptions each format can suffer, and its integer fields
+CORRUPTIONS = {
+    "manifest": ("drop_field", "non_integer"),
+    "detection_manifest": ("drop_field",),
+    "proposals": ("drop_field", "non_integer", "invert_box"),
+    "gt": ("drop_field", "non_integer", "invert_box"),
+    "config": ("drop_equals",),
+}
+INT_FIELDS = {"manifest": (1,), "proposals": (1, 2, 3, 4),
+              "gt": (1, 2, 3, 4, 5)}
+
+
+@pytest.fixture(scope="module", params=(0, 1, 2))
+def operator_files(request, tmp_path_factory):
+    """Valid files of all five formats, written by the corpus generators (the
+    config by hand), for one seed."""
+    seed = request.param
+    root = tmp_path_factory.mktemp(f"operator{seed}")
+    train, _ = dataio.generate_toy_dataset(root / "cls", seed=seed,
+                                           n_per_class=2)
+    det = dataio.generate_toy_detection_dataset(root / "det", seed=seed,
+                                                n_images=3)
+    config = root / "run.cfg"
+    config.write_text("# a training run\nepochs=3\nbatch-size=16\nlr=0.05\n"
+                      "sizes=32,24\nschedule=alternate\n")
+    files = {"manifest": train, "detection_manifest": det["manifest"],
+             "proposals": det["proposals"], "gt": det["gt"],
+             "config": str(config)}
+    return seed, {k: Path(v).read_text().splitlines()
+                  for k, v in files.items()}
+
+
+def _corrupt(kind, fmt, line, rng):
+    if kind == "drop_equals":
+        return line.replace("=", "", 1)
+    parts = line.split(",")
+    if kind == "drop_field":
+        del parts[int(rng.integers(len(parts)))]
+    elif kind == "non_integer":
+        field = INT_FIELDS[fmt][int(rng.integers(len(INT_FIELDS[fmt])))]
+        parts[field] = ("x", "1.5", "", "7a")[int(rng.integers(4))]
+    else:  # invert_box: swap x0 with x1, or y0 with y1
+        i = len(parts) - 4 + int(rng.integers(2))
+        parts[i], parts[i + 2] = parts[i + 2], parts[i]
+    return ",".join(parts)
+
+
+class TestOperatorFiles:
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_blank_lines_and_padding_skipped(self, operator_files, fmt,
+                                             tmp_path):
+        seed, files = operator_files
+        rng = np.random.default_rng(seed)
+        lines = list(files[fmt])
+        clean = tmp_path / "clean.txt"
+        clean.write_text("\n".join(lines) + "\n")
+        i = int(rng.integers(len(lines)))
+        lines[i] = "  " + lines[i] + " \t"
+        for _ in range(3):
+            lines.insert(int(rng.integers(len(lines) + 1)),
+                         ("", "   ", "\t")[int(rng.integers(3))])
+        padded = tmp_path / "padded.txt"
+        padded.write_text("\n".join(lines) + "\n")
+        expected = READERS[fmt](str(clean))
+        assert expected
+        assert READERS[fmt](str(padded)) == expected
+
+    @pytest.mark.parametrize("fmt,kind", [
+        (fmt, kind) for fmt, kinds in CORRUPTIONS.items() for kind in kinds])
+    def test_corrupt_line_names_path_and_line(self, operator_files, fmt,
+                                              kind, tmp_path):
+        seed, files = operator_files
+        rng = np.random.default_rng([seed, len(fmt), len(kind)])
+        lines = list(files[fmt])
+        lines.insert(int(rng.integers(len(lines) + 1)), "")
+        candidates = [i for i, line in enumerate(lines)
+                      if line and not line.startswith("#")]
+        i = candidates[int(rng.integers(len(candidates)))]
+        lines[i] = _corrupt(kind, fmt, lines[i], rng)
+        path = tmp_path / "corrupt.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ShapeError) as err:
+            READERS[fmt](str(path))
+        assert str(err.value).startswith(f"{path}:{i + 1}: ")

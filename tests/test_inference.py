@@ -210,3 +210,9 @@ class TestFullImageRepresentation:
         vec = inference.full_image_representation(self.spec, self.params,
                                                   self.tall, 32, layer="fc1")
         assert vec.shape == (64,)
+
+    def test_counts_one_trunk_pass(self):
+        net.stats.reset()
+        inference.full_image_representation(self.spec, self.params,
+                                            self.tall, 32, layer="fc1")
+        assert net.stats.trunk_passes == 1

@@ -102,6 +102,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match="learning rate"):
             training.TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("epochs", 0), ("epochs", -1), ("sizes", ()),
+        ("sizes", (32, 0)), ("eval_size", 0)])
+    def test_nonpositive_count_or_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            training.TrainConfig(**{field: value})
+
 
 class TestNormalisation:
     def test_training_batch_equals_network_input(self):
