@@ -278,6 +278,11 @@ def cmd_detect(args) -> int:
         _existing(args.train_proposals, "--train-proposals"))
     train_gt = detection.read_ground_truth(
         _existing(args.train_gt, "--train-gt"))
+    images = _load_images(_existing(args.images, "--images"))
+    proposals = detection.read_proposals(
+        _existing(args.proposals, "--proposals"))
+    gt = (detection.read_ground_truth(_existing(args.gt, "--gt"))
+          if args.gt else None)
     classes = sorted({c for entries in train_gt.values()
                       for c, _ in entries})
     extractor = detection.RegionFeatureExtractor(
@@ -286,17 +291,13 @@ def cmd_detect(args) -> int:
         extractor, train_images, train_props, train_gt, classes,
         svm_c=args.svm_c, with_bbox=not args.no_bbox)
 
-    images = _load_images(_existing(args.images, "--images"))
-    proposals = detection.read_proposals(
-        _existing(args.proposals, "--proposals"))
     detections = _detect_parallel(
         spec, params, model, images, proposals, scales, pyramid, view,
         args.nms_threshold, apply_bbox=not args.no_bbox,
         threads=thread_count())
     atomic_write(args.out, detection.format_detections(detections))
     print(f"wrote {len(detections)} detections to {args.out}")
-    if args.gt:
-        gt = detection.read_ground_truth(_existing(args.gt, "--gt"))
+    if gt is not None:
         aps, mean = detection.evaluate_map(detections, gt)
         lines = [f"class,{cls},ap,{ap:.6f}" for cls, ap in sorted(aps.items())]
         lines.append(f"mAP,{mean:.6f}")

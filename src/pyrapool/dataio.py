@@ -203,16 +203,16 @@ def generate_toy_dataset(root, seed: int, n_per_class: int,
 
 def read_records(path, parse):
     """`parse(line)` for each non-blank, stripped line of the operator text
-    file `path`, in file order; a ValueError (ShapeError too) from `parse` is
-    re-raised as ShapeError("path:line: reason")."""
+    file `path`, in file order; a line that is not UTF-8, or a ValueError
+    (ShapeError too) from `parse`, is re-raised as
+    ShapeError("path:line: reason")."""
     records = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
             try:
-                records.append(parse(line))
+                line = raw.decode("utf-8").strip()
+                if line:
+                    records.append(parse(line))
             except ValueError as e:
                 raise ShapeError(f"{path}:{lineno}: {e}") from None
     return records

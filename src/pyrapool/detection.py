@@ -20,7 +20,7 @@ from .errors import ShapeError
 from .geometry import WindowRect, iou, map_window, resize_to, select_scale
 from .inference import network_input
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
-from .spp import PyramidSpec, spp_forward
+from .spp import PyramidSpec, pool_rects, spp_forward
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
 DETECTION_PYRAMID = (6, 3, 2, 1)
@@ -83,24 +83,37 @@ class RegionFeatureExtractor:
     def drop(self, image_id: str):
         self._cache.pop(image_id, None)
 
+    def extract_many(self, image_id: str, pixels: np.ndarray,
+                     windows) -> np.ndarray:
+        """(len(windows), feature_length) features of one image's candidate
+        windows, row i for windows[i]; one `pool_rects` call per scale."""
+        if not windows:
+            return np.empty((0, self.feature_length), np.float32)
+        entry = self.prepare(image_id, pixels)
+        img_w, img_h = entry["size"]
+        by_scale: dict[int, tuple[list, list]] = {}
+        for row, window in enumerate(windows):
+            if (window.x0 >= img_w or window.y0 >= img_h
+                    or window.x1 <= 0 or window.y1 <= 0):
+                raise ShapeError(f"proposal {window} of image {image_id} "
+                                 f"lies outside {img_w}x{img_h}")
+            win = window.clamped(img_w, img_h)
+            s = select_scale(win, (img_w, img_h), self.scales, self.view)
+            featmap, (rw, rh) = entry["maps"][s]
+            scaled = win.scaled(s / min(img_w, img_h)).clamped(rw, rh)
+            r = map_window(scaled, self.stride, featmap.shape[1:])
+            rows, rects = by_scale.setdefault(s, ([], []))
+            rows.append(row)
+            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+        feats = np.empty((len(windows), self.feature_length), np.float32)
+        for s, (rows, rects) in by_scale.items():
+            feats[rows] = pool_rects(entry["maps"][s][0], rects, self.pyramid)
+        return feats
+
     def extract(self, image_id: str, pixels: np.ndarray,
                 window: WindowRect) -> np.ndarray:
         """Fixed-length feature of one candidate window."""
-        entry = self.prepare(image_id, pixels)
-        img_w, img_h = entry["size"]
-        if (window.x0 >= img_w or window.y0 >= img_h
-                or window.x1 <= 0 or window.y1 <= 0):
-            raise ShapeError(f"proposal {window} of image {image_id} lies "
-                             f"outside {img_w}x{img_h}")
-        win = window.clamped(img_w, img_h)
-        s = select_scale(win, (img_w, img_h), self.scales, self.view)
-        featmap, (rw, rh) = entry["maps"][s]
-        f = s / min(img_w, img_h)
-        scaled = win.scaled(f).clamped(rw, rh)
-        rect = map_window(scaled, self.stride, featmap.shape[1:])
-        crop = featmap[:, rect.fy0:rect.fy1 + 1, rect.fx0:rect.fx1 + 1]
-        vec, _ = spp_forward(crop, self.pyramid)
-        return vec
+        return self.extract_many(image_id, pixels, [window])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +432,10 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
     for image_id, pixels in images.items():
         gt = ground_truth.get(image_id, [])
         props = proposals.get(image_id, [])
-        pooled = {}
-        for win in [*props, *(w for c, w in gt if c in samples)]:
-            if win not in pooled:
-                pooled[win] = extractor.extract(image_id, pixels, win)
+        windows = list(dict.fromkeys(
+            [*props, *(w for c, w in gt if c in samples)]))
+        pooled = dict(zip(windows, extractor.extract_many(image_id, pixels,
+                                                          windows)))
         extractor.drop(image_id)
         for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
             gt_cls = [w for c, w in gt if c == cls]
@@ -455,8 +468,7 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
         if not props:
             extractor.drop(image_id)
             continue
-        feats = np.array([extractor.extract(image_id, pixels, p)
-                          for p in props])
+        feats = extractor.extract_many(image_id, pixels, props)
         row_of = dict(zip(props, feats))
         image_size = (pixels.shape[2], pixels.shape[1])
         for cls, svm in sorted(model.svms.items()):
@@ -567,9 +579,9 @@ def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
         t0 = clock()
         extractor.prepare("bench", pixels)
         t1 = clock()
-        feats = [extractor.extract("bench", pixels, win) for win in proposals]
+        feats = extractor.extract_many("bench", pixels, proposals)
         t2 = clock()
-        np.array(feats, dtype=np.float32) @ proj.T
+        feats @ proj.T
         t3 = clock()
         return BenchReport("shared", len(proposals), t1 - t0, t2 - t1, t3 - t2)
 

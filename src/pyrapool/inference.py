@@ -20,7 +20,7 @@ from . import dataio
 from .errors import ShapeError
 from .geometry import FeatureRect, WindowRect, map_window, resize_image, resized_dims
 from .net import NetworkSpec, ParameterStore, instantiate
-from .spp import spp_forward
+from .spp import pool_rects
 from .tensor import softmax
 
 MULTI_VIEW_SCALES = (224, 256, 300, 360, 448, 560)
@@ -102,7 +102,8 @@ def network_input(spec: NetworkSpec, params: ParameterStore,
 def predict_views(spec: NetworkSpec, params: ParameterStore,
                   pixels: np.ndarray, views) -> np.ndarray:
     """Average the softmax scores of all views, pooling each window from the
-    feature map of its (scale, flip) group; trunk and head run once a group."""
+    feature map of its (scale, flip) group; trunk, `pool_rects` and head run
+    once a group."""
     if not views:
         raise ShapeError("view list is empty")
     stride = spec.trunk_geometry().stride
@@ -116,13 +117,12 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
         inst, x = network_input(spec, params, pixels, s, flip)
         rh, rw = inst.input_size
         featmap = inst.conv_features(x)[0]
-        vecs = []
+        rects = []
         for view in members:
             win = view.window.hflipped(rw) if flip else view.window
-            rect = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
-            crop = featmap[:, rect.fy0:rect.fy1 + 1, rect.fx0:rect.fx1 + 1]
-            vecs.append(spp_forward(crop, pyramid)[0])
-        probs = softmax(inst.head_forward(np.array(vecs, dtype=np.float32)))
+            r = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
+            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+        probs = softmax(inst.head_forward(pool_rects(featmap, rects, pyramid)))
         # row by row, in view order: the float64 sum is the per-view one
         for row in probs:
             total = row.astype(np.float64) if total is None else total + row

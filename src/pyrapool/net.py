@@ -24,7 +24,8 @@ from . import tensor
 from .errors import (CheckpointError, GraphError, ShapeError,
                      SpecMismatchError)
 from .geometry import FeatureGeometry, GeomLayer
-from .spp import PyramidSpec, spp_backward_batch, spp_forward_batch
+from .spp import (PyramidSpec, pool_maps, spp_backward_batch,
+                  spp_forward_batch)
 
 
 class ForwardStats:
@@ -433,7 +434,7 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
     `slots` maps each conv / fc layer name to its (weight, bias) slots.
     Softmax passes its input through: training couples it with the loss.
     Caches for `backward_layers` are kept in train mode only; in eval mode
-    the list is empty.
+    the list is empty, and max pooling and the pyramid compute no argmax.
     """
     caches = []
     for layer in layers:
@@ -443,13 +444,19 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
                                       _conv_spec(layer))
             cache = x
         elif isinstance(layer, MaxPool):
-            out, argmax = tensor.maxpool_forward(
-                x, (layer.window, layer.window), (layer.stride, layer.stride),
-                (layer.pad(), layer.pad()))
-            cache = (argmax, x.shape)
+            args = (x, (layer.window, layer.window),
+                    (layer.stride, layer.stride), (layer.pad(), layer.pad()))
+            if train_mode:
+                out, argmax = tensor.maxpool_forward(*args)
+                cache = (argmax, x.shape)
+            else:
+                out = tensor.maxpool_values(*args)
         elif isinstance(layer, SPP):
-            out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels))
-            cache = (argmax, x.shape)
+            if train_mode:
+                out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels))
+                cache = (argmax, x.shape)
+            else:
+                out = pool_maps(x, PyramidSpec(layer.levels))
         elif isinstance(layer, FC):
             flat = x.reshape(x.shape[0], -1)
             wslot, bslot = slots[layer.name]

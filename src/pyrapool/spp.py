@@ -10,11 +10,20 @@ Two bin geometries are provided:
   Intervals are half-open over 0-based cell indices; this is the only reading
   that tiles [0, w) exactly, and it stays well defined even when n > w (bins
   then overlap but are never empty). Every runtime path pools with this
-  form: `spp_forward_batch` computes the bounds on each call from the same
-  integer floor/ceil formula, so nothing is cached per map size.
+  form, computing the bounds on each call from the same integer floor/ceil
+  formula, so nothing is cached per map size.
 * `sliding_pool_params` gives the window/stride pair (ceil(a/n), floor(a/n))
   of the fixed-input-size formulation; it matches `bin_range` whenever n
   divides the map side and exists mainly for that agreement check.
+
+Two kernels pool the fractional bins. Evaluation is max-only: `pool_rects`
+pools any number of regions of one map from a range-max sparse table, four
+gathers per bin, in memory bounded by a few copies of the map (see its
+docstring); `pool_maps` pools whole maps through it. `spp_forward_batch`
+(and `spp_forward`, its one-map form) also returns the per-bin argmax that
+`spp_backward_batch` routes gradients through; the argmax exists only for
+that backward pass, so only training calls it. Max is exact, so the two
+kernels give the same values bit for bit.
 
 Output ordering is fixed: level-major, then bins in row-major order, then
 channels. Downstream fully-connected weights depend on this order.
@@ -118,6 +127,100 @@ def spp_forward_batch(x: np.ndarray, pyr: PyramidSpec):
                                    + c0 + local % bw)
                 t += 1
     return out.reshape(b, m * k), argmax.reshape(b, m * k)
+
+
+# Floor on the values in one gathered block of `pool_rects`, so that a small
+# map is not pooled a handful of bins at a time.
+_MIN_BLOCK_VALUES = 1 << 16
+
+
+def _rect_bins(rects: np.ndarray, pyr: PyramidSpec):
+    """Half-open cell bounds r0, r1, c0, c1 of every bin of every rect, each
+    (N, M), ordered level-major then bins row-major like `spp_forward`."""
+    n, j, i = np.array([(n, j, i) for n in pyr.levels
+                        for j in range(n) for i in range(n)]).T
+    fx0, fy0, fx1, fy1 = rects.T[:, :, None]
+    r0, r1 = _bounds(j, n, fy1 - fy0 + 1)
+    c0, c1 = _bounds(i, n, fx1 - fx0 + 1)
+    return fy0 + r0, fy0 + r1, fx0 + c0, fx0 + c1
+
+
+def pool_rects(featmap: np.ndarray, rects, pyr: PyramidSpec) -> np.ndarray:
+    """Eval-only pyramid pooling of many regions of one (K,H,W) map.
+
+    `rects` is (N,4) inclusive cell bounds (fx0, fy0, fx1, fy1), in
+    `FeatureRect` field order. Row i of the (N, K*M) result equals
+    `spp_forward` of the crop rects[i] bit for bit; no argmax is computed.
+
+    Range-max by sparse table (Bender & Farach-Colton 2000): a bin of
+    2^a <= height < 2^(a+1) rows and 2^b <= width < 2^(b+1) columns is the
+    max of four overlapping 2^a x 2^b window maxima. The table is walked one
+    (a, b) level at a time, rows doubled in the outer loop and columns in the
+    inner one, and only up to the levels some bin needs; each level's bins
+    are gathered before the next level replaces it. Memory beyond the
+    result: three channel-last copies of the map, two gathered blocks of at
+    most max(K*H*W, 65536) values, and 120 bytes of indices per bin.
+    """
+    if featmap.ndim != 3:
+        raise ShapeError(f"expected (K,H,W) feature map, got {featmap.shape}")
+    k, h, w = featmap.shape
+    rects = np.asarray(rects, dtype=np.int64)
+    if rects.ndim != 2 or rects.shape[1] != 4:
+        raise ShapeError(f"expected (N,4) rects, got shape {rects.shape}")
+    fx0, fy0, fx1, fy1 = rects.T
+    bad = ((fx0 < 0) | (fy0 < 0) | (fx1 >= w) | (fy1 >= h)
+           | (fx1 < fx0) | (fy1 < fy0))
+    if bad.any():
+        raise ShapeError(f"rect {rects[bad.argmax()].tolist()} is empty or "
+                         f"outside the {h}x{w} map")
+    r0, r1, c0, c1 = (e.reshape(-1) for e in _rect_bins(rects, pyr))
+    # floor(log2) of each bin's height and width
+    a = np.frexp(r1 - r0)[1] - 1
+    b = np.frexp(c1 - c0)[1] - 1
+    level = (a * 64 + b).astype(np.uint16)  # small keys: radix sort
+    order = np.argsort(level, kind="stable")
+    starts = np.flatnonzero(np.diff(level[order])) + 1
+    groups = np.split(order, starts) if order.size else []
+    block = max(h * w * k, _MIN_BLOCK_VALUES) // max(k, 1)
+
+    out = np.empty((len(r0), k), dtype=featmap.dtype)
+    rows, row_level = np.ascontiguousarray(featmap.transpose(1, 2, 0)), 0
+    cols, col_level = rows, 0
+    for idx in groups:
+        la, lb = int(a[idx[0]]), int(b[idx[0]])
+        if la != row_level:
+            cols = None  # so doubling rows holds two map copies, not three
+            while row_level < la:
+                s = 1 << row_level
+                rows = np.maximum(rows[:-s], rows[s:])
+                row_level += 1
+            cols, col_level = rows, 0
+        while col_level < lb:
+            s = 1 << col_level
+            cols = np.maximum(cols[:, :-s], cols[:, s:])
+            col_level += 1
+        # (H', W', K) levels are contiguous: gather rows of K by flat index
+        height, width = cols.shape[:2]
+        table = cols.reshape(height * width, k)
+        for part in (idx[i:i + block] for i in range(0, len(idx), block)):
+            y0, x0 = r0[part] * width, c0[part]
+            y1, x1 = (r1[part] - (1 << la)) * width, c1[part] - (1 << lb)
+            v = table.take(y0 + x0, axis=0)
+            np.maximum(v, table.take(y1 + x0, axis=0), out=v)
+            np.maximum(v, table.take(y0 + x1, axis=0), out=v)
+            np.maximum(v, table.take(y1 + x1, axis=0), out=v)
+            out[part] = v
+    return out.reshape(len(rects), pyr.num_bins * k)
+
+
+def pool_maps(x: np.ndarray, pyr: PyramidSpec) -> np.ndarray:
+    """Eval-only pooling of whole (B,K,H,W) maps into (B, K*M): the values of
+    `spp_forward_batch`, from one `pool_rects` call over B*K channels."""
+    if x.ndim != 4:
+        raise ShapeError(f"expected (B,K,H,W) feature maps, got {x.shape}")
+    b, k, h, w = x.shape
+    out = pool_rects(x.reshape(b * k, h, w), [(0, 0, w - 1, h - 1)], pyr)
+    return out.reshape(pyr.num_bins, b, k).transpose(1, 0, 2).reshape(b, -1)
 
 
 def spp_forward(featmap: np.ndarray, pyr: PyramidSpec):

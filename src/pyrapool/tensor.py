@@ -129,13 +129,9 @@ def conv_backward(grad_out: np.ndarray, saved_input: np.ndarray,
     return grad_input, grad_weights, grad_bias
 
 
-def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
-    """Max pool (B,C,H,W) over `window`=(wh,ww) at `stride`=(sh,sw).
-
-    Returns the pooled map and an argmax map of flat row*W+col indices into the
-    unpadded input plane; ties go to the first cell in row-major order. Padded
-    border cells are -inf and can never win.
-    """
+def _pool_taps(x: np.ndarray, window, stride, padding):
+    """Strided views of the -inf-padded (B,C,H,W) input, one per window cell
+    in row-major order: tap t holds cell t of every output's window."""
     wh, ww = window
     sh, sw = stride
     ph, pw = padding
@@ -145,7 +141,7 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
         raise ShapeError(f"pool stride must be positive, got {stride}")
     if wh <= ph or ww <= pw:
         raise ShapeError(f"pool window {window} must exceed padding {padding}")
-    b, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h + 2 * ph < wh or w + 2 * pw < ww:
         raise ShapeError(
             f"pool window {window} does not fit padded input "
@@ -156,18 +152,46 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
                     constant_values=-np.inf)
     else:
         xp = x
-    win = sliding_window_view(xp, (wh, ww), axis=(2, 3))[:, :, ::sh, ::sw]
-    oh, ow = win.shape[2], win.shape[3]
-    flat = win.reshape(b, c, oh, ow, wh * ww)
-    local = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, local[..., None], axis=-1)[..., 0]
+    oh = (h + 2 * ph - wh) // sh + 1
+    ow = (w + 2 * pw - ww) // sw + 1
+    return [xp[:, :, dy:dy + sh * (oh - 1) + 1:sh, dx:dx + sw * (ow - 1) + 1:sw]
+            for dy in range(wh) for dx in range(ww)]
 
+
+def _max_of(taps) -> np.ndarray:
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
+
+
+def maxpool_values(x: np.ndarray, window, stride, padding=(0, 0)) -> np.ndarray:
+    """Eval-mode max pool: the values of `maxpool_forward`, with no argmax."""
+    return _max_of(_pool_taps(x, window, stride, padding))
+
+
+def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
+    """Max pool (B,C,H,W) over `window`=(wh,ww) at `stride`=(sh,sw).
+
+    Returns the pooled map and an argmax map of flat row*W+col indices into the
+    unpadded input plane; ties go to the first cell in row-major order. Padded
+    border cells are -inf and can never win.
+    """
+    taps = _pool_taps(x, window, stride, padding)
+    out = _max_of(taps)
+    # scanning the taps last to first leaves each output the first cell
+    # that holds its max
+    local = np.zeros(out.shape, dtype=np.int64)
+    for t in range(len(taps) - 1, -1, -1):
+        local[taps[t] == out] = t
+
+    (_, ww), (sh, sw), (ph, pw) = window, stride, padding
+    oh, ow = out.shape[2], out.shape[3]
     oy = np.arange(oh).reshape(1, 1, oh, 1)
     ox = np.arange(ow).reshape(1, 1, 1, ow)
     row = oy * sh + local // ww - ph
     col = ox * sw + local % ww - pw
-    argmax = row * w + col
-    return out, argmax
+    return out, row * x.shape[3] + col
 
 
 def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_shape):

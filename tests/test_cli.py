@@ -235,6 +235,33 @@ class TestDetect:
         assert f"{bad}:3: " in capsys.readouterr().err
         assert not (tmp_path / "dets.txt").exists()
 
+    def test_corrupt_gt_line_exits_1_before_fitting(self, corpus, checkpoint,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        root, det_paths = corpus
+        lines = Path(det_paths["gt"]).read_text().splitlines()
+        lines[1] = "det_0000,0,1,2,y,4"
+        bad = tmp_path / "gt.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        fits = []
+        monkeypatch.setattr(cli.detection, "fit_detector",
+                            lambda *a, **k: fits.append(a))
+        rc = cli.main([
+            "detect", "--checkpoint", str(checkpoint),
+            "--train-images", det_paths["manifest"],
+            "--train-proposals", det_paths["proposals"],
+            "--train-gt", det_paths["gt"],
+            "--images", det_paths["manifest"],
+            "--proposals", det_paths["proposals"],
+            "--gt", str(bad),
+            "--scales", "48", "--view-size", "32",
+            "--out", str(tmp_path / "dets.txt"),
+        ])
+        assert rc == cli.EXIT_ERROR
+        assert f"{bad}:2: " in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "dets.txt").exists()
+
     def test_threads_env_same_output(self, corpus, checkpoint, tmp_path,
                                      monkeypatch):
         root, det_paths = corpus

@@ -242,3 +242,10 @@ class TestOperatorFiles:
         with pytest.raises(ShapeError) as err:
             READERS[fmt](str(path))
         assert str(err.value).startswith(f"{path}:{i + 1}: ")
+
+    def test_non_utf8_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"a,1\n\xff\xfe,2\n")
+        with pytest.raises(ShapeError) as err:
+            dataio.load_manifest(str(path))
+        assert str(err.value).startswith(f"{path}:2: ")

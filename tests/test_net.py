@@ -97,6 +97,18 @@ class TestForwardBackward:
         xb = np.zeros((1, 1, 24, 24), np.float32)
         assert a.forward(xa)[0].shape == b.forward(xb)[0].shape
 
+    def test_eval_kernels_match_train_kernels(self):
+        # eval pools max-only, train also computes argmaxes; with dropout off
+        # the logits must agree bit for bit, ties included
+        spec = net.toy_shape_net(dropout=0.0)
+        params = net.ParameterStore(seed=4)
+        inst = net.instantiate(spec, (29, 35), params)
+        rng = np.random.default_rng(4)
+        x = np.round(rng.normal(size=(3, 1, 29, 35))).astype(np.float32)
+        eval_logits, _ = inst.forward(x, train_mode=False)
+        train_logits, _ = inst.forward(x, train_mode=True)
+        np.testing.assert_array_equal(eval_logits, train_logits)
+
     def test_batch_shape_validated(self):
         spec = tiny_spec()
         inst = net.instantiate(spec, (8, 8), net.ParameterStore())

@@ -202,3 +202,104 @@ class TestSppBackward:
         num = numerical_grad(
             lambda v: float((spp.spp_forward(v, pyr)[0] * r).sum()), x)
         assert rel_error(g, num) < 1e-4
+
+
+def _tied_relu(rng, shape, dtype):
+    """Half-integer values clipped at zero: many exact ties, zeros above all."""
+    return np.maximum(np.round(rng.normal(size=shape) * 2.0) / 2.0,
+                      0.0).astype(dtype)
+
+
+class TestPoolRects:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_subrect_of_every_map_matches_crop(self, dtype):
+        # Every rect of an h x w map (h, w in 1..12) is also a rect of the
+        # 12 x 12 map whose top-left block it is, with the same cells, so one
+        # reference per rect of the 12 x 12 map serves all 144 map sizes.
+        # The reference pools the crops of one size as a batch, which is
+        # `spp_forward` of each crop.
+        rng = np.random.default_rng(1201)
+        pyr = spp.PyramidSpec([6, 5, 4, 3, 2, 1])
+        big = _tied_relu(rng, (3, 12, 12), dtype)
+        reference = {}
+        for ch in range(1, 13):
+            for cw in range(1, 13):
+                crops = np.lib.stride_tricks.sliding_window_view(
+                    big, (ch, cw), axis=(1, 2))  # (K, py, px, ch, cw)
+                py, px = crops.shape[1:3]
+                batch = crops.transpose(1, 2, 0, 3, 4).reshape(
+                    py * px, 3, ch, cw)
+                pooled, _ = spp.spp_forward_batch(batch, pyr)
+                for p, vec in enumerate(pooled):
+                    y, x = divmod(p, px)
+                    reference[(x, y, x + cw - 1, y + ch - 1)] = vec
+        for h in range(1, 13):
+            for w in range(1, 13):
+                featmap = np.ascontiguousarray(big[:, :h, :w])
+                rects = [(x0, y0, x1, y1)
+                         for y0 in range(h) for y1 in range(y0, h)
+                         for x0 in range(w) for x1 in range(x0, w)]
+                out = spp.pool_rects(featmap, rects, pyr)
+                assert out.dtype == dtype
+                expect = np.array([reference[r] for r in rects])
+                np.testing.assert_array_equal(out, expect)
+
+    def test_single_crop_matches_spp_forward(self):
+        rng = np.random.default_rng(1202)
+        x = _tied_relu(rng, (4, 9, 13), np.float32)
+        pyr = spp.PyramidSpec([6, 3, 2, 1])
+        out = spp.pool_rects(x, [(2, 1, 10, 7)], pyr)
+        expect, _ = spp.spp_forward(x[:, 1:8, 2:11], pyr)
+        assert out.shape == (1, 4 * 50)
+        np.testing.assert_array_equal(out[0], expect)
+
+    def test_no_rects(self):
+        x = np.zeros((2, 3, 3), np.float32)
+        out = spp.pool_rects(x, np.zeros((0, 4), int), spp.PyramidSpec([2, 1]))
+        assert out.shape == (0, 10)
+
+    @pytest.mark.parametrize("rect", [
+        (-1, 0, 2, 2), (0, 0, 5, 2), (0, 0, 2, 3), (2, 0, 1, 2), (0, 2, 2, 1)])
+    def test_bad_rect_rejected(self, rect):
+        x = np.zeros((2, 3, 5), np.float32)
+        with pytest.raises(ShapeError, match="outside the 3x5 map"):
+            spp.pool_rects(x, [rect], spp.PyramidSpec([1]))
+
+    def test_rects_must_be_n_by_4(self):
+        with pytest.raises(ShapeError, match=r"\(N,4\)"):
+            spp.pool_rects(np.zeros((2, 3, 5)), [0, 0, 1, 1],
+                           spp.PyramidSpec([1]))
+
+    def test_memory_stays_under_docstring_bound(self):
+        # zf5-sized conv5 map and a selective-search-sized proposal set
+        import tracemalloc
+        rng = np.random.default_rng(1203)
+        k, h, w, n = 256, 75, 100, 2000
+        featmap = np.maximum(rng.normal(size=(k, h, w)), 0).astype(np.float32)
+        x0 = rng.integers(0, w, n)
+        y0 = rng.integers(0, h, n)
+        rects = np.stack([x0, y0, np.minimum(w - 1, x0 + rng.integers(0, 60, n)),
+                          np.minimum(h - 1, y0 + rng.integers(0, 45, n))], 1)
+        pyr = spp.PyramidSpec([6, 3, 2, 1])
+        tracemalloc.start()
+        try:
+            out = spp.pool_rects(featmap, rects, pyr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bins = n * pyr.num_bins
+        bound = (out.nbytes + 3 * featmap.nbytes
+                 + 2 * max(featmap.size, 1 << 16) * featmap.itemsize
+                 + 120 * bins)
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB >= {bound / 1e6:.1f} MB"
+
+
+class TestPoolMaps:
+    @pytest.mark.parametrize("trial", range(20))
+    def test_matches_spp_forward_batch(self, trial):
+        rng = np.random.default_rng(1300 + trial)
+        b, k, h, w = (int(v) for v in rng.integers(1, 9, 4))
+        x = _tied_relu(rng, (b, k, h, w), np.float32)
+        pyr = spp.PyramidSpec([4, 3, 2, 1])
+        expect, _ = spp.spp_forward_batch(x, pyr)
+        np.testing.assert_array_equal(spp.pool_maps(x, pyr), expect)

@@ -126,7 +126,42 @@ class TestConvBackward:
         assert rel_error(gb, num_b) < TOL
 
 
+def _maxpool_reference(x, window, stride, padding):
+    """Max pool by argmax over every window, the first max in row-major
+    order winning; returns (values, flat row*W+col argmax)."""
+    (wh, ww), (sh, sw), (ph, pw) = window, stride, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                constant_values=-np.inf)
+    win = np.lib.stride_tricks.sliding_window_view(
+        xp, (wh, ww), axis=(2, 3))[:, :, ::sh, ::sw]
+    b, c, oh, ow = win.shape[:4]
+    flat = win.reshape(b, c, oh, ow, wh * ww)
+    local = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, local[..., None], axis=-1)[..., 0]
+    row = np.arange(oh).reshape(1, 1, oh, 1) * sh + local // ww - ph
+    col = np.arange(ow).reshape(1, 1, 1, ow) * sw + local % ww - pw
+    return out, row * x.shape[3] + col
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_max_only_values_and_derived_argmax(self, trial):
+        # ReLU-style ties: half-integers clipped at zero
+        rng = np.random.default_rng(1900 + trial)
+        b, c, h, w = rand_shape(rng, 9)
+        wh, ww = (int(v) for v in rng.integers(1, 5, 2))
+        ph, pw = int(rng.integers(0, wh)), int(rng.integers(0, ww))
+        h, w = max(h, wh), max(w, ww)
+        stride = tuple(int(v) for v in rng.integers(1, 4, 2))
+        x = np.maximum(np.round(rng.normal(size=(b, c, h, w)) * 2) / 2,
+                       0).astype(np.float32)
+        args = (x, (wh, ww), stride, (ph, pw))
+        ref_out, ref_argmax = _maxpool_reference(*args)
+        out, argmax = tensor.maxpool_forward(*args)
+        np.testing.assert_array_equal(tensor.maxpool_values(*args), out)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(argmax, ref_argmax)
+
     def test_single_window(self):
         x = np.array([[1, 2], [3, 4]], dtype=np.float32).reshape(1, 1, 2, 2)
         out, argmax = tensor.maxpool_forward(x, (2, 2), (2, 2))
