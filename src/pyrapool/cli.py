@@ -6,7 +6,8 @@ proposal and ground-truth files are read by `dataio.read_records`, so a
 malformed line exits 1 naming `path:line`. Output files are written atomically
 (temp file + rename) and every run is reproducible from its seed: same config
 + seed gives identical output bytes, timing values excepted. PYRAPOOL_THREADS
-caps internal parallelism (0 = auto).
+caps internal parallelism (0 = auto). A bad flag or PYRAPOOL_THREADS value
+exits 1 naming it, before any work.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ def thread_count() -> int:
         n = int(raw)
     except ValueError:
         raise ShapeError(f"PYRAPOOL_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
+    if n < 0:
+        raise ShapeError(f"PYRAPOOL_THREADS must be >= 0, got {raw!r}")
+    return n or os.cpu_count() or 1
 
 
 def _config_entry(line: str):
@@ -119,8 +120,9 @@ POSITIVE_FLAGS = ("classes", "levels", "channels", "in_channels", "fc_width",
 
 
 def check_args(args):
-    """Reject a missing required option or a non-positive count or size,
-    naming the flag."""
+    """Reject a missing required option, a non-positive count or size, an
+    NMS threshold outside [0, 1], a non-positive or non-finite SVM C, or a
+    bad PYRAPOOL_THREADS, naming the flag or the variable."""
     for dest in args.required:
         if getattr(args, dest) is None:
             raise ShapeError(f"missing required option: {_flag(dest)}")
@@ -133,6 +135,14 @@ def check_args(args):
             raise ShapeError(
                 f"{_flag(dest)} must be positive, got "
                 f"{','.join(map(str, values)) or 'nothing'}")
+    nms_threshold = getattr(args, "nms_threshold", None)
+    if nms_threshold is not None and not 0.0 <= nms_threshold <= 1.0:
+        raise ShapeError(
+            f"--nms-threshold must lie in [0, 1], got {nms_threshold}")
+    svm_c = getattr(args, "svm_c", None)
+    if svm_c is not None and not (np.isfinite(svm_c) and svm_c > 0):
+        raise ShapeError(f"--svm-c must be positive and finite, got {svm_c}")
+    thread_count()
 
 
 def build_network(args) -> net.NetworkSpec:
@@ -456,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pyramid", type=_int_tuple,
                    default=detection.DETECTION_PYRAMID)
     p.add_argument("--view-size", type=int, default=224)
-    p.add_argument("--nms-threshold", type=float, default=0.3)
+    p.add_argument("--nms-threshold", type=float,
+                   default=detection.NMS_THRESHOLD)
     p.add_argument("--svm-c", type=float, default=1.0)
     p.add_argument("--no-bbox", action="store_true")
     p.add_argument("--out", default=None, help="detections path")

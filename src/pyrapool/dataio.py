@@ -10,10 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import WindowRect, iou
+from .geometry import WindowRect, iou_matrix
 
 CLASS_NAMES = ("circle", "triangle", "square", "cross", "blank")
 DETECT_CLASS_NAMES = CLASS_NAMES[:4]  # blank is background only
+TEST_FRACTION = 0.2           # share of each class in the test split
+SHAPES_PER_IMAGE = (1, 3)     # shapes per detection image, fewest and most
+JITTERS_PER_GT = 4            # jittered proposals per ground-truth box
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _render_shape(class_id: int, h: int, w: int, rng: np.random.Generator):
 
 
 def generate_toy_dataset(root, seed: int, n_per_class: int,
-                         size_range=(24, 40), test_fraction: float = 0.2):
+                         size_range=(24, 40)):
     """Write a 5-class shape corpus under `root` and return the train/test
     manifest paths. Deterministic for a fixed seed; exactly n_per_class images
     per class across both splits."""
@@ -182,7 +185,7 @@ def generate_toy_dataset(root, seed: int, n_per_class: int,
     rng = np.random.default_rng(seed)
     img_dir = os.path.join(root, "images")
     os.makedirs(img_dir, exist_ok=True)
-    n_test = int(round(n_per_class * test_fraction))
+    n_test = int(round(n_per_class * TEST_FRACTION))
     train_lines, test_lines = [], []
     for cls in range(len(CLASS_NAMES)):
         for idx in range(n_per_class):
@@ -262,8 +265,6 @@ def _jitter_box(box, img_w, img_h, rng):
 
 def generate_toy_detection_dataset(root, seed: int, n_images: int,
                                    canvas_range=(56, 96),
-                                   shapes_per_image=(1, 3),
-                                   jitters_per_gt: int = 4,
                                    random_boxes: int = 8):
     """Write a detection corpus: images with 1..3 non-blank shapes, a
     ground-truth file, and a proposal file of jittered ground-truth boxes plus
@@ -285,7 +286,8 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
         h = int(rng.integers(lo, hi + 1))
         w = int(rng.integers(lo, hi + 1))
         canvas = np.clip(rng.normal(24.0, 8.0, size=(h, w)), 0, 255)
-        n_shapes = int(rng.integers(shapes_per_image[0], shapes_per_image[1] + 1))
+        n_shapes = int(rng.integers(SHAPES_PER_IMAGE[0],
+                                    SHAPES_PER_IMAGE[1] + 1))
         boxes = []
         for _ in range(n_shapes):
             cls = int(rng.integers(0, len(DETECT_CLASS_NAMES)))
@@ -294,7 +296,8 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
                 y0 = int(rng.integers(0, h - side))
                 x0 = int(rng.integers(0, w - side))
                 cand = WindowRect(x0, y0, x0 + side, y0 + side)
-                if all(iou(cand, WindowRect(*b[1])) < 0.15 for b in boxes):
+                if (iou_matrix([cand], [WindowRect(*b[1]) for b in boxes])
+                        < 0.15).all():
                     break
             else:
                 continue
@@ -310,7 +313,7 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
         manifest.append(f"{image_id},images/{name}")
         for cls, b in boxes:
             gt_lines.append(f"{image_id},{cls},{b[0]},{b[1]},{b[2]},{b[3]}")
-            for _ in range(jitters_per_gt):
+            for _ in range(JITTERS_PER_GT):
                 j = _jitter_box(b, w, h, rng)
                 prop_lines.append(
                     f"{image_id},{j[0]},{j[1]},{j[2]},{j[3]}")

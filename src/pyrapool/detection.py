@@ -6,6 +6,15 @@ shared-vs-per-window timing benchmark.
 Feature maps are computed once per (image, scale); each candidate window picks
 the scale whose resize brings it closest to the view-size pixel count, is
 projected onto that map, and is pyramid-pooled into a fixed-length vector.
+
+Every overlap decision reads a `geometry.iou_matrix` through one of two
+rules. Greedy keep (`_greedy_keep`): walk the windows in a fixed order and
+keep each one that overlaps no kept window by more than a threshold; NMS
+walks by descending score at `NMS_THRESHOLD`, negative de-duplication in
+input order at `NEG_DEDUP_IOU`. Best match: a window's match is the box of
+highest IoU, the last one on a tie (`_last_best`) for mAP matching at
+`MAP_MATCH_IOU` and bbox pairs at `BBOX_MIN_IOU`, the first one for
+fine-tuning labels, banded by the `FINETUNE_*` constants.
 """
 
 from __future__ import annotations
@@ -17,13 +26,26 @@ import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import WindowRect, iou, map_window, resize_to, select_scale
+from .geometry import (WindowRect, iou_matrix, map_window, resize_to,
+                       select_scale)
 from .inference import network_input
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
 from .spp import PyramidSpec, pool_rects, spp_forward
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
 DETECTION_PYRAMID = (6, 3, 2, 1)
+
+# overlap thresholds (IoU) of the detection decisions
+NMS_THRESHOLD = 0.3     # NMS drops a window overlapping a kept one by more
+NEG_MAX_IOU = 0.3       # SVM negatives overlap every positive by at most this
+NEG_DEDUP_IOU = 0.7     # and no kept negative by more than this
+FINETUNE_POS_MIN = 0.5  # fine-tuning labels: [0.5, 1] is the box's class,
+FINETUNE_NEG_MIN = 0.1  # [0.1, 0.5) background, the rest discarded
+FINETUNE_NEG_MAX = 0.5
+MAP_MATCH_IOU = 0.5     # a detection matches a ground-truth box from here up
+BBOX_MIN_IOU = 0.5      # a proposal regresses onto a box from here up
+
+SVM_REG = 1e-4          # weight of 0.5*|w|^2 in the SVM objective
 
 
 @dataclass(frozen=True)
@@ -132,54 +154,71 @@ class SvmModel:
         return features.astype(np.float64) @ self.weight + self.bias
 
 
-def mine_svm_samples(proposals, ground_truth, neg_max_iou: float = 0.3,
-                     dedup_iou: float = 0.7):
+def _greedy_keep(windows, order, threshold: float) -> list[int]:
+    """Indices of `windows` kept by walking `order`: a window is kept unless
+    it overlaps an already-kept window by more than `threshold` IoU."""
+    overlaps = iou_matrix(windows, windows) > threshold
+    suppressed = np.zeros(len(overlaps), dtype=bool)
+    kept = []
+    for i in order:
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= overlaps[i]
+    return kept
+
+
+def _last_best(overlaps: np.ndarray, floor: float) -> np.ndarray:
+    """Per row of an IoU matrix, the column of its last maximum if that is
+    at least `floor`, else -1: the pick of a scan that updates on >=."""
+    n_rows, n_cols = overlaps.shape
+    if n_cols == 0:
+        return np.full(n_rows, -1)
+    best = n_cols - 1 - overlaps[:, ::-1].argmax(axis=1)
+    return np.where(overlaps[np.arange(n_rows), best] >= floor, best, -1)
+
+
+def mine_svm_samples(proposals, ground_truth):
     """Positive/negative windows for one image and one class.
 
     Positives are the ground-truth windows themselves. Negatives are proposals
-    overlapping every positive by at most `neg_max_iou`, deduplicated in input
+    overlapping every positive by at most `NEG_MAX_IOU`, deduplicated in input
     order: a negative overlapping an already-kept negative by more than
-    `dedup_iou` is dropped.
+    `NEG_DEDUP_IOU` is dropped.
     """
     positives = list(ground_truth)
-    negatives = []
-    for p in proposals:
-        if any(iou(p, g) > neg_max_iou for g in positives):
-            continue
-        if any(iou(p, kept) > dedup_iou for kept in negatives):
-            continue
-        negatives.append(p)
-    return positives, negatives
+    near = (iou_matrix(proposals, positives) > NEG_MAX_IOU).any(axis=1)
+    candidates = [p for p, n in zip(proposals, near) if not n]
+    kept = _greedy_keep(candidates, range(len(candidates)), NEG_DEDUP_IOU)
+    return positives, [candidates[i] for i in kept]
 
 
-def assign_finetune_labels(proposals, ground_truth, pos_min: float = 0.5,
-                           neg_min: float = 0.1, neg_max: float = 0.5):
+def assign_finetune_labels(proposals, ground_truth):
     """Fine-tuning sample labels for one image's proposals.
 
-    A proposal overlapping its best ground-truth box by [pos_min, 1] takes
-    that box's class (as 1 + class_id; 0 is background); overlap in
-    [neg_min, neg_max) is background; anything else is discarded (None).
+    A proposal overlapping its best ground-truth box (the first, on a tie) by
+    [FINETUNE_POS_MIN, 1] takes that box's class (as 1 + class_id; 0 is
+    background); overlap in [FINETUNE_NEG_MIN, FINETUNE_NEG_MAX) is
+    background; anything else is discarded (None).
     """
+    if not ground_truth:  # overlap 0 everywhere, below FINETUNE_NEG_MIN
+        return [None] * len(proposals)
+    overlaps = iou_matrix(proposals, [g for _, g in ground_truth])
+    best = overlaps.argmax(axis=1)
     labels = []
-    for p in proposals:
-        best_iou, best_cls = 0.0, None
-        for cls, g in ground_truth:
-            v = iou(p, g)
-            if v > best_iou:
-                best_iou, best_cls = v, cls
-        if best_iou >= pos_min:
-            labels.append(1 + best_cls)
-        elif neg_min <= best_iou < neg_max:
+    for j, v in zip(best, overlaps[np.arange(len(best)), best]):
+        if v >= FINETUNE_POS_MIN:
+            labels.append(1 + ground_truth[j][0])
+        elif FINETUNE_NEG_MIN <= v < FINETUNE_NEG_MAX:
             labels.append(0)
         else:
             labels.append(None)
     return labels
 
 
-def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, reg: float,
-               epochs: int, lr: float, w=None, b: float = 0.0):
+def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
+               lr: float, w=None, b: float = 0.0):
     """Deterministic full-batch subgradient descent on the regularized hinge
-    loss 0.5*reg*|w|^2 + c*mean(max(0, 1 - y*(xw+b)))."""
+    loss 0.5*SVM_REG*|w|^2 + c*mean(max(0, 1 - y*(xw+b)))."""
     n, d = x.shape
     if w is None:
         w = np.zeros(d, dtype=np.float64)
@@ -189,7 +228,7 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, reg: float,
         margins = y64 * (x64 @ w + b)
         viol = margins < 1.0
         step = lr / (1.0 + 0.02 * t)
-        gw = reg * w
+        gw = SVM_REG * w
         gb = 0.0
         if viol.any():
             gw = gw - c * (y64[viol] @ x64[viol]) / n
@@ -200,7 +239,7 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, reg: float,
 
 
 def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
-              reg: float = 1e-4, epochs: int = 400, lr: float = 0.5,
+              epochs: int = 400, lr: float = 0.5,
               hard_negative_rounds: int = 1,
               initial_negatives: int | None = None) -> SvmModel:
     """Fit a binary linear SVM (labels +1/-1) by subgradient descent.
@@ -225,8 +264,7 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
 
     def fit(w, b):
         idx = np.concatenate([pos, np.array(active_neg, dtype=int)])
-        return _fit_hinge(features[idx], labels[idx], c, reg, epochs, lr,
-                          w=w, b=b)
+        return _fit_hinge(features[idx], labels[idx], c, epochs, lr, w=w, b=b)
 
     w, b = fit(None, 0.0)
     added = 0
@@ -247,44 +285,41 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
 # NMS / model combination / mAP
 # ---------------------------------------------------------------------------
 
-def nms(detections, threshold: float = 0.3):
+def nms(detections, threshold: float = NMS_THRESHOLD):
     """Greedy non-maximum suppression over one class: keep by descending
     score (ties in input order), drop anything overlapping a kept window by
     more than `threshold` IoU. Survivor scores are unchanged."""
     order = sorted(range(len(detections)),
                    key=lambda i: (-detections[i].score, i))
-    kept = []
-    for i in order:
-        d = detections[i]
-        if all(iou(d.window, k.window) <= threshold for k in kept):
-            kept.append(d)
-    return kept
+    kept = _greedy_keep([d.window for d in detections], order, threshold)
+    return [detections[i] for i in kept]
 
 
-def nms_per_class(detections, threshold: float = 0.3):
+def nms_per_class(detections):
     by_class: dict[int, list] = {}
     for d in detections:
         by_class.setdefault(d.class_id, []).append(d)
     out = []
     for cls in sorted(by_class):
-        out.extend(nms(by_class[cls], threshold))
+        out.extend(nms(by_class[cls]))
     return out
 
 
-def combine_models(det_sets, threshold: float = 0.3):
+def combine_models(det_sets):
     """Union the per-model detections (scores kept) and run NMS on the union;
     a more confident window from one model suppresses the others'."""
     merged = [d for dets in det_sets for d in dets]
-    return nms_per_class(merged, threshold)
+    return nms_per_class(merged)
 
 
-def evaluate_map(detections, ground_truth, iou_match: float = 0.5):
+def evaluate_map(detections, ground_truth):
     """Per-class average precision and their mean.
 
     `ground_truth` maps image_id -> [(class_id, WindowRect)]. Matching is
-    greedy by descending score at IoU >= `iou_match`, one detection per
-    ground-truth box; AP integrates the whole precision-recall curve
-    (all-points interpolation).
+    greedy by descending score: a detection takes the last unmatched
+    ground-truth box of highest IoU, if that is at least `MAP_MATCH_IOU`;
+    AP integrates the whole precision-recall curve (all-points
+    interpolation).
     """
     gt_by_class: dict[int, dict[str, list]] = {}
     for image_id, entries in ground_truth.items():
@@ -296,21 +331,19 @@ def evaluate_map(detections, ground_truth, iou_match: float = 0.5):
         n_gt = sum(len(v) for v in gt_images.values())
         dets = [d for d in detections if d.class_id == cls]
         dets.sort(key=lambda d: -d.score)
-        matched = {img: [False] * len(wins) for img, wins in gt_images.items()}
-        tp = np.zeros(len(dets))
-        fp = np.zeros(len(dets))
+        by_image: dict[str, list[int]] = {}
         for i, d in enumerate(dets):
-            wins = gt_images.get(d.image_id, [])
-            best, best_iou = -1, iou_match
-            for j, g in enumerate(wins):
-                v = iou(d.window, g)
-                if v >= best_iou and not matched[d.image_id][j]:
-                    best, best_iou = j, v
-            if best >= 0:
-                matched[d.image_id][best] = True
-                tp[i] = 1
-            else:
-                fp[i] = 1
+            by_image.setdefault(d.image_id, []).append(i)
+        tp = np.zeros(len(dets))
+        for image_id, rows in by_image.items():
+            overlaps = iou_matrix([dets[i].window for i in rows],
+                                  gt_images.get(image_id, []))
+            for i, row in zip(rows, overlaps):
+                best = _last_best(row[None], MAP_MATCH_IOU)[0]
+                if best >= 0:
+                    overlaps[:, best] = -1.0  # each box matches once
+                    tp[i] = 1
+        fp = 1 - tp
         cum_tp = np.cumsum(tp)
         cum_fp = np.cumsum(fp)
         recall = cum_tp / n_gt
@@ -323,8 +356,7 @@ def evaluate_map(detections, ground_truth, iou_match: float = 0.5):
 def _all_points_ap(recall, precision) -> float:
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     changed = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]).sum())
 
@@ -395,19 +427,13 @@ def bbox_regress_train(features: np.ndarray, targets: np.ndarray,
     return BBoxRegressor(weights)
 
 
-def collect_bbox_pairs(proposals, gt_windows, min_iou: float = 0.5):
+def collect_bbox_pairs(proposals, gt_windows):
     """(proposal, target) pairs for proposals overlapping a ground-truth box
-    by at least `min_iou`; each proposal regresses onto its best-IoU box."""
-    pairs = []
-    for p in proposals:
-        best, best_iou = None, min_iou
-        for g in gt_windows:
-            v = iou(p, g)
-            if v >= best_iou:
-                best, best_iou = g, v
-        if best is not None:
-            pairs.append((p, bbox_targets(p, best)))
-    return pairs
+    by at least `BBOX_MIN_IOU`; each proposal regresses onto its best-IoU box
+    (the last one, on a tie)."""
+    best = _last_best(iou_matrix(proposals, gt_windows), BBOX_MIN_IOU)
+    return [(p, bbox_targets(p, gt_windows[j]))
+            for p, j in zip(proposals, best) if j >= 0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +482,8 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
 
 
 def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
-                 images: dict, proposals: dict, nms_threshold: float = 0.3,
+                 images: dict, proposals: dict,
+                 nms_threshold: float = NMS_THRESHOLD,
                  apply_bbox: bool = False):
     """Score every proposal with every class SVM, NMS per class, optionally
     bbox-regress the survivors. Returns detections sorted by image then

@@ -15,6 +15,10 @@ snap afterwards, see inference).
 
 Layers with other paddings would need per-layer offsets; FeatureGeometry
 refuses them at construction instead.
+
+Window overlap is `iou_matrix`, the package's one IoU: every detection
+decision (negative mining, NMS, mAP matching, bbox pairs, fine-tuning labels)
+and the toy corpus's shape placement read it.
 """
 
 from __future__ import annotations
@@ -74,18 +78,26 @@ class WindowRect:
         return WindowRect(x0, y0, x1, y1)
 
 
-def iou(a: WindowRect, b: WindowRect) -> float:
-    """Intersection-over-union of two rectangles, in [0, 1]."""
-    ix0 = max(a.x0, b.x0)
-    iy0 = max(a.y0, b.y0)
-    ix1 = min(a.x1, b.x1)
-    iy1 = min(a.y1, b.y1)
-    iw = max(0, ix1 - ix0)
-    ih = max(0, iy1 - iy0)
+def iou_matrix(a, b) -> np.ndarray:
+    """(len(a), len(b)) float64 intersection-over-union of two sequences of
+    WindowRect, in [0, 1].
+
+    Intersections and areas are exact integers and each entry is one float64
+    division of them, so the matrix is exactly symmetric.
+    """
+    ax0, ay0, ax1, ay1 = _corners(a)[:, :, None]
+    bx0, by0, bx1, by1 = _corners(b)[:, None, :]
+    iw = np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0)
+    ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0)
     inter = iw * ih
-    if inter == 0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)
+                    - inter)
+
+
+def _corners(windows) -> np.ndarray:
+    """(4, N) int64 rows x0, y0, x1, y1 of a sequence of WindowRect."""
+    return np.array([(w.x0, w.y0, w.x1, w.y1) for w in windows],
+                    dtype=np.int64).reshape(-1, 4).T
 
 
 @dataclass(frozen=True)

@@ -157,9 +157,10 @@ class _PlateauDecay:
 
 
 def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
-          params: ParameterStore | None = None, on_epoch_end=None):
+          on_epoch_end=None):
     """Run the configured schedule over `dataset` ((c,h,w) float32, label)
-    pairs; returns (ParameterStore, [EpochReport]).
+    pairs from a fresh store seeded by `config.seed`; returns
+    (ParameterStore, [EpochReport]).
 
     Every epoch instantiates the network at that epoch's size against the
     same store, so all sizes train the same parameters. Plateau detection uses
@@ -168,8 +169,7 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
     """
     if not dataset:
         raise ValueError("training dataset is empty")
-    if params is None:
-        params = ParameterStore(seed=config.seed)
+    params = ParameterStore(seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     decay = _PlateauDecay(config)
     eval_size = config.eval_size or config.sizes[0]

@@ -45,6 +45,21 @@ def separated_uniform(rng, shape, gap=0.01):
     return vals.reshape(shape)
 
 
+def reference_iou(a, b):
+    """Intersection-over-union of two WindowRects, in [0, 1]: the scalar
+    integer formula that `geometry.iou_matrix` reproduces bit for bit."""
+    ix0 = max(a.x0, b.x0)
+    iy0 = max(a.y0, b.y0)
+    ix1 = min(a.x1, b.x1)
+    iy1 = min(a.y1, b.y1)
+    iw = max(0, ix1 - ix0)
+    ih = max(0, iy1 - iy0)
+    inter = iw * ih
+    if inter == 0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
 def brute_force_iou(a, b):
     """Pixel-set IoU by literal set construction (small boxes only)."""
     cells_a = {(x, y) for x in range(a[0], a[2]) for y in range(a[1], a[3])}

@@ -12,7 +12,8 @@ from pyrapool import dataio, detection, inference, net, spp, tensor, training
 from pyrapool.geometry import (OVERFEAT_CONV_LAYERS, ZF5_CONV5_LAYERS,
                                WindowRect, map_window, receptive_center,
                                stride_product)
-from _oracles import numerical_grad, rel_error, separated_uniform
+from _oracles import (numerical_grad, reference_iou, rel_error,
+                      separated_uniform)
 
 TRAIN_SIZES = (32, 24)        # desk-scale stand-ins for 224/180
 EVAL_SIZE = 32
@@ -358,7 +359,7 @@ def test_criterion_9_detection_pipeline(fitted_detector, detection_corpus):
                 0, float(rng.normal())))
         kept = detection.nms(dets, 0.3)
         props_ok &= detection.nms(kept, 0.3) == kept
-        props_ok &= all(detection.iou(a.window, b.window) <= 0.3
+        props_ok &= all(reference_iou(a.window, b.window) <= 0.3
                         for i, a in enumerate(kept) for b in kept[i + 1:])
         props_ok &= all(k in dets for k in kept)
 
@@ -420,7 +421,7 @@ def test_criterion_11_model_combination():
     union = sorted(m1 + m2, key=lambda d: -d.score)
     oracle = []
     for d in union:
-        if all(detection.iou(d.window, k.window) <= 0.3 for k in oracle):
+        if all(reference_iou(d.window, k.window) <= 0.3 for k in oracle):
             oracle.append(d)
     cross = detection.combine_models([m1, m2]) == oracle
     _check(11, idempotent and cross,

@@ -421,6 +421,48 @@ class TestFlagValues:
         assert f"{flags[0]} applies to --net toy only" in \
             capsys.readouterr().err
 
+    def _detect_without_work(self, corpus, checkpoint, tmp_path, monkeypatch,
+                             flags=()):
+        """Exit code of `detect` with `flags`; fails if it fits anything or
+        writes its output."""
+        _, det_paths = corpus
+        monkeypatch.setattr(cli.detection, "fit_detector",
+                            lambda *a, **k: pytest.fail("fitted"))
+        out = tmp_path / "dets.txt"
+        rc = cli.main([
+            "detect", "--checkpoint", str(checkpoint),
+            "--train-images", det_paths["manifest"],
+            "--train-proposals", det_paths["proposals"],
+            "--train-gt", det_paths["gt"],
+            "--images", det_paths["manifest"],
+            "--proposals", det_paths["proposals"],
+            "--scales", "48", "--view-size", "32", "--out", str(out),
+            *flags])
+        assert not out.exists()
+        return rc
+
+    @pytest.mark.parametrize("flags", [
+        ["--nms-threshold", "nan"], ["--nms-threshold", "-0.1"],
+        ["--nms-threshold", "1.5"], ["--svm-c", "-1"], ["--svm-c", "0"],
+        ["--svm-c", "inf"], ["--svm-c", "nan"]])
+    def test_detect_rejects_bad_value_before_work(self, corpus, checkpoint,
+                                                  tmp_path, capsys,
+                                                  monkeypatch, flags):
+        rc = self._detect_without_work(corpus, checkpoint, tmp_path,
+                                       monkeypatch, flags)
+        assert rc == cli.EXIT_ERROR
+        assert f"error: {flags[0]} must" in capsys.readouterr().err
+
+    def test_negative_threads_rejected_before_work(self, corpus, checkpoint,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setenv("PYRAPOOL_THREADS", "-4")
+        rc = self._detect_without_work(corpus, checkpoint, tmp_path,
+                                       monkeypatch)
+        assert rc == cli.EXIT_ERROR
+        assert "PYRAPOOL_THREADS must be >= 0, got '-4'" in \
+            capsys.readouterr().err
+
     def test_missing_output_fails_before_training(self, corpus, capsys,
                                                   monkeypatch):
         root, _ = corpus

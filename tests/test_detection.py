@@ -8,20 +8,21 @@ from pyrapool import detection as det
 from pyrapool import net, spp
 from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect, map_window
-from _oracles import brute_force_iou
+from _oracles import brute_force_iou, reference_iou
 
 W = WindowRect
 
 
 class TestIou:
     def test_identical(self):
-        assert det.iou(W(3, 4, 10, 12), W(3, 4, 10, 12)) == 1.0
+        assert reference_iou(W(3, 4, 10, 12), W(3, 4, 10, 12)) == 1.0
 
     def test_disjoint(self):
-        assert det.iou(W(0, 0, 5, 5), W(10, 10, 15, 15)) == 0.0
+        assert reference_iou(W(0, 0, 5, 5), W(10, 10, 15, 15)) == 0.0
 
     def test_half_overlap(self):
-        assert np.isclose(det.iou(W(0, 0, 10, 10), W(5, 0, 15, 10)), 1 / 3)
+        assert np.isclose(reference_iou(W(0, 0, 10, 10), W(5, 0, 15, 10)),
+                          1 / 3)
 
     def test_matches_pixel_set_oracle(self):
         rng = np.random.default_rng(51)
@@ -37,7 +38,7 @@ class TestIou:
             ra = W(a[0], b[0], a[1], b[1])
             rb = W(c[0], d[0], c[1], d[1])
             assert np.isclose(
-                det.iou(ra, rb),
+                reference_iou(ra, rb),
                 brute_force_iou((ra.x0, ra.y0, ra.x1, ra.y1),
                                 (rb.x0, rb.y0, rb.x1, rb.y1)))
 
@@ -71,9 +72,9 @@ class TestMineSvmSamples:
         # brute-force recomputation
         expect = []
         for p in props:
-            if max(det.iou(p, g) for g in gt) > 0.3:
+            if max(reference_iou(p, g) for g in gt) > 0.3:
                 continue
-            if any(det.iou(p, k) > 0.7 for k in expect):
+            if any(reference_iou(p, k) > 0.7 for k in expect):
                 continue
             expect.append(p)
         assert neg == expect
@@ -169,7 +170,7 @@ class TestNms:
             assert det.nms(kept, 0.3) == kept          # idempotent
             for i, a in enumerate(kept):               # antichain
                 for b in kept[i + 1:]:
-                    assert det.iou(a.window, b.window) <= 0.3
+                    assert reference_iou(a.window, b.window) <= 0.3
             assert all(k in dets for k in kept)        # subset, scores intact
 
 
@@ -196,10 +197,60 @@ class TestCombineModels:
         order = sorted(union, key=lambda d: -d.score)
         oracle = []
         for d in order:
-            if all(det.iou(d.window, k.window) <= 0.3 for k in oracle):
+            if all(reference_iou(d.window, k.window) <= 0.3
+                   for k in oracle):
                 oracle.append(d)
         assert combined == oracle
         assert {d.score for d in combined} == {0.9, 0.6}
+
+
+class TestTieRules:
+    # the detection overlaps both boxes by IoU 80/120 exactly
+    G1, G2 = W(0, 0, 10, 10), W(4, 0, 14, 10)
+    MIDDLE = W(2, 0, 12, 10)
+
+    def test_map_matching_takes_last_of_equal_boxes(self):
+        # the second detection overlaps G1 by 0.8 and G2 by 40/140, so it
+        # can only match G1: both are true positives only if the first
+        # detection took G2
+        gt = {"i": [(0, self.G1), (0, self.G2)]}
+        dets = [det.Detection("i", self.MIDDLE, 0, 0.9),
+                det.Detection("i", W(0, 0, 8, 10), 0, 0.8)]
+        aps, _ = det.evaluate_map(dets, gt)
+        assert aps[0] == 1.0
+
+    def test_bbox_pair_takes_last_of_equal_boxes(self):
+        pairs = det.collect_bbox_pairs([self.MIDDLE], [self.G1, self.G2])
+        assert len(pairs) == 1
+        np.testing.assert_array_equal(
+            pairs[0][1], det.bbox_targets(self.MIDDLE, self.G2))
+
+    def test_finetune_label_takes_first_of_equal_boxes(self):
+        gt = [(0, self.G1), (1, self.G2)]
+        assert det.assign_finetune_labels([self.MIDDLE], gt) == [1]
+        assert det.assign_finetune_labels([self.MIDDLE], gt[::-1]) == [2]
+
+    def test_nms_equal_scores_keep_input_order(self):
+        a = det.Detection("i", self.G1, 0, 0.5)
+        b = det.Detection("i", self.MIDDLE, 0, 0.5)
+        c = det.Detection("i", W(40, 40, 50, 50), 0, 0.5)
+        assert det.nms([a, b, c]) == [a, c]
+        assert det.nms([c, b, a]) == [c, b]
+
+    def test_overlap_equal_to_threshold_is_kept(self):
+        # IoU 30/100 and 70/100 are the float64 nearest 0.3 and 0.7
+        a = det.Detection("i", W(0, 0, 10, 10), 0, 0.9)
+        b = det.Detection("i", W(0, 0, 10, 3), 0, 0.8)
+        assert det.nms([a, b]) == [a, b]
+        near = [W(50, 50, 60, 60), W(50, 50, 60, 57)]
+        _, neg = det.mine_svm_samples(near, [W(0, 0, 10, 10)])
+        assert neg == near
+
+    def test_duplicate_proposals_collapse_to_one_negative(self):
+        twin, other = W(50, 50, 60, 60), W(0, 50, 10, 60)
+        _, neg = det.mine_svm_samples([twin, other, twin, twin, other],
+                                      [W(0, 0, 10, 10)])
+        assert neg == [twin, other]
 
 
 class TestBBoxRegression:
@@ -308,7 +359,7 @@ def _oracle_ap(dets, gt_boxes, thresh=0.5):
     for d in order:
         best, best_v = -1, thresh
         for j, g in enumerate(gt_boxes):
-            v = det.iou(d.window, g)
+            v = reference_iou(d.window, g)
             if v >= best_v and not matched[j]:
                 best, best_v = j, v
         if best >= 0:

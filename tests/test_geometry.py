@@ -1,11 +1,14 @@
 """Image<->feature-map geometry: stride products, boundary projection,
-scale selection, and bilinear resizing."""
+scale selection, bilinear resizing, and the IoU matrix."""
 
 import numpy as np
 import pytest
 
 from pyrapool import geometry as geo
 from pyrapool.errors import GraphError, ShapeError
+from _oracles import reference_iou
+
+W = geo.WindowRect
 
 
 class TestStrideProduct:
@@ -180,3 +183,48 @@ class TestResize:
         out = geo.resize_to(img, 1, 4)
         assert out[0, 0, 0] <= out[0, 0, 1] <= out[0, 0, 2] <= out[0, 0, 3]
         np.testing.assert_allclose(out[0, 0].mean(), 1.0, atol=0.26)
+
+
+def _related_windows(rng, n):
+    """n random windows, each followed by an identical, a nested, an
+    edge-touching, a corner-touching, a disjoint and a shifted partner."""
+    out = []
+    for _ in range(n):
+        x0, y0 = (int(v) for v in rng.integers(-50, 2000, size=2))
+        w, h = (int(v) for v in rng.integers(1, 400, size=2))
+        dx, dy = int(rng.integers(0, w)), int(rng.integers(0, h))
+        out += [W(x0, y0, x0 + w, y0 + h),
+                W(x0, y0, x0 + w, y0 + h),
+                W(x0 + dx, y0 + dy, x0 + w, y0 + h),
+                W(x0 + w, y0, x0 + 2 * w, y0 + h),
+                W(x0 + w, y0 + h, x0 + w + 3, y0 + h + 3),
+                W(x0 - 9, y0 + h + 1, x0, y0 + 2 * h + 1),
+                W(x0 + dx, y0 - dy, x0 + dx + w, y0 - dy + h)]
+    return out
+
+
+class TestIouMatrix:
+    def test_equals_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(25)
+        for _ in range(5):
+            a = _related_windows(rng, 12)
+            b = [a[i] for i in rng.permutation(len(a))][:50]
+            b += _related_windows(rng, 3)
+            m = geo.iou_matrix(a, b)
+            expect = np.array([[reference_iou(p, q) for q in b] for p in a])
+            assert m.dtype == np.float64 and m.shape == (len(a), len(b))
+            assert m.tobytes() == expect.tobytes()
+            assert (m == 0).any() and (m == 1).any()
+            assert ((m > 0) & (m < 1)).any()
+
+    def test_exactly_symmetric(self):
+        a = _related_windows(np.random.default_rng(26), 20)
+        m = geo.iou_matrix(a, a)
+        assert m.tobytes() == m.T.copy().tobytes()
+        assert (np.diag(m) == 1.0).all()
+
+    def test_empty_sides(self):
+        a = _related_windows(np.random.default_rng(27), 2)
+        assert geo.iou_matrix([], a).shape == (0, len(a))
+        assert geo.iou_matrix(a, []).shape == (len(a), 0)
+        assert geo.iou_matrix([], []).dtype == np.float64
