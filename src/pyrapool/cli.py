@@ -191,6 +191,14 @@ def _existing(path, what):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    try:
+        config = training.TrainConfig(
+            lr=args.lr, momentum=args.momentum, batch_size=args.batch_size,
+            epochs=args.epochs, schedule=args.schedule, sizes=args.sizes,
+            eval_size=args.eval_size, seed=args.seed)
+    except ValueError as e:  # the message opens with the field's name
+        field, rest = str(e).split(" ", 1)
+        raise ShapeError(f"{_flag(field)} {rest}") from None
     manifest = _existing(args.train_manifest, "--train-manifest")
     dataset = dataio.load_dataset(manifest)
     if not dataset:
@@ -198,10 +206,6 @@ def cmd_train(args) -> int:
     eval_set = (dataio.load_dataset(args.test_manifest)
                 if args.test_manifest else None)
     spec = build_network(args)
-    config = training.TrainConfig(
-        lr=args.lr, momentum=args.momentum, batch_size=args.batch_size,
-        epochs=args.epochs, schedule=args.schedule, sizes=args.sizes,
-        eval_size=args.eval_size, seed=args.seed)
     params, reports = training.train(spec, dataset, config, eval_set=eval_set)
     atomic_write(args.out, net.checkpoint_bytes(params))
     if args.log:

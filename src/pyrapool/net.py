@@ -377,13 +377,15 @@ class NetworkInstance:
             raise ShapeError(f"batch holds {bad} non-finite values")
         stats.trunk_passes += 1
 
-    def backward(self, saved, grad_logits: np.ndarray):
-        """Accumulate parameter gradients from a train-mode forward pass."""
+    def backward(self, saved, grad_logits: np.ndarray) -> None:
+        """Accumulate parameter gradients from a train-mode forward pass into
+        the slots' `.grad`; no gradient with respect to the batch is
+        computed or returned."""
         if not saved["train_mode"]:
             raise GraphError(
                 "backward requires activations saved with train_mode=True")
-        return backward_layers(self.spec.layers, saved["caches"], self.slots,
-                               grad_logits)
+        backward_layers(self.spec.layers, saved["caches"], self.slots,
+                        grad_logits)
 
     def feature_at(self, batch: np.ndarray, layer_name: str) -> np.ndarray:
         """Eval-mode activation after the named layer."""
@@ -433,16 +435,17 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
 
     `slots` maps each conv / fc layer name to its (weight, bias) slots.
     Softmax passes its input through: training couples it with the loss.
-    Caches for `backward_layers` are kept in train mode only; in eval mode
-    the list is empty, and max pooling and the pyramid compute no argmax.
+    Caches for `backward_layers` are kept in train mode only (a conv layer
+    keeps its float64 patch matrix, not its input); in eval mode the list is
+    empty, and max pooling and the pyramid compute no argmax.
     """
     caches = []
     for layer in layers:
+        cache = None  # in eval mode, frees the last layer's cache
         if isinstance(layer, Conv):
             wslot, bslot = slots[layer.name]
-            out = tensor.conv_forward(x, wslot.value, bslot.value,
-                                      _conv_spec(layer))
-            cache = x
+            out, cache = tensor.conv_forward(x, wslot.value, bslot.value,
+                                             _conv_spec(layer))
         elif isinstance(layer, MaxPool):
             args = (x, (layer.window, layer.window),
                     (layer.stride, layer.stride), (layer.pad(), layer.pad()))
@@ -467,7 +470,7 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
         elif isinstance(layer, Dropout):
             out, cache = tensor.dropout(x, layer.rate, train_mode, rng)
         elif isinstance(layer, Softmax):
-            out, cache = x, None
+            out = x
         else:
             raise GraphError(f"unknown layer {layer!r}")
         if train_mode:
@@ -476,34 +479,40 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
     return x, caches
 
 
-def backward_layers(layers, caches, slots, grad: np.ndarray) -> np.ndarray:
+def backward_layers(layers, caches, slots, grad: np.ndarray) -> None:
     """Back-propagate `grad` through the slice `forward_layers` ran in train
-    mode; accumulates conv / fc parameter gradients into `slots` and returns
-    the gradient with respect to the slice's input."""
-    for layer, cache in zip(reversed(layers), reversed(caches)):
+    mode, accumulating conv / fc parameter gradients into `slots`. Nothing
+    reads the gradient with respect to the slice's input, so it is not
+    computed: the first layer yields only its parameter gradients."""
+    for i in range(len(layers) - 1, -1, -1):
+        layer, cache = layers[i], caches[i]
         if isinstance(layer, Conv):
             wslot, bslot = slots[layer.name]
             grad, gw, gb = tensor.conv_backward(grad, cache, wslot.value,
-                                                _conv_spec(layer))
+                                                _conv_spec(layer),
+                                                input_grad=i > 0)
             wslot.grad += gw
             bslot.grad += gb
+        elif isinstance(layer, FC):
+            flat, in_shape = cache
+            wslot, bslot = slots[layer.name]
+            grad, gw, gb = tensor.fc_backward(grad, flat, wslot.value,
+                                              input_grad=i > 0)
+            wslot.grad += gw
+            bslot.grad += gb
+            if i > 0:
+                grad = grad.reshape(in_shape)
+        elif i == 0:
+            break  # a parameter-free first layer has nothing to accumulate
         elif isinstance(layer, MaxPool):
             grad = tensor.maxpool_backward(grad, *cache)
         elif isinstance(layer, SPP):
             grad = spp_backward_batch(grad, *cache)
-        elif isinstance(layer, FC):
-            flat, in_shape = cache
-            wslot, bslot = slots[layer.name]
-            grad, gw, gb = tensor.fc_backward(grad, flat, wslot.value)
-            wslot.grad += gw
-            bslot.grad += gb
-            grad = grad.reshape(in_shape)
         elif isinstance(layer, ReLU):
             grad = tensor.relu_backward(grad, cache)
         elif isinstance(layer, Dropout):
             grad = tensor.dropout_backward(grad, cache)
         # softmax: the loss gradient is already w.r.t. the logits
-    return grad
 
 
 # ---------------------------------------------------------------------------

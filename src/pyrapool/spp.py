@@ -243,9 +243,10 @@ def spp_backward_batch(grad_out: np.ndarray, argmax: np.ndarray, featmap_shape):
         raise ShapeError(f"argmax map batch {argmax.shape[0]} != {b}")
     if argmax.size and (argmax.min() < 0 or argmax.max() >= k * h * w):
         raise ShapeError(f"argmax map indexes outside {k}x{h}x{w}; stale map?")
-    grad = np.zeros((b, k * h * w), dtype=np.float64)
-    bi = np.arange(b)[:, None]
-    np.add.at(grad, (bi, argmax), grad_out.astype(np.float64, copy=False))
+    # bincount adds in element order, from 0.0, in float64
+    base = np.arange(b)[:, None] * (k * h * w)
+    grad = np.bincount((base + argmax).ravel(), weights=grad_out.ravel(),
+                       minlength=b * k * h * w)
     return grad.reshape(b, k, h, w).astype(grad_out.dtype)
 
 

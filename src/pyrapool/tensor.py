@@ -6,8 +6,14 @@ Values are stored in 32-bit floats during training; every reduction (matmul,
 sum) accumulates in 64-bit and casts back, so gradient checks run to tight
 tolerances when fed float64 inputs.
 
+Convolution is an im2col matmul. The patch matrix is built once per call,
+directly in float64; `conv_forward` returns it in a `ConvCache` beside its
+output, training hands that to `conv_backward` so the weight gradient reuses
+it, and the input gradient is computed only when a caller asks for it.
+
 Max ties are broken by the first index in row-major scan order, which makes
-backward routing deterministic.
+backward routing deterministic. Backward passes of max pooling scatter with
+`np.bincount`, which adds each cell's contributions in element order.
 """
 
 from __future__ import annotations
@@ -49,19 +55,35 @@ def _acc_matmul(a: np.ndarray, b: np.ndarray, out_dtype) -> np.ndarray:
     return r.astype(out_dtype, copy=False)
 
 
-def _im2col(xp: np.ndarray, kernel: int, stride: int):
-    """(B,C,Hp,Wp) -> (B,OH,OW,C*K*K) patch matrix of the padded input."""
-    win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B,C,OH,OW,K,K)
-    b, c, oh, ow, k, _ = win.shape
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh, ow, c * k * k)
+@dataclass(frozen=True)
+class ConvCache:
+    """What `conv_backward` needs of one `conv_forward` call: the float64
+    (B*OH*OW, C*K*K) patch matrix of the padded input, and the input's
+    (B,C,H,W) shape and dtype."""
+
+    cols: np.ndarray
+    shape: tuple
+    dtype: np.dtype
+
+
+def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """(B,C,H,W) -> float64 (B*OH*OW, C*K*K) patch matrix of the zero-padded
+    input, written in one pass from the sliding-window view."""
+    p, k, s = spec.padding, spec.kernel, spec.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    b, c, oh, ow = win.shape[:4]
+    cols = np.empty((b, oh, ow, c, k, k), dtype=np.float64)
+    cols[...] = win.transpose(0, 2, 3, 1, 4, 5)
+    return cols.reshape(b * oh * ow, c * k * k)
 
 
 def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                 spec: ConvSpec) -> np.ndarray:
+                 spec: ConvSpec):
     """Cross-correlate `x` (B,C,H,W) with `weights` (O,C,K,K) plus bias.
 
-    Output spatial dims follow `conv_out_size`.
+    Returns (output, ConvCache for `conv_backward`); output spatial dims
+    follow `conv_out_size`.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv input must be 4-d NCHW, got shape {x.shape}")
@@ -80,44 +102,42 @@ def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             f"padded input {h + 2 * spec.padding}x{w + 2 * spec.padding} is "
             f"smaller than the {spec.kernel}x{spec.kernel} kernel")
 
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols = _im2col(xp, spec.kernel, spec.stride)
-    wmat = weights.reshape(o, -1)
-    out = _acc_matmul(cols.reshape(-1, cols.shape[-1]), wmat.T, x.dtype)
-    oh = spec.out_size(h)
-    ow = spec.out_size(w)
-    out = out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
-    return out + bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False)
+    cols = _im2col(x, spec)
+    out = _acc_matmul(cols, weights.reshape(o, -1).T, x.dtype)
+    out = out.reshape(b, spec.out_size(h), spec.out_size(w), o)
+    out = out.transpose(0, 3, 1, 2)
+    out = out + bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False)
+    return out, ConvCache(cols, x.shape, x.dtype)
 
 
-def conv_backward(grad_out: np.ndarray, saved_input: np.ndarray,
-                  weights: np.ndarray, spec: ConvSpec):
+def conv_backward(grad_out: np.ndarray, cache: ConvCache,
+                  weights: np.ndarray, spec: ConvSpec, input_grad: bool):
     """Gradients of conv_forward w.r.t. input, weights, and bias.
 
-    `saved_input` must be the forward pass's input; `grad_out` must match the
-    forward output shape.
+    `cache` is the `ConvCache` of the forward pass, whose patch matrix gives
+    the weight gradient; `grad_out` must match the forward output shape. The
+    input gradient, a K*K loop of scatters, is computed only when
+    `input_grad` is set; otherwise None stands in its place.
     """
-    if saved_input is None:
-        raise ShapeError("conv_backward requires the saved forward input")
-    b, c, h, w = saved_input.shape
+    if not isinstance(cache, ConvCache):
+        raise ShapeError("conv_backward requires the ConvCache saved by "
+                         "conv_forward")
+    b, c, h, w = cache.shape
     o = weights.shape[0]
+    p, k, s = spec.padding, spec.kernel, spec.stride
     oh = spec.out_size(h)
     ow = spec.out_size(w)
     if grad_out.shape != (b, o, oh, ow):
         raise ShapeError(
             f"grad_out shaped {grad_out.shape}, expected {(b, o, oh, ow)}")
 
-    p, k, s = spec.padding, spec.kernel, spec.stride
-    xp = np.pad(saved_input, ((0, 0), (0, 0), (p, p), (p, p))) if p else saved_input
-
     g64 = grad_out.astype(np.float64, copy=False)
-    grad_bias = g64.sum(axis=(0, 2, 3)).astype(saved_input.dtype)
-
-    cols = _im2col(xp, k, s).reshape(-1, c * k * k)
+    grad_bias = g64.sum(axis=(0, 2, 3)).astype(cache.dtype)
     gmat = g64.transpose(0, 2, 3, 1).reshape(-1, o)
-    grad_weights = (gmat.T @ cols.astype(np.float64, copy=False))
-    grad_weights = grad_weights.reshape(o, c, k, k).astype(weights.dtype)
+    grad_weights = (gmat.T @ cache.cols).reshape(o, c, k, k).astype(
+        weights.dtype)
+    if not input_grad:
+        return None, grad_weights, grad_bias
 
     gxp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=np.float64)
     w64 = weights.astype(np.float64, copy=False)
@@ -125,7 +145,7 @@ def conv_backward(grad_out: np.ndarray, saved_input: np.ndarray,
         for dx in range(k):
             t = np.tensordot(g64, w64[:, :, dy, dx], axes=([1], [0]))
             gxp[:, :, dy:dy + s * oh:s, dx:dx + s * ow:s] += t.transpose(0, 3, 1, 2)
-    grad_input = gxp[:, :, p:p + h, p:p + w].astype(saved_input.dtype)
+    grad_input = gxp[:, :, p:p + h, p:p + w].astype(cache.dtype)
     return grad_input, grad_weights, grad_bias
 
 
@@ -203,10 +223,10 @@ def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_shape):
     if argmax.size and (argmax.min() < 0 or argmax.max() >= h * w):
         raise ShapeError(
             f"argmax map indexes outside a {h}x{w} plane; stale map?")
-    grad = np.zeros((b, c, h * w), dtype=np.float64)
-    bi = np.arange(b).reshape(b, 1, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1, 1)
-    np.add.at(grad, (bi, ci, argmax), grad_out.astype(np.float64, copy=False))
+    # bincount adds in element order, from 0.0, in float64
+    plane = np.arange(b * c).reshape(b, c, 1, 1) * (h * w)
+    grad = np.bincount((plane + argmax).ravel(), weights=grad_out.ravel(),
+                       minlength=b * c * h * w)
     return grad.reshape(b, c, h, w).astype(grad_out.dtype)
 
 
@@ -223,12 +243,15 @@ def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 
 def fc_backward(grad_out: np.ndarray, saved_input: np.ndarray,
-                weights: np.ndarray):
+                weights: np.ndarray, input_grad: bool):
+    """Gradients of fc_forward w.r.t. input (None unless `input_grad`),
+    weights, and bias."""
     if grad_out.shape != (saved_input.shape[0], weights.shape[0]):
         raise ShapeError(
             f"fc grad_out shaped {grad_out.shape}, expected "
             f"{(saved_input.shape[0], weights.shape[0])}")
-    grad_input = _acc_matmul(grad_out, weights, saved_input.dtype)
+    grad_input = (_acc_matmul(grad_out, weights, saved_input.dtype)
+                  if input_grad else None)
     grad_weights = _acc_matmul(grad_out.T, saved_input, weights.dtype)
     grad_bias = grad_out.astype(np.float64).sum(axis=0).astype(weights.dtype)
     return grad_input, grad_weights, grad_bias

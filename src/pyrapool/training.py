@@ -37,10 +37,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        """Reject a bad value; each message opens with the field's name."""
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(
+                f"lr (learning rate) must be positive and finite, got {self.lr}")
+        if not (np.isfinite(self.momentum) and 0 <= self.momentum < 1):
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.schedule not in ("single", "alternate", "random"):
-            raise ValueError(f"unknown size schedule {self.schedule!r}")
+            raise ValueError(f"schedule must be single, alternate or random, "
+                             f"got {self.schedule!r}")
         self.sizes = tuple(int(s) for s in self.sizes)
         if not self.sizes or min(self.sizes) < 1:
             raise ValueError(f"sizes must be positive, got {self.sizes}")

@@ -2,7 +2,9 @@
 
 The gradient oracle is central finite differences evaluated in float64; it
 never calls any backward-pass code, so analytic gradients are checked against
-an implementation-independent estimate.
+an implementation-independent estimate. The `oracle_*` training kernels at
+the end are the earlier implementations that the current ones must match
+bit for bit.
 """
 
 import numpy as np
@@ -45,6 +47,12 @@ def separated_uniform(rng, shape, gap=0.01):
     return vals.reshape(shape)
 
 
+def tied_relu(rng, shape, dtype=np.float32):
+    """Half-integer values clipped at zero: many exact ties, zeros above all."""
+    return np.maximum(np.round(rng.normal(size=shape) * 2.0) / 2.0,
+                      0.0).astype(dtype)
+
+
 def reference_iou(a, b):
     """Intersection-over-union of two WindowRects, in [0, 1]: the scalar
     integer formula that `geometry.iou_matrix` reproduces bit for bit."""
@@ -68,3 +76,147 @@ def brute_force_iou(a, b):
     if not union:
         return 0.0
     return len(cells_a & cells_b) / len(union)
+
+
+# ---------------------------------------------------------------------------
+# The training kernels as they were before the patch matrix was cached and
+# the scatters became bincounts: a float32 im2col converted to float64 in
+# both passes, an input gradient for every layer, and `np.add.at` scatters.
+# The current kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _oracle_acc_matmul(a, b, out_dtype):
+    r = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+    return r.astype(out_dtype, copy=False)
+
+
+def _oracle_im2col(xp, kernel, stride):
+    from numpy.lib.stride_tricks import sliding_window_view
+    win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (B,C,OH,OW,K,K)
+    b, c, oh, ow, k, _ = win.shape
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh, ow, c * k * k)
+
+
+def oracle_conv_forward(x, weights, bias, spec):
+    b, c, h, w = x.shape
+    o = weights.shape[0]
+    p = spec.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    cols = _oracle_im2col(xp, spec.kernel, spec.stride)
+    wmat = weights.reshape(o, -1)
+    out = _oracle_acc_matmul(cols.reshape(-1, cols.shape[-1]), wmat.T, x.dtype)
+    oh = spec.out_size(h)
+    ow = spec.out_size(w)
+    out = out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
+    return out + bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False)
+
+
+def oracle_conv_backward(grad_out, saved_input, weights, spec):
+    b, c, h, w = saved_input.shape
+    o = weights.shape[0]
+    oh = spec.out_size(h)
+    ow = spec.out_size(w)
+    p, k, s = spec.padding, spec.kernel, spec.stride
+    xp = np.pad(saved_input, ((0, 0), (0, 0), (p, p), (p, p))) if p else saved_input
+
+    g64 = grad_out.astype(np.float64, copy=False)
+    grad_bias = g64.sum(axis=(0, 2, 3)).astype(saved_input.dtype)
+
+    cols = _oracle_im2col(xp, k, s).reshape(-1, c * k * k)
+    gmat = g64.transpose(0, 2, 3, 1).reshape(-1, o)
+    grad_weights = (gmat.T @ cols.astype(np.float64, copy=False))
+    grad_weights = grad_weights.reshape(o, c, k, k).astype(weights.dtype)
+
+    gxp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    w64 = weights.astype(np.float64, copy=False)
+    for dy in range(k):
+        for dx in range(k):
+            t = np.tensordot(g64, w64[:, :, dy, dx], axes=([1], [0]))
+            gxp[:, :, dy:dy + s * oh:s, dx:dx + s * ow:s] += t.transpose(0, 3, 1, 2)
+    grad_input = gxp[:, :, p:p + h, p:p + w].astype(saved_input.dtype)
+    return grad_input, grad_weights, grad_bias
+
+
+def oracle_maxpool_backward(grad_out, argmax, input_shape):
+    b, c, h, w = input_shape
+    grad = np.zeros((b, c, h * w), dtype=np.float64)
+    bi = np.arange(b).reshape(b, 1, 1, 1)
+    ci = np.arange(c).reshape(1, c, 1, 1)
+    np.add.at(grad, (bi, ci, argmax), grad_out.astype(np.float64, copy=False))
+    return grad.reshape(b, c, h, w).astype(grad_out.dtype)
+
+
+def oracle_spp_backward_batch(grad_out, argmax, featmap_shape):
+    b, k, h, w = featmap_shape
+    grad = np.zeros((b, k * h * w), dtype=np.float64)
+    bi = np.arange(b)[:, None]
+    np.add.at(grad, (bi, argmax), grad_out.astype(np.float64, copy=False))
+    return grad.reshape(b, k, h, w).astype(grad_out.dtype)
+
+
+def oracle_train_step(layers, x, slots, rng, grad_fn):
+    """Train-mode forward and backward through `layers` with the kernels
+    above: the conv cache is the raw input, and every layer's input gradient
+    is computed. `grad_fn(logits)` gives the loss gradient; parameter
+    gradients accumulate into `slots`. Returns the logits."""
+    from pyrapool import net, spp, tensor
+
+    def conv_spec(layer):
+        return tensor.ConvSpec(layer.out_channels, layer.kernel, layer.stride,
+                               layer.pad())
+
+    caches = []
+    for layer in layers:
+        if isinstance(layer, net.Conv):
+            wslot, bslot = slots[layer.name]
+            out = oracle_conv_forward(x, wslot.value, bslot.value,
+                                      conv_spec(layer))
+            cache = x
+        elif isinstance(layer, net.MaxPool):
+            out, argmax = tensor.maxpool_forward(
+                x, (layer.window, layer.window), (layer.stride, layer.stride),
+                (layer.pad(), layer.pad()))
+            cache = (argmax, x.shape)
+        elif isinstance(layer, net.SPP):
+            out, argmax = spp.spp_forward_batch(x, spp.PyramidSpec(layer.levels))
+            cache = (argmax, x.shape)
+        elif isinstance(layer, net.FC):
+            flat = x.reshape(x.shape[0], -1)
+            wslot, bslot = slots[layer.name]
+            out = tensor.fc_forward(flat, wslot.value, bslot.value)
+            cache = (flat, x.shape)
+        elif isinstance(layer, net.ReLU):
+            out, cache = tensor.relu_forward(x)
+        elif isinstance(layer, net.Dropout):
+            out, cache = tensor.dropout(x, layer.rate, True, rng)
+        else:  # softmax
+            out, cache = x, None
+        caches.append(cache)
+        x = out
+
+    grad = grad_fn(x)
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        if isinstance(layer, net.Conv):
+            wslot, bslot = slots[layer.name]
+            grad, gw, gb = oracle_conv_backward(grad, cache, wslot.value,
+                                                conv_spec(layer))
+            wslot.grad += gw
+            bslot.grad += gb
+        elif isinstance(layer, net.MaxPool):
+            grad = oracle_maxpool_backward(grad, *cache)
+        elif isinstance(layer, net.SPP):
+            grad = oracle_spp_backward_batch(grad, *cache)
+        elif isinstance(layer, net.FC):
+            flat, in_shape = cache
+            wslot, bslot = slots[layer.name]
+            grad, gw, gb = tensor.fc_backward(grad, flat, wslot.value,
+                                              input_grad=True)
+            wslot.grad += gw
+            bslot.grad += gb
+            grad = grad.reshape(in_shape)
+        elif isinstance(layer, net.ReLU):
+            grad = tensor.relu_backward(grad, cache)
+        elif isinstance(layer, net.Dropout):
+            grad = tensor.dropout_backward(grad, cache)
+    return x

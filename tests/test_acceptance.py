@@ -212,14 +212,15 @@ def test_criterion_5_gradient_checks():
         x = rng.normal(size=(b, c, h, w))
         wt = rng.normal(size=(o, c, k, k))
         bias = rng.normal(size=o)
-        r = rng.normal(size=tensor.conv_forward(x, wt, bias, spec).shape)
-        gx, gw, gb = tensor.conv_backward(r, x, wt, spec)
+        out, cache = tensor.conv_forward(x, wt, bias, spec)
+        r = rng.normal(size=out.shape)
+        gx, gw, gb = tensor.conv_backward(r, cache, wt, spec, input_grad=True)
         track(rel_error(gx, numerical_grad(
-            lambda v: float((tensor.conv_forward(v, wt, bias, spec) * r).sum()), x)))
+            lambda v: float((tensor.conv_forward(v, wt, bias, spec)[0] * r).sum()), x)))
         track(rel_error(gw, numerical_grad(
-            lambda v: float((tensor.conv_forward(x, v, bias, spec) * r).sum()), wt)))
+            lambda v: float((tensor.conv_forward(x, v, bias, spec)[0] * r).sum()), wt)))
         track(rel_error(gb, numerical_grad(
-            lambda v: float((tensor.conv_forward(x, wt, v, spec) * r).sum()), bias)))
+            lambda v: float((tensor.conv_forward(x, wt, v, spec)[0] * r).sum()), bias)))
 
         # max pool
         wh, ww = int(rng.integers(1, h + 1)), int(rng.integers(1, w + 1))
@@ -239,7 +240,7 @@ def test_criterion_5_gradient_checks():
         wf = rng.normal(size=(o2, d))
         bf = rng.normal(size=o2)
         r = rng.normal(size=(b, o2))
-        gx, gw, gb = tensor.fc_backward(r, xf, wf)
+        gx, gw, gb = tensor.fc_backward(r, xf, wf, input_grad=True)
         track(rel_error(gx, numerical_grad(
             lambda v: float((tensor.fc_forward(v, wf, bf) * r).sum()), xf)))
         track(rel_error(gw, numerical_grad(

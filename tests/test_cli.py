@@ -389,6 +389,24 @@ class TestFlagValues:
         assert f"{flags[0]} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "nan"], ["--lr", "inf"], ["--lr", "0"], ["--lr", "-0.1"],
+        ["--momentum", "nan"], ["--momentum", "-1.0"], ["--momentum", "1.0"],
+        ["--momentum", "1.5"]])
+    def test_train_rejects_bad_optimiser_value_before_reading(
+            self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli.dataio, "read_records",
+                            lambda *a, **k: pytest.fail("read a manifest"))
+        manifest = tmp_path / "train.txt"
+        manifest.write_text("")
+        out = tmp_path / "m.ckpt"
+        rc = cli.main(["train", "--train-manifest", str(manifest),
+                       "--out", str(out), *flags])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"error: {flags[0]} " in err and " must " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--scale", "0"], ["--view", "0"]])
     def test_eval_rejects_nonpositive(self, corpus, checkpoint, capsys,
                                       flags):
@@ -451,7 +469,8 @@ class TestFlagValues:
         rc = self._detect_without_work(corpus, checkpoint, tmp_path,
                                        monkeypatch, flags)
         assert rc == cli.EXIT_ERROR
-        assert f"error: {flags[0]} must" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {flags[0]} " in err and " must " in err
 
     def test_negative_threads_rejected_before_work(self, corpus, checkpoint,
                                                    tmp_path, capsys,

@@ -6,7 +6,8 @@ import pytest
 
 from pyrapool import spp, tensor
 from pyrapool.errors import ShapeError
-from _oracles import numerical_grad, rel_error, separated_uniform
+from _oracles import (numerical_grad, rel_error, separated_uniform,
+                      tied_relu)
 
 
 class TestSlidingPoolParams:
@@ -204,12 +205,6 @@ class TestSppBackward:
         assert rel_error(g, num) < 1e-4
 
 
-def _tied_relu(rng, shape, dtype):
-    """Half-integer values clipped at zero: many exact ties, zeros above all."""
-    return np.maximum(np.round(rng.normal(size=shape) * 2.0) / 2.0,
-                      0.0).astype(dtype)
-
-
 class TestPoolRects:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_subrect_of_every_map_matches_crop(self, dtype):
@@ -220,7 +215,7 @@ class TestPoolRects:
         # `spp_forward` of each crop.
         rng = np.random.default_rng(1201)
         pyr = spp.PyramidSpec([6, 5, 4, 3, 2, 1])
-        big = _tied_relu(rng, (3, 12, 12), dtype)
+        big = tied_relu(rng, (3, 12, 12), dtype)
         reference = {}
         for ch in range(1, 13):
             for cw in range(1, 13):
@@ -246,7 +241,7 @@ class TestPoolRects:
 
     def test_single_crop_matches_spp_forward(self):
         rng = np.random.default_rng(1202)
-        x = _tied_relu(rng, (4, 9, 13), np.float32)
+        x = tied_relu(rng, (4, 9, 13), np.float32)
         pyr = spp.PyramidSpec([6, 3, 2, 1])
         out = spp.pool_rects(x, [(2, 1, 10, 7)], pyr)
         expect, _ = spp.spp_forward(x[:, 1:8, 2:11], pyr)
@@ -299,7 +294,7 @@ class TestPoolMaps:
     def test_matches_spp_forward_batch(self, trial):
         rng = np.random.default_rng(1300 + trial)
         b, k, h, w = (int(v) for v in rng.integers(1, 9, 4))
-        x = _tied_relu(rng, (b, k, h, w), np.float32)
+        x = tied_relu(rng, (b, k, h, w), np.float32)
         pyr = spp.PyramidSpec([4, 3, 2, 1])
         expect, _ = spp.spp_forward_batch(x, pyr)
         np.testing.assert_array_equal(spp.pool_maps(x, pyr), expect)

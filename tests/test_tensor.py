@@ -21,7 +21,7 @@ class TestConvForward:
         x = np.array([[1, 2], [3, 4]], dtype=np.float32).reshape(1, 1, 2, 2)
         w = np.full((1, 1, 1, 1), 2.0, dtype=np.float32)
         out = tensor.conv_forward(x, w, np.zeros(1, np.float32),
-                                  tensor.ConvSpec(1, 1))
+                                  tensor.ConvSpec(1, 1))[0]
         np.testing.assert_array_equal(out.reshape(2, 2),
                                       [[2, 4], [6, 8]])
 
@@ -31,7 +31,7 @@ class TestConvForward:
         spec = tensor.ConvSpec(4, 3, stride=2, padding=1)
         w = np.zeros((4, 3, 3, 3), np.float32)
         b = np.array([1.5, -2.0, 0.0, 7.0], np.float32)
-        out = tensor.conv_forward(x, w, b, spec)
+        out = tensor.conv_forward(x, w, b, spec)[0]
         assert out.shape == (2, 4, 3, 3)
         for o in range(4):
             np.testing.assert_array_equal(out[:, o], np.full((2, 3, 3), b[o]))
@@ -41,7 +41,7 @@ class TestConvForward:
         x = np.ones((1, 1, 3, 3), np.float32)
         w = np.ones((1, 1, 3, 3), np.float32)
         out = tensor.conv_forward(x, w, np.zeros(1, np.float32),
-                                  tensor.ConvSpec(1, 3, 1, 1))[0, 0]
+                                  tensor.ConvSpec(1, 3, 1, 1))[0][0, 0]
         assert out[1, 1] == 9
         for r, c in [(0, 0), (0, 2), (2, 0), (2, 2)]:
             assert out[r, c] == 4
@@ -72,7 +72,7 @@ class TestConvForward:
                         w = rng.normal(size=(3, 2, k, k)).astype(np.float32)
                         out = tensor.conv_forward(
                             x, w, np.zeros(3, np.float32),
-                            tensor.ConvSpec(3, k, s, p))
+                            tensor.ConvSpec(3, k, s, p))[0]
                         expect = (size + 2 * p - k) // s + 1
                         assert out.shape == (1, 3, expect, expect)
 
@@ -83,22 +83,27 @@ class TestConvBackward:
         x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=(2, 2, 3, 3))
         spec = tensor.ConvSpec(2, 3, 1, 1)
-        gx, gw, gb = tensor.conv_backward(np.zeros((1, 2, 4, 4)), x, w, spec)
+        _, cache = tensor.conv_forward(x, w, np.zeros(2), spec)
+        gx, gw, gb = tensor.conv_backward(np.zeros((1, 2, 4, 4)), cache, w,
+                                          spec, input_grad=True)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_one_by_one_chain_rule(self):
         x = np.array([[1, 2], [3, 4]], dtype=np.float64).reshape(1, 1, 2, 2)
         w = np.full((1, 1, 1, 1), 2.0)
         g = np.ones((1, 1, 2, 2))
-        gx, gw, gb = tensor.conv_backward(g, x, w, tensor.ConvSpec(1, 1))
+        spec = tensor.ConvSpec(1, 1)
+        _, cache = tensor.conv_forward(x, w, np.zeros(1), spec)
+        gx, gw, gb = tensor.conv_backward(g, cache, w, spec, input_grad=True)
         assert gw.item() == 10.0  # sum of inputs
         assert gb.item() == 4.0
         np.testing.assert_array_equal(gx, np.full_like(x, 2.0))
 
     def test_missing_saved_input(self):
-        with pytest.raises(ShapeError, match="saved forward input"):
+        with pytest.raises(ShapeError, match="ConvCache saved by conv_forward"):
             tensor.conv_backward(np.zeros((1, 1, 1, 1)), None,
-                                 np.zeros((1, 1, 1, 1)), tensor.ConvSpec(1, 1))
+                                 np.zeros((1, 1, 1, 1)), tensor.ConvSpec(1, 1),
+                                 input_grad=True)
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_finite_differences(self, trial):
@@ -112,15 +117,16 @@ class TestConvBackward:
         x = rng.normal(size=(b, c, h, w))
         wt = rng.normal(size=(o, c, k, k))
         bias = rng.normal(size=o)
-        r = rng.normal(size=tensor.conv_forward(x, wt, bias, spec).shape)
+        out, cache = tensor.conv_forward(x, wt, bias, spec)
+        r = rng.normal(size=out.shape)
 
-        gx, gw, gb = tensor.conv_backward(r, x, wt, spec)
+        gx, gw, gb = tensor.conv_backward(r, cache, wt, spec, input_grad=True)
         num_x = numerical_grad(
-            lambda v: float((tensor.conv_forward(v, wt, bias, spec) * r).sum()), x)
+            lambda v: float((tensor.conv_forward(v, wt, bias, spec)[0] * r).sum()), x)
         num_w = numerical_grad(
-            lambda v: float((tensor.conv_forward(x, v, bias, spec) * r).sum()), wt)
+            lambda v: float((tensor.conv_forward(x, v, bias, spec)[0] * r).sum()), wt)
         num_b = numerical_grad(
-            lambda v: float((tensor.conv_forward(x, wt, v, spec) * r).sum()), bias)
+            lambda v: float((tensor.conv_forward(x, wt, v, spec)[0] * r).sum()), bias)
         assert rel_error(gx, num_x) < TOL
         assert rel_error(gw, num_w) < TOL
         assert rel_error(gb, num_b) < TOL
@@ -254,7 +260,7 @@ class TestFullyConnected:
         w = rng.normal(size=(o, d))
         bias = rng.normal(size=o)
         r = rng.normal(size=(b, o))
-        gx, gw, gb = tensor.fc_backward(r, x, w)
+        gx, gw, gb = tensor.fc_backward(r, x, w, input_grad=True)
         assert rel_error(gx, numerical_grad(
             lambda v: float((tensor.fc_forward(v, w, bias) * r).sum()), x)) < TOL
         assert rel_error(gw, numerical_grad(

@@ -102,6 +102,21 @@ class TestSchedule:
         with pytest.raises(ValueError, match="learning rate"):
             training.TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            training.TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("momentum", [
+        float("nan"), float("inf"), -1.0, -1e-9, 1.0, 1.5])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(ValueError, match="momentum must lie in"):
+            training.TrainConfig(momentum=momentum)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.999])
+    def test_momentum_in_unit_interval_accepted(self, momentum):
+        assert training.TrainConfig(momentum=momentum).momentum == momentum
+
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("epochs", 0), ("epochs", -1), ("sizes", ()),
         ("sizes", (32, 0)), ("eval_size", 0)])

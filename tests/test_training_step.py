@@ -1,0 +1,176 @@
+"""The training step against the kernels it replaced: every value bit for bit,
+with less work done (no input gradient for the first layer of a slice, one
+patch matrix per conv layer per step)."""
+
+import numpy as np
+import pytest
+
+from pyrapool import net, spp, tensor
+from _oracles import (oracle_conv_backward, oracle_conv_forward,
+                      oracle_maxpool_backward, oracle_spp_backward_batch,
+                      oracle_train_step, tied_relu)
+
+TRIALS = 40
+
+
+def assert_bits(actual, expected):
+    """Same dtype, shape and bytes: -0.0 and 0.0 differ here."""
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_conv_forward_and_gradients(self, trial):
+        rng = np.random.default_rng(700 + trial)
+        dtype = np.float64 if trial % 4 == 3 else np.float32
+        b, c = (int(rng.integers(1, 5)) for _ in range(2))
+        h, w = (int(rng.integers(1, 14)) for _ in range(2))
+        p = int(rng.integers(0, 3))
+        k = int(rng.integers(1, min(h, w) + 2 * p + 1))
+        s = int(rng.integers(1, 4))
+        spec = tensor.ConvSpec(int(rng.integers(1, 6)), k, s, p)
+        x = tied_relu(rng, (b, c, h, w), dtype)
+        wt = rng.normal(size=(spec.out_channels, c, k, k)).astype(dtype)
+        bias = rng.normal(size=spec.out_channels).astype(dtype)
+
+        expected = oracle_conv_forward(x, wt, bias, spec)
+        out, cache = tensor.conv_forward(x, wt, bias, spec)
+        assert_bits(out, expected)
+
+        r = tied_relu(rng, out.shape, dtype) - 0.5
+        gx, gw, gb = tensor.conv_backward(r, cache, wt, spec, input_grad=True)
+        ox, ow, ob = oracle_conv_backward(r, x, wt, spec)
+        assert_bits(gx, ox)
+        assert_bits(gw, ow)
+        assert_bits(gb, ob)
+        gx, gw, gb = tensor.conv_backward(r, cache, wt, spec, input_grad=False)
+        assert gx is None
+        assert_bits(gw, ow)
+        assert_bits(gb, ob)
+
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_maxpool_backward(self, trial):
+        rng = np.random.default_rng(800 + trial)
+        b, c = (int(rng.integers(1, 5)) for _ in range(2))
+        h, w = (int(rng.integers(2, 16)) for _ in range(2))
+        if trial % 2:
+            window, stride, padding = (3, 3), (2, 2), (1, 1)
+        else:
+            window = tuple(int(rng.integers(1, 5)) for _ in range(2))
+            stride = tuple(int(rng.integers(1, 4)) for _ in range(2))
+            padding = tuple(int(rng.integers(0, m)) for m in window)
+            if any(wd > side + 2 * pd for wd, side, pd in
+                   zip(window, (h, w), padding)):
+                window, stride, padding = (3, 3), (2, 2), (1, 1)
+        x = tied_relu(rng, (b, c, h, w))
+        out, argmax = tensor.maxpool_forward(x, window, stride, padding)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        assert_bits(tensor.maxpool_backward(g, argmax, x.shape),
+                    oracle_maxpool_backward(g, argmax, x.shape))
+
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_spp_backward_batch(self, trial):
+        rng = np.random.default_rng(900 + trial)
+        b, k = (int(rng.integers(1, 5)) for _ in range(2))
+        h, w = (int(rng.integers(1, 9)) for _ in range(2))
+        # grids finer than the map overlap their bins
+        pyr = spp.PyramidSpec((6, 4, 3, 2, 1) if trial % 2 else (3, 2, 1))
+        dtype = np.float64 if trial % 4 == 3 else np.float32
+        x = tied_relu(rng, (b, k, h, w), dtype)
+        out, argmax = spp.spp_forward_batch(x, pyr)
+        g = rng.normal(size=out.shape).astype(dtype)
+        assert_bits(spp.spp_backward_batch(g, argmax, x.shape),
+                    oracle_spp_backward_batch(g, argmax, x.shape))
+
+
+def _toy_step(size, seed):
+    spec = net.toy_shape_net()
+    inst = net.instantiate(spec, (size, size), net.ParameterStore(seed=seed))
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(6, 1, size, size)) * 2.0).astype(np.float32)
+    labels = rng.integers(0, 5, size=6)
+    return spec, inst, x, labels
+
+
+class TestToyNetStep:
+    @pytest.mark.parametrize("size,seed", [(32, 1), (24, 2), (29, 3)])
+    def test_grads_match_oracle_path(self, size, seed):
+        spec, inst, x, labels = _toy_step(size, seed)
+        logits, saved = inst.forward(x, train_mode=True,
+                                     rng=np.random.default_rng(seed + 10))
+        _, grad = tensor.softmax_cross_entropy(logits, labels)
+        assert inst.backward(saved, grad) is None
+
+        oracle = net.instantiate(spec, (size, size),
+                                 net.ParameterStore(seed=seed))
+        oracle_logits = oracle_train_step(
+            spec.layers, x, oracle.slots, np.random.default_rng(seed + 10),
+            lambda z: tensor.softmax_cross_entropy(z, labels)[1])
+        assert_bits(logits, oracle_logits)
+        assert inst.params.names() == oracle.params.names()
+        for name, slot in inst.params.items():
+            assert slot.grad.any(), name
+            assert_bits(slot.grad, oracle.params[name].grad)
+
+
+class TestStepDoesLess:
+    def test_input_gradient_loop_runs_for_conv2_only(self, monkeypatch):
+        # conv_backward's input gradient is a K*K loop of tensordots with
+        # one (out, in) weight tap each: (16, 8) is conv2, (8, 1) conv1
+        spec, inst, x, labels = _toy_step(32, 1)
+        logits, saved = inst.forward(x, train_mode=True,
+                                     rng=np.random.default_rng(0))
+        _, grad = tensor.softmax_cross_entropy(logits, labels)
+        taps = []
+        real = np.tensordot
+
+        def spy(a, b, axes=2):
+            taps.append(np.shape(b))
+            return real(a, b, axes)
+
+        monkeypatch.setattr(tensor.np, "tensordot", spy)
+        inst.backward(saved, grad)
+        assert taps == [(16, 8)] * 9
+
+    def test_first_fc_of_a_head_slice_returns_no_input_gradient(
+            self, monkeypatch):
+        params = net.ParameterStore(seed=5)
+        layers = [net.FC(6, name="fc_a"), net.ReLU(), net.FC(3, name="fc_b")]
+        slots = {"fc_a": (params.slot("fc_a.weight", (6, 10)),
+                          params.slot("fc_a.bias", (6,), "zeros")),
+                 "fc_b": (params.slot("fc_b.weight", (3, 6)),
+                          params.slot("fc_b.bias", (3,), "zeros"))}
+        x = np.random.default_rng(5).normal(size=(4, 10)).astype(np.float32)
+        out, caches = net.forward_layers(layers, x, slots, True,
+                                         np.random.default_rng(0))
+        calls = []
+        real = tensor.fc_backward
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((args[2].shape, result[0] is None))
+            return result
+
+        monkeypatch.setattr(tensor, "fc_backward", spy)
+        assert net.backward_layers(layers, caches, slots,
+                                   np.ones_like(out)) is None
+        assert calls == [((3, 6), False), ((6, 10), True)]
+        assert params["fc_a.weight"].grad.any()
+
+    def test_one_patch_matrix_per_conv_layer_per_step(self, monkeypatch):
+        spec, inst, x, labels = _toy_step(32, 1)
+        calls = []
+        real = tensor._im2col
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(tensor, "_im2col", spy)
+        logits, saved = inst.forward(x, train_mode=True,
+                                     rng=np.random.default_rng(0))
+        _, grad = tensor.softmax_cross_entropy(logits, labels)
+        inst.backward(saved, grad)
+        assert len(calls) == 2
