@@ -66,11 +66,23 @@ class ConvCache:
     dtype: np.dtype
 
 
+def _padded(x: np.ndarray, padding, fill: float) -> np.ndarray:
+    """(B,C,H,W) `x` framed by (ph, pw) rows and columns of `fill` per side;
+    `x` itself when there is no padding. Cheaper than `np.pad` here."""
+    ph, pw = padding
+    if not (ph or pw):
+        return x
+    b, c, h, w = x.shape
+    xp = np.full((b, c, h + 2 * ph, w + 2 * pw), fill, dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """(B,C,H,W) -> float64 (B*OH*OW, C*K*K) patch matrix of the zero-padded
     input, written in one pass from the sliding-window view."""
     p, k, s = spec.padding, spec.kernel, spec.stride
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xp = _padded(x, (p, p), 0.0)
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
     b, c, oh, ow = win.shape[:4]
     cols = np.empty((b, oh, ow, c, k, k), dtype=np.float64)
@@ -167,11 +179,7 @@ def _pool_taps(x: np.ndarray, window, stride, padding):
             f"pool window {window} does not fit padded input "
             f"{h + 2 * ph}x{w + 2 * pw}")
 
-    if ph or pw:
-        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    constant_values=-np.inf)
-    else:
-        xp = x
+    xp = _padded(x, padding, -np.inf)
     oh = (h + 2 * ph - wh) // sh + 1
     ow = (w + 2 * pw - ww) // sw + 1
     return [xp[:, :, dy:dy + sh * (oh - 1) + 1:sh, dx:dx + sw * (ow - 1) + 1:sw]
@@ -201,17 +209,18 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
     out = _max_of(taps)
     # scanning the taps last to first leaves each output the first cell
     # that holds its max
-    local = np.zeros(out.shape, dtype=np.int64)
+    local = np.zeros(out.shape, dtype=np.intp)
     for t in range(len(taps) - 1, -1, -1):
-        local[taps[t] == out] = t
+        np.copyto(local, t, where=taps[t] == out)
 
+    # flat index = window origin of the output cell + offset of its tap
     (_, ww), (sh, sw), (ph, pw) = window, stride, padding
-    oh, ow = out.shape[2], out.shape[3]
-    oy = np.arange(oh).reshape(1, 1, oh, 1)
-    ox = np.arange(ow).reshape(1, 1, 1, ow)
-    row = oy * sh + local // ww - ph
-    col = ox * sw + local % ww - pw
-    return out, row * x.shape[3] + col
+    w = x.shape[3]
+    off = np.array([(t // ww) * w + t % ww for t in range(len(taps))],
+                   dtype=np.intp)
+    oy = np.arange(out.shape[2]).reshape(-1, 1) * sh - ph
+    ox = np.arange(out.shape[3]) * sw - pw
+    return out, (oy * w + ox) + off[local]
 
 
 def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_shape):

@@ -5,6 +5,16 @@ fc-only fine-tuning on pooled region features.
 Learning rate starts at the configured value and is divided by 10 (at most
 twice) when eval accuracy plateaus: improvement below 0.2 points over 3
 consecutive epochs. Training batches are mirrored with probability 1/2.
+
+Each image is resized once per size. Within one `train` call, an epoch at
+size s reads its batches from an (N, C, s, s) float32 stack of
+`preprocess(resize_square(pixels, s))` over the training set, and a batch is
+a gather of its rows with the chosen ones mirrored (mirroring commutes with
+the elementwise `preprocess`). A stack is kept while its size is one of the
+last STACKS_KEPT sizes used, which covers `alternate`'s period; the eval set
+gets one stack at the eval size, built once. They take at most
+2·N·C·s_max²·4 bytes for training plus N_eval·C·e²·4 bytes for eval, and
+are dropped when `train` returns.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, tensor
-from .errors import GraphError, TrainingDivergedError
+from .errors import GraphError, ShapeError, TrainingDivergedError
 from .geometry import resize_image
 from .net import (FC, NetworkSpec, ParameterStore, Softmax, backward_layers,
                   forward_layers, instantiate)
@@ -23,6 +33,7 @@ LR_DECAY_FACTOR = 0.1
 PLATEAU_PATIENCE = 3           # stale epochs before a decay
 PLATEAU_MIN_IMPROVE = 0.002    # 0.2 accuracy points
 MAX_DECAYS = 2
+STACKS_KEPT = 2                # training input stacks kept, newest sizes
 
 
 @dataclass
@@ -106,36 +117,54 @@ def resize_square(pixels: np.ndarray, s: int) -> np.ndarray:
     return out[:, y0:y0 + s, x0:x0 + s]
 
 
-def _make_batch(dataset, indices, size, rng):
-    """Square `size` inputs of the indexed samples, each mirrored with
-    probability 1/2 when `rng` is given (training), never when it is None."""
-    xs = np.empty((len(indices), dataset[0][0].shape[0], size, size),
+def _checked_labels(spec: NetworkSpec, dataset, name: str) -> np.ndarray:
+    """The (N,) int64 labels of `dataset`; a sample whose channel count is
+    not the network's, or whose label lies outside [0, n_classes), raises
+    ShapeError naming the set and the sample's index."""
+    fc = [layer for layer in spec.layers if isinstance(layer, FC)]
+    if not fc:
+        raise GraphError("network has no fc layer to classify with")
+    n_classes = fc[-1].out_features
+    labels = np.empty(len(dataset), dtype=np.int64)
+    for i, (pixels, label) in enumerate(dataset):
+        shape = np.shape(pixels)
+        if len(shape) != 3 or shape[0] != spec.in_channels:
+            raise ShapeError(
+                f"{name} sample {i} is shaped {shape}; the network expects "
+                f"{spec.in_channels} channel(s) as (c, h, w)")
+        if not 0 <= label < n_classes:
+            raise ShapeError(f"{name} sample {i} has label {label}, outside "
+                             f"[0, {n_classes})")
+        labels[i] = label
+    return labels
+
+
+def _square_inputs(dataset, size: int) -> np.ndarray:
+    """(N, C, size, size) float32 network inputs of the samples, unmirrored:
+    row i is preprocess(resize_square(pixels_i, size))."""
+    xs = np.empty((len(dataset), dataset[0][0].shape[0], size, size),
                   dtype=np.float32)
-    ys = np.empty(len(indices), dtype=np.int64)
-    for row, i in enumerate(indices):
-        pixels, label = dataset[i]
-        img = resize_square(pixels, size)
-        if rng is not None and rng.random() < 0.5:
-            img = img[:, :, ::-1]
-        xs[row] = dataio.preprocess(img)
-        ys[row] = label
-    return xs, ys
+    for row, (pixels, _) in enumerate(dataset):
+        xs[row] = dataio.preprocess(resize_square(pixels, size))
+    return xs
 
 
-def evaluate(spec: NetworkSpec, params: ParameterStore, dataset, size: int,
-             config: TrainConfig) -> float:
-    """Top-1 accuracy at a square center view of the given size."""
-    if not dataset:
+def evaluate(spec: NetworkSpec, params: ParameterStore, inputs: np.ndarray,
+             labels: np.ndarray, config: TrainConfig) -> float:
+    """Top-1 accuracy on `inputs`, an (N, C, s, s) stack of square center
+    views as `train` builds once per call, against the (N,) `labels`."""
+    if not len(inputs):
         return float("nan")
+    size = inputs.shape[-1]
     instance = instantiate(spec, (size, size), params)
     correct = 0
     bs = config.batch_size
-    for start in range(0, len(dataset), bs):
-        idx = range(start, min(start + bs, len(dataset)))
-        xs, ys = _make_batch(dataset, idx, size, rng=None)
-        logits, _ = instance.forward(xs, train_mode=False)
-        correct += int((logits.argmax(axis=1) == ys).sum())
-    return correct / len(dataset)
+    for start in range(0, len(inputs), bs):
+        logits, _ = instance.forward(inputs[start:start + bs],
+                                     train_mode=False)
+        correct += int((logits.argmax(axis=1)
+                        == labels[start:start + bs]).sum())
+    return correct / len(inputs)
 
 
 class _PlateauDecay:
@@ -171,21 +200,40 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
     same store, so all sizes train the same parameters. Plateau detection uses
     eval accuracy when an eval set is given, otherwise the (negated) training
     loss.
+
+    Every training and eval sample is checked before the first step (see
+    `_checked_labels`). Each epoch's batches are gathered from the stack of
+    its size, built once and kept while the size is one of the last
+    STACKS_KEPT used; the eval set's stack is built once (module docstring).
     """
     if not dataset:
         raise ValueError("training dataset is empty")
+    labels = _checked_labels(spec, dataset, "training")
+    if eval_set:
+        eval_labels = _checked_labels(spec, eval_set, "eval")
+        eval_inputs = _square_inputs(eval_set,
+                                     config.eval_size or config.sizes[0])
     params = ParameterStore(seed=config.seed)
     rng = np.random.default_rng(config.seed + 1)
     decay = _PlateauDecay(config)
-    eval_size = config.eval_size or config.sizes[0]
+    stacks = {}                         # size -> stack, least recent first
     reports = []
     for epoch, size in enumerate(multi_size_schedule(config)):
+        stack = stacks.pop(size, None)
+        if stack is None:
+            if len(stacks) == STACKS_KEPT:
+                del stacks[next(iter(stacks))]
+            stack = _square_inputs(dataset, size)
+        stacks[size] = stack
         instance = instantiate(spec, (size, size), params)
         order = rng.permutation(len(dataset))
         losses = []
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            xs, ys = _make_batch(dataset, idx, size, rng)
+            xs = stack[idx]
+            flip = rng.random(len(idx)) < 0.5   # one draw per row, in order
+            xs[flip] = xs[flip, :, :, ::-1]
+            ys = labels[idx]
             logits, saved = instance.forward(xs, train_mode=True, rng=rng)
             loss, grad = tensor.softmax_cross_entropy(logits, ys)
             if not np.isfinite(loss):
@@ -195,7 +243,7 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
             sgd_step(params, decay.lr, config.momentum)
             losses.append(loss)
         mean_loss = float(np.mean(losses))
-        acc = evaluate(spec, params, eval_set, eval_size, config) \
+        acc = evaluate(spec, params, eval_inputs, eval_labels, config) \
             if eval_set else float("nan")
         reports.append(EpochReport(epoch, size, mean_loss, acc))
         decay.update(acc if eval_set else -mean_loss)

@@ -220,3 +220,121 @@ def oracle_train_step(layers, x, slots, rng, grad_fn):
         elif isinstance(layer, net.Dropout):
             grad = tensor.dropout_backward(grad, cache)
     return x
+
+
+# ---------------------------------------------------------------------------
+# The training loop as it was before the per-size input stacks: every batch
+# resizes, mirrors and preprocesses its images again, and every eval pass
+# rebuilds the eval batches. `training.train` must give the same checkpoint
+# bytes and epoch reports.
+# ---------------------------------------------------------------------------
+
+def oracle_make_batch(dataset, indices, size, rng):
+    """Square `size` inputs of the indexed samples, each mirrored with
+    probability 1/2 when `rng` is given (training), never when it is None."""
+    from pyrapool import dataio
+    from pyrapool.training import resize_square
+    xs = np.empty((len(indices), dataset[0][0].shape[0], size, size),
+                  dtype=np.float32)
+    ys = np.empty(len(indices), dtype=np.int64)
+    for row, i in enumerate(indices):
+        pixels, label = dataset[i]
+        img = resize_square(pixels, size)
+        if rng is not None and rng.random() < 0.5:
+            img = img[:, :, ::-1]
+        xs[row] = dataio.preprocess(img)
+        ys[row] = label
+    return xs, ys
+
+
+def oracle_evaluate(spec, params, dataset, size, config):
+    """Top-1 accuracy at a square center view of the given size."""
+    from pyrapool.net import instantiate
+    if not dataset:
+        return float("nan")
+    instance = instantiate(spec, (size, size), params)
+    correct = 0
+    bs = config.batch_size
+    for start in range(0, len(dataset), bs):
+        idx = range(start, min(start + bs, len(dataset)))
+        xs, ys = oracle_make_batch(dataset, idx, size, rng=None)
+        logits, _ = instance.forward(xs, train_mode=False)
+        correct += int((logits.argmax(axis=1) == ys).sum())
+    return correct / len(dataset)
+
+
+def oracle_train(spec, dataset, config, eval_set=None, on_epoch_end=None):
+    """Run the configured schedule over `dataset` ((c,h,w) float32, label)
+    pairs from a fresh store seeded by `config.seed`; returns
+    (ParameterStore, [EpochReport])."""
+    from pyrapool import tensor
+    from pyrapool.errors import TrainingDivergedError
+    from pyrapool.net import ParameterStore, instantiate
+    from pyrapool.training import (EpochReport, _PlateauDecay,
+                                   multi_size_schedule, sgd_step)
+    if not dataset:
+        raise ValueError("training dataset is empty")
+    params = ParameterStore(seed=config.seed)
+    rng = np.random.default_rng(config.seed + 1)
+    decay = _PlateauDecay(config)
+    eval_size = config.eval_size or config.sizes[0]
+    reports = []
+    for epoch, size in enumerate(multi_size_schedule(config)):
+        instance = instantiate(spec, (size, size), params)
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            xs, ys = oracle_make_batch(dataset, idx, size, rng)
+            logits, saved = instance.forward(xs, train_mode=True, rng=rng)
+            loss, grad = tensor.softmax_cross_entropy(logits, ys)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"loss became {loss} at epoch {epoch}")
+            instance.backward(saved, grad)
+            sgd_step(params, decay.lr, config.momentum)
+            losses.append(loss)
+        mean_loss = float(np.mean(losses))
+        acc = oracle_evaluate(spec, params, eval_set, eval_size, config) \
+            if eval_set else float("nan")
+        reports.append(EpochReport(epoch, size, mean_loss, acc))
+        decay.update(acc if eval_set else -mean_loss)
+        if on_epoch_end is not None:
+            on_epoch_end(reports[-1], params)
+    return params, reports
+
+
+# ---------------------------------------------------------------------------
+# Train-mode max pooling as it was before the argmax became a per-tap offset
+# table: a boolean-mask store per tap, then row and column arithmetic over
+# the whole map. `tensor.maxpool_forward` must return the same bytes.
+# ---------------------------------------------------------------------------
+
+def oracle_maxpool_forward(x, window, stride, padding=(0, 0)):
+    """The parent's `maxpool_forward`, with its `_pool_taps` and `_max_of`
+    inlined and the argument checks left out."""
+    wh, ww = window
+    sh, sw = stride
+    ph, pw = padding
+    _, _, h, w = x.shape
+    if ph or pw:
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                    constant_values=-np.inf)
+    else:
+        xp = x
+    oh = (h + 2 * ph - wh) // sh + 1
+    ow = (w + 2 * pw - ww) // sw + 1
+    taps = [xp[:, :, dy:dy + sh * (oh - 1) + 1:sh, dx:dx + sw * (ow - 1) + 1:sw]
+            for dy in range(wh) for dx in range(ww)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    local = np.zeros(out.shape, dtype=np.int64)
+    for t in range(len(taps) - 1, -1, -1):
+        local[taps[t] == out] = t
+
+    oy = np.arange(oh).reshape(1, 1, oh, 1)
+    ox = np.arange(ow).reshape(1, 1, 1, ow)
+    row = oy * sh + local // ww - ph
+    col = ox * sw + local % ww - pw
+    return out, row * x.shape[3] + col

@@ -374,6 +374,30 @@ class TestExitCodes:
         rc = cli.main(["extract", "--scale", "32"])
         assert rc == cli.EXIT_ERROR
 
+    @pytest.mark.parametrize("channels,label,message", [
+        (3, 0, "training sample 1 is shaped (3, 26, 26)"),
+        (1, 7, "training sample 1 has label 7, outside [0, 5)")])
+    def test_bad_training_sample(self, tmp_path, capsys, monkeypatch,
+                                 channels, label, message):
+        def no_work(*args):
+            raise AssertionError("inputs built before the samples were checked")
+
+        monkeypatch.setattr(training, "_square_inputs", no_work)
+        rng = np.random.default_rng(3)
+        lines = []
+        for i, (c, y) in enumerate([(1, 0), (channels, label)]):
+            px = rng.integers(0, 256, size=(c, 26, 26)).astype(np.float32)
+            dataio.save_image(tmp_path / f"{i}.pnm", dataio.Image(px))
+            lines.append(f"{i}.pnm,{y}\n")
+        manifest = tmp_path / "train.txt"
+        manifest.write_text("".join(lines))
+        out = tmp_path / "m.ckpt"
+        rc = cli.main(["train", "--train-manifest", str(manifest),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFlagValues:
     @pytest.mark.parametrize("flags", [

@@ -1,11 +1,15 @@
 """Optimizer, size schedules, the training loop, and fc-only fine-tuning."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 from pyrapool import detection, inference, net, training
-from pyrapool.errors import TrainingDivergedError
+from pyrapool.errors import ShapeError, TrainingDivergedError
 from pyrapool.geometry import WindowRect
+from _oracles import oracle_train
 
 
 def toy_data(rng, n=60, sizes=(24, 32)):
@@ -135,10 +139,143 @@ class TestNormalisation:
         for side in (24, 37, 40):
             px = rng.uniform(0, 255, size=(1, side, side)).astype(np.float32)
             for s in (24, 32, 40):
-                xs, _ = training._make_batch([(px, 0)], [0], s, rng=None)
+                xs = training._square_inputs([(px, 0)], s)[[0]]
                 _, x = inference.network_input(spec, params, px, s)
                 assert xs.dtype == x.dtype
                 np.testing.assert_array_equal(xs, x)
+
+
+def report_rows(reports):
+    """Epoch reports as comparable tuples; NaN accuracy compares equal."""
+    return [repr(dataclasses.astuple(r)) for r in reports]
+
+
+class TestInputStacks:
+    @pytest.mark.parametrize("schedule,sizes", [
+        ("single", (28,)), ("alternate", (32, 24)), ("random", (20, 36))])
+    @pytest.mark.parametrize("with_eval", [False, True])
+    def test_matches_per_batch_resizing(self, schedule, sizes, with_eval):
+        # 50 samples in batches of 16: the last batch of an epoch holds 2
+        rng = np.random.default_rng(80)
+        data = toy_data(rng, n=50, sizes=(20, 27, 33))
+        eval_set = toy_data(rng, n=21, sizes=(22, 30)) if with_eval else None
+        spec = net.toy_shape_net(n_classes=4)
+        cfg = training.TrainConfig(lr=0.01, epochs=5, batch_size=16,
+                                   schedule=schedule, sizes=sizes,
+                                   eval_size=26 if with_eval else None,
+                                   seed=6)
+        params, reports = training.train(spec, data, cfg, eval_set=eval_set)
+        oparams, oreports = oracle_train(spec, data, cfg, eval_set=eval_set)
+        assert net.checkpoint_bytes(params) == net.checkpoint_bytes(oparams)
+        assert report_rows(reports) == report_rows(oreports)
+        assert np.isnan(reports[-1].accuracy) != with_eval
+
+    def test_one_resize_per_image_and_size(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        data = toy_data(rng, n=20)
+        eval_set = toy_data(rng, n=7)
+        calls = {}
+        resize = training.resize_square
+
+        def counting(pixels, s):
+            key = (id(pixels), s)
+            calls[key] = calls.get(key, 0) + 1
+            return resize(pixels, s)
+
+        monkeypatch.setattr(training, "resize_square", counting)
+        cfg = training.TrainConfig(lr=0.01, epochs=5, batch_size=8,
+                                   schedule="alternate", sizes=(32, 24),
+                                   eval_size=28, seed=2)
+        training.train(net.toy_shape_net(n_classes=4), data, cfg,
+                       eval_set=eval_set)
+        expected = ({(id(px), s) for px, _ in data for s in (32, 24)}
+                    | {(id(px), 28) for px, _ in eval_set})
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+
+    def test_random_schedule_keeps_two_training_stacks(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        data = toy_data(rng, n=12)
+        cfg = training.TrainConfig(lr=0.01, epochs=8, batch_size=8,
+                                   schedule="random", sizes=(20, 26), seed=5)
+        drawn = list(training.multi_size_schedule(cfg))
+        assert drawn == [24, 25, 20, 25, 23, 23, 24, 22]
+        built = []
+        built_sizes = []
+        live_counts = []
+        square_inputs = training._square_inputs
+
+        def live():
+            return sum(ref() is not None for ref in built)
+
+        def recording(dataset, size):
+            live_counts.append(live())
+            stack = square_inputs(dataset, size)
+            built.append(weakref.ref(stack))
+            built_sizes.append(size)
+            live_counts.append(live())
+            return stack
+
+        monkeypatch.setattr(training, "_square_inputs", recording)
+        _, reports = training.train(
+            net.toy_shape_net(n_classes=4), data, cfg,
+            on_epoch_end=lambda report, params: live_counts.append(live()))
+        assert [r.size for r in reports] == drawn
+        # 25 is reused (one of the last two sizes); 24 was dropped for 23
+        # and is built again
+        assert built_sizes == [24, 25, 20, 23, 24, 22]
+        assert max(live_counts) == 2
+
+
+class TestSampleChecks:
+    def _train(self, data, eval_set=None):
+        spec = net.toy_shape_net(n_classes=4)
+        cfg = training.TrainConfig(epochs=1, batch_size=4, sizes=(24,))
+        return training.train(spec, data, cfg, eval_set=eval_set)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # any resizing or network work means the check came too late
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the samples were checked")
+
+        monkeypatch.setattr(training, "_square_inputs", fail)
+        monkeypatch.setattr(training, "instantiate", fail)
+
+    def test_mixed_channel_counts_name_the_sample(self, no_work):
+        rng = np.random.default_rng(83)
+        data = toy_data(rng, n=6)
+        data[3] = (np.repeat(data[3][0], 3, axis=0), data[3][1])
+        with pytest.raises(ShapeError, match=r"training sample 3 .*\(3, "):
+            self._train(data)
+
+    def test_wrong_channel_count_for_the_net(self, no_work):
+        rng = np.random.default_rng(84)
+        data = [(np.repeat(px, 3, axis=0), label)
+                for px, label in toy_data(rng, n=6)]
+        with pytest.raises(ShapeError,
+                           match=r"training sample 0 .*expects 1 channel"):
+            self._train(data)
+
+    @pytest.mark.parametrize("label", [4, -1, 99])
+    def test_label_out_of_range(self, no_work, label):
+        rng = np.random.default_rng(85)
+        data = toy_data(rng, n=9)
+        data[7] = (data[7][0], label)
+        with pytest.raises(ShapeError, match=rf"training sample 7 has label "
+                                             rf"{label}, outside \[0, 4\)"):
+            self._train(data)
+
+    def test_eval_samples_checked_too(self, no_work):
+        rng = np.random.default_rng(86)
+        data = toy_data(rng, n=6)
+        eval_set = toy_data(rng, n=4)
+        eval_set[2] = (eval_set[2][0], 5)
+        with pytest.raises(ShapeError, match="eval sample 2 has label 5"):
+            self._train(data, eval_set)
+        eval_set[2] = (np.zeros((3, 24, 24), np.float32), 0)
+        with pytest.raises(ShapeError, match="eval sample 2 is shaped"):
+            self._train(data, eval_set)
 
 
 class TestPlateauDecay:

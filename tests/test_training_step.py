@@ -7,8 +7,8 @@ import pytest
 
 from pyrapool import net, spp, tensor
 from _oracles import (oracle_conv_backward, oracle_conv_forward,
-                      oracle_maxpool_backward, oracle_spp_backward_batch,
-                      oracle_train_step, tied_relu)
+                      oracle_maxpool_backward, oracle_maxpool_forward,
+                      oracle_spp_backward_batch, oracle_train_step, tied_relu)
 
 TRIALS = 40
 
@@ -69,6 +69,35 @@ class TestKernelsMatchOracles:
         g = rng.normal(size=out.shape).astype(np.float32)
         assert_bits(tensor.maxpool_backward(g, argmax, x.shape),
                     oracle_maxpool_backward(g, argmax, x.shape))
+
+    @pytest.mark.parametrize("trial", range(TRIALS))
+    def test_maxpool_forward(self, trial):
+        # by turns: overlapping 3/2 pad-1 windows, window = stride, and
+        # random (often non-square) windows with -inf padding
+        rng = np.random.default_rng(1000 + trial)
+        b, c = (int(rng.integers(1, 5)) for _ in range(2))
+        h, w = (int(rng.integers(2, 16)) for _ in range(2))
+        dtype = np.float64 if trial % 4 == 3 else np.float32
+        kind = trial % 3
+        if kind == 0:
+            window, stride, padding = (3, 3), (2, 2), (1, 1)
+        elif kind == 1:
+            window = tuple(int(rng.integers(1, min(h, w) + 1))
+                           for _ in range(2))
+            stride, padding = window, (0, 0)
+        else:
+            window = tuple(int(rng.integers(1, 5)) for _ in range(2))
+            stride = tuple(int(rng.integers(1, 4)) for _ in range(2))
+            padding = tuple(int(rng.integers(0, m)) for m in window)
+            if any(wd > side + 2 * pd for wd, side, pd in
+                   zip(window, (h, w), padding)):
+                window, stride, padding = (3, 2), (2, 1), (1, 1)
+        x = tied_relu(rng, (b, c, h, w), dtype)
+        out, argmax = tensor.maxpool_forward(x, window, stride, padding)
+        expected_out, expected_argmax = oracle_maxpool_forward(
+            x, window, stride, padding)
+        assert_bits(out, expected_out)
+        assert_bits(argmax, expected_argmax)
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_spp_backward_batch(self, trial):
