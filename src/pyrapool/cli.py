@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dataio, detection, inference, net, training
+from .dataio import atomic_write
 from .errors import CheckpointError, ShapeError, SpecMismatchError
 
 EXIT_OK = 0
@@ -28,24 +28,6 @@ EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CHECKPOINT = 3
 EXIT_SPEC_MISMATCH = 4
-
-
-def atomic_write(path, data: str | bytes):
-    """Write text or bytes to a fresh temp file beside `path`, then rename it
-    over `path`. The file gets the mode `open()` would give it."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def thread_count() -> int:
@@ -207,7 +189,7 @@ def cmd_train(args) -> int:
                 if args.test_manifest else None)
     spec = build_network(args)
     params, reports = training.train(spec, dataset, config, eval_set=eval_set)
-    atomic_write(args.out, net.checkpoint_bytes(params))
+    net.save_checkpoint(params, args.out)
     if args.log:
         atomic_write(args.log, "".join(r.line() + "\n" for r in reports))
     print(f"trained {len(reports)} epochs; final loss "
@@ -221,6 +203,7 @@ def cmd_eval(args) -> int:
     if not dataset:
         raise FileNotFoundError(f"test manifest {manifest} lists no images")
     spec = build_network(args)
+    training.checked_labels(spec, [label for _, label in dataset], "test")
     params = load_store(args, spec)
     mode, scale, view = args.mode, args.scale, args.view
     correct = 0

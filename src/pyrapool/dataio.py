@@ -1,10 +1,12 @@
-"""Image decoding (NetPBM P5/P6), manifests, mean subtraction, and the
+"""Image decoding (NetPBM P5/P6), manifests, the reader of operator text
+files and the atomic writer of output files, mean subtraction, and the
 synthetic shape corpora used for desk-scale training and detection runs.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +204,24 @@ def generate_toy_dataset(root, seed: int, n_per_class: int,
     with open(test_path, "w") as f:
         f.write("\n".join(test_lines) + "\n")
     return train_path, test_path
+
+
+def atomic_write(path, data: str | bytes):
+    """Write text or bytes to a fresh temp file beside `path`, then rename it
+    over `path`. The file gets the mode `open()` would give it."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_records(path, parse):

@@ -3,9 +3,9 @@ feature maps, per-class linear SVMs with one round of hard-negative mining,
 greedy NMS, bounding-box regression, model combination, mAP scoring, and the
 shared-vs-per-window timing benchmark.
 
-Feature maps are computed once per (image, scale); each candidate window picks
-the scale whose resize brings it closest to the view-size pixel count, is
-projected onto that map, and is pyramid-pooled into a fixed-length vector.
+Feature maps are computed once per (image, scale), for one image at a time;
+each candidate window picks the scale whose resize brings it closest to the
+view-size pixel count, is projected onto that map and pooled to a fixed length.
 
 Every overlap decision reads a `geometry.iou_matrix` through one of two
 rules. Greedy keep (`_greedy_keep`): walk the windows in a fixed order and
@@ -61,14 +61,15 @@ class Detection:
 
 
 # ---------------------------------------------------------------------------
-# region features from cached feature maps
+# region features from one image's feature maps
 # ---------------------------------------------------------------------------
 
 class RegionFeatureExtractor:
     """Pools fixed-length window features from per-scale conv feature maps.
 
-    Maps are computed once per (image, scale) and cached until `drop`;
-    `conv_passes` counts actual trunk runs.
+    It holds one image's maps, keyed by image id and pixels object, and
+    releases them before it computes another image's; `conv_passes` counts
+    actual trunk runs.
     """
 
     def __init__(self, spec: NetworkSpec, params: ParameterStore,
@@ -81,7 +82,7 @@ class RegionFeatureExtractor:
         self.view = view
         self.stride = spec.trunk_geometry().stride
         self.conv_passes = 0
-        self._cache: dict[str, dict] = {}
+        self._held = None  # (image_id, pixels, entry) of the prepared image
 
     @property
     def feature_length(self) -> int:
@@ -90,20 +91,20 @@ class RegionFeatureExtractor:
         return self.pyramid.output_length(convs[-1].out_channels)
 
     def prepare(self, image_id: str, pixels: np.ndarray):
-        """Compute and cache the per-scale feature maps of one image."""
-        if image_id in self._cache:
-            return self._cache[image_id]
+        """The per-scale feature maps of one image: the held ones if both
+        `image_id` and the `pixels` object are the held image's, else new."""
+        if (self._held is not None and self._held[0] == image_id
+                and self._held[1] is pixels):
+            return self._held[2]
+        self._held = None
         entry = {"size": (pixels.shape[2], pixels.shape[1]), "maps": {}}
         for s in self.scales:
             inst, x = network_input(self.spec, self.params, pixels, s)
             rh, rw = inst.input_size
             entry["maps"][s] = (inst.conv_features(x)[0], (rw, rh))
             self.conv_passes += 1
-        self._cache[image_id] = entry
+        self._held = (image_id, pixels, entry)
         return entry
-
-    def drop(self, image_id: str):
-        self._cache.pop(image_id, None)
 
     def extract_many(self, image_id: str, pixels: np.ndarray,
                      windows) -> np.ndarray:
@@ -452,8 +453,8 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                  with_bbox: bool = True) -> DetectorModel:
     """Train per-class SVMs (positives = ground-truth windows, mined
     negatives = low-overlap proposals) and optional bbox regressors from one
-    shared feature extractor. Images are visited one at a time: each window
-    is pooled once, then the image's maps are dropped."""
+    shared feature extractor. Images are visited one at a time and each
+    window is pooled once; the extractor then holds the last image's maps."""
     samples = {cls: ([], [], [], []) for cls in classes}
     for image_id, pixels in images.items():
         gt = ground_truth.get(image_id, [])
@@ -462,7 +463,6 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
             [*props, *(w for c, w in gt if c in samples)]))
         pooled = dict(zip(windows, extractor.extract_many(image_id, pixels,
                                                           windows)))
-        extractor.drop(image_id)
         for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
             gt_cls = [w for c, w in gt if c == cls]
             pos, neg = mine_svm_samples(props, gt_cls)
@@ -492,9 +492,6 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
     for image_id in sorted(images):
         pixels = images[image_id]
         props = proposals.get(image_id, [])
-        if not props:
-            extractor.drop(image_id)
-            continue
         feats = extractor.extract_many(image_id, pixels, props)
         row_of = dict(zip(props, feats))
         image_size = (pixels.shape[2], pixels.shape[1])
@@ -510,7 +507,6 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
                                         image_size), cls, d.score)
                     for d in survivors]
             out.extend(survivors)
-        extractor.drop(image_id)
     return out
 
 

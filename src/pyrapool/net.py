@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
+from . import dataio, tensor
 from .errors import (CheckpointError, GraphError, ShapeError,
                      SpecMismatchError)
 from .geometry import FeatureGeometry, GeomLayer
@@ -617,9 +617,9 @@ def checkpoint_bytes(store: ParameterStore) -> bytes:
 
 
 def save_checkpoint(store: ParameterStore, path):
-    """Write `checkpoint_bytes(store)` to `path`."""
-    with open(path, "wb") as f:
-        f.write(checkpoint_bytes(store))
+    """Write `checkpoint_bytes(store)` to `path` atomically: an interrupted
+    save leaves the previous file whole."""
+    dataio.atomic_write(path, checkpoint_bytes(store))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

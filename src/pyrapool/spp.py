@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .tensor import scatter_to_argmax
 
 
 @dataclass(frozen=True)
@@ -235,19 +236,10 @@ def spp_backward_batch(grad_out: np.ndarray, argmax: np.ndarray, featmap_shape):
     """Scatter (B, K*M) gradients back onto (B,K,H,W); cells covered by several
     bins accumulate every contribution."""
     b, k, h, w = featmap_shape
-    if grad_out.shape != argmax.shape:
-        raise ShapeError(
-            f"grad length {grad_out.shape} does not match argmax map "
-            f"{argmax.shape}")
     if argmax.shape[0] != b:
         raise ShapeError(f"argmax map batch {argmax.shape[0]} != {b}")
-    if argmax.size and (argmax.min() < 0 or argmax.max() >= k * h * w):
-        raise ShapeError(f"argmax map indexes outside {k}x{h}x{w}; stale map?")
-    # bincount adds in element order, from 0.0, in float64
-    base = np.arange(b)[:, None] * (k * h * w)
-    grad = np.bincount((base + argmax).ravel(), weights=grad_out.ravel(),
-                       minlength=b * k * h * w)
-    return grad.reshape(b, k, h, w).astype(grad_out.dtype)
+    return scatter_to_argmax(grad_out, argmax, featmap_shape, 1,
+                             "grad length", f"{k}x{h}x{w}")
 
 
 def spp_backward(grad_out: np.ndarray, argmax: np.ndarray, featmap_shape):

@@ -18,6 +18,7 @@ backward routing deterministic. Backward passes of max pooling scatter with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,20 +224,29 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
     return out, (oy * w + ox) + off[local]
 
 
+def scatter_to_argmax(grad_out: np.ndarray, argmax: np.ndarray, shape,
+                      lead: int, grad_name: str, block_name: str):
+    """Adjoint of a max pool of an input of `shape`, whose first `lead` dims
+    number the blocks argmax indexes flat into; the names word the errors."""
+    if grad_out.shape != argmax.shape:
+        raise ShapeError(f"{grad_name} {grad_out.shape} does not match "
+                         f"argmax map {argmax.shape}")
+    size = math.prod(shape[lead:])
+    if argmax.size and (argmax.min() < 0 or argmax.max() >= size):
+        raise ShapeError(f"argmax map indexes outside {block_name}; stale map?")
+    # bincount adds in element order, from 0.0, in float64
+    base = np.arange(math.prod(shape[:lead])).reshape(
+        *shape[:lead], *[1] * (argmax.ndim - lead)) * size
+    grad = np.bincount((base + argmax).ravel(), weights=grad_out.ravel(),
+                       minlength=math.prod(shape))
+    return grad.reshape(shape).astype(grad_out.dtype)
+
+
 def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_shape):
     """Route `grad_out` to the argmax cells; overlapping windows accumulate."""
-    b, c, h, w = input_shape
-    if grad_out.shape != argmax.shape:
-        raise ShapeError(
-            f"grad_out {grad_out.shape} does not match argmax map {argmax.shape}")
-    if argmax.size and (argmax.min() < 0 or argmax.max() >= h * w):
-        raise ShapeError(
-            f"argmax map indexes outside a {h}x{w} plane; stale map?")
-    # bincount adds in element order, from 0.0, in float64
-    plane = np.arange(b * c).reshape(b, c, 1, 1) * (h * w)
-    grad = np.bincount((plane + argmax).ravel(), weights=grad_out.ravel(),
-                       minlength=b * c * h * w)
-    return grad.reshape(b, c, h, w).astype(grad_out.dtype)
+    _, _, h, w = input_shape
+    return scatter_to_argmax(grad_out, argmax, input_shape, 2, "grad_out",
+                             f"a {h}x{w} plane")
 
 
 def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -117,25 +117,31 @@ def resize_square(pixels: np.ndarray, s: int) -> np.ndarray:
     return out[:, y0:y0 + s, x0:x0 + s]
 
 
-def _checked_labels(spec: NetworkSpec, dataset, name: str) -> np.ndarray:
-    """The (N,) int64 labels of `dataset`; a sample whose channel count is
-    not the network's, or whose label lies outside [0, n_classes), raises
-    ShapeError naming the set and the sample's index."""
+def checked_labels(spec: NetworkSpec, labels, name: str) -> np.ndarray:
+    """The (N,) int64 `labels` of the `name` set; a label outside
+    [0, n_classes) of the network's last fc layer raises ShapeError naming
+    the set and the sample's index."""
     fc = [layer for layer in spec.layers if isinstance(layer, FC)]
     if not fc:
         raise GraphError("network has no fc layer to classify with")
     n_classes = fc[-1].out_features
-    labels = np.empty(len(dataset), dtype=np.int64)
-    for i, (pixels, label) in enumerate(dataset):
+    for i, label in enumerate(labels):
+        if not 0 <= label < n_classes:
+            raise ShapeError(f"{name} sample {i} has label {label}, outside "
+                             f"[0, {n_classes})")
+    return np.array(labels, dtype=np.int64)
+
+
+def _checked_labels(spec: NetworkSpec, dataset, name: str) -> np.ndarray:
+    """`checked_labels` of `dataset`; then a sample whose channel count is
+    not the network's raises ShapeError naming the set and its index."""
+    labels = checked_labels(spec, [label for _, label in dataset], name)
+    for i, (pixels, _) in enumerate(dataset):
         shape = np.shape(pixels)
         if len(shape) != 3 or shape[0] != spec.in_channels:
             raise ShapeError(
                 f"{name} sample {i} is shaped {shape}; the network expects "
                 f"{spec.in_channels} channel(s) as (c, h, w)")
-        if not 0 <= label < n_classes:
-            raise ShapeError(f"{name} sample {i} has label {label}, outside "
-                             f"[0, {n_classes})")
-        labels[i] = label
     return labels
 
 

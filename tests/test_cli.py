@@ -346,6 +346,23 @@ class TestExitCodes:
         assert rc == cli.EXIT_MISSING_INPUT
         assert str(empty) in capsys.readouterr().err
 
+    def test_eval_label_out_of_range(self, corpus, checkpoint, tmp_path,
+                                     capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("read before the labels were checked")
+
+        root, _ = corpus
+        paths = [p for p, _ in dataio.load_manifest(root / "cls" / "test.txt")]
+        manifest = tmp_path / "test.txt"
+        manifest.write_text(f"{paths[0]},0\n{paths[1]},1\n{paths[2]},9\n")
+        monkeypatch.setattr(dataio, "load_image", no_work)
+        monkeypatch.setattr(net, "load_checkpoint", no_work)
+        rc = cli.main(["eval", "--checkpoint", str(checkpoint),
+                       "--test-manifest", str(manifest), "--mode", "10view"])
+        assert rc == cli.EXIT_ERROR
+        assert ("test sample 2 has label 9, outside [0, 5)"
+                in capsys.readouterr().err)
+
     def test_empty_train_manifest(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")

@@ -1,6 +1,8 @@
 """Detection pipeline pieces: IoU, sample mining, SVM, NMS, bbox regression,
 model combination, AP scoring, region features, and file formats."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -429,6 +431,52 @@ class TestRegionFeatures:
         with pytest.raises(ShapeError):
             ex.extract("img", self.pixels, W(100, 100, 120, 120))
 
+    def test_holds_one_image_over_many_ids(self, monkeypatch):
+        scales = (48, 64)
+        ex = det.RegionFeatureExtractor(self.spec, self.params,
+                                        scales=scales, view=32)
+        rng = np.random.default_rng(64)
+        images = {f"img{i}": rng.uniform(0, 255, (1, 40, 48)).astype(
+            np.float32) for i in range(21)}
+        first = weakref.ref(ex.prepare("img0", images["img0"])["maps"][48][0])
+        network_input = det.network_input
+        released = []
+
+        def checked(*args, **kwargs):  # the old maps go before new ones come
+            released.append(first() is None)
+            return network_input(*args, **kwargs)
+
+        monkeypatch.setattr(det, "network_input", checked)
+        for image_id, pixels in list(images.items())[1:]:
+            ex.extract(image_id, pixels, W(2, 2, 30, 30))
+        assert len(released) == 20 * len(scales) and all(released)
+        assert ex.conv_passes == len(images) * len(scales)
+        ex.prepare("img0", images["img0"])
+        assert ex.conv_passes == (len(images) + 1) * len(scales)
+
+    def test_reused_id_with_new_pixels_gets_fresh_maps(self):
+        other = np.random.default_rng(67).uniform(
+            0, 255, self.pixels.shape).astype(np.float32)
+        windows = [W(5, 5, 30, 30), W(20, 20, 60, 60)]
+        ex = det.RegionFeatureExtractor(self.spec, self.params,
+                                        scales=(48, 64), view=32)
+        first = ex.extract_many("img", self.pixels, windows)
+        second = ex.extract_many("img", other, windows)
+        fresh = det.RegionFeatureExtractor(
+            self.spec, self.params, scales=(48, 64),
+            view=32).extract_many("img", other, windows)
+        assert second.tobytes() == fresh.tobytes()
+        assert first.tobytes() != second.tobytes()
+        assert ex.conv_passes == 4
+
+    def test_prepare_then_extract_runs_the_trunk_once(self):
+        ex = det.RegionFeatureExtractor(self.spec, self.params,
+                                        scales=(48, 64, 96), view=32)
+        entry = ex.prepare("img", self.pixels)
+        ex.extract("img", self.pixels, W(5, 5, 30, 30))
+        assert ex.prepare("img", self.pixels) is entry
+        assert ex.conv_passes == 3
+
 
 def _counting(extractor):
     """Record every (image_id, window) the extractor is asked to pool."""
@@ -506,7 +554,7 @@ class TestPoolOnce:
         assert len(calls) == len(set(calls)) == len(distinct)
         assert set(calls) == distinct
         assert ex.conv_passes == len(self.images) * len(self.SCALES)
-        assert ex._cache == {}
+        assert ex._held is None or ex._held[0] == list(self.images)[-1]
 
     def test_fit_matches_class_major_pooling(self):
         model = self._fit(self._extractor())

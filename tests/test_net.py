@@ -1,6 +1,8 @@
 """Network graph contracts: shape resolution, shared parameters across
 input sizes, end-to-end gradients, and checkpoint round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,24 @@ class TestCheckpoint:
         restored.load_values(net.load_checkpoint(p1))
         net.save_checkpoint(restored, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        stores = [net.ParameterStore(seed=seed) for seed in (25, 26)]
+        for store in stores:
+            net.instantiate(net.toy_shape_net(), (24, 24), store)
+        path = tmp_path / "model.ckpt"
+        net.save_checkpoint(stores[0], path)
+        before = path.read_bytes()
+        assert before == net.checkpoint_bytes(stores[0])
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            net.save_checkpoint(stores[1], path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
