@@ -7,6 +7,15 @@ Feature maps are computed once per (image, scale), for one image at a time;
 each candidate window picks the scale whose resize brings it closest to the
 view-size pixel count, is projected onto that map and pooled to a fixed length.
 
+Each class's linear SVM is fit by full-batch subgradient descent on the
+hinge loss, with exact safe screening of the margin product. A row's margin
+moves by at most |x_i|*|dw| + |db| per step, so a row whose last computed
+margin stays above 1 by more than its path since then, plus a slack that
+bounds the rounding of two products, cannot violate and is not recomputed.
+The first epoch, and any epoch in which a recomputed margin lies within that
+slack of 1, runs the full product. So each epoch updates from the violator
+set that one full product per epoch gives, and the weights are its bytes.
+
 Every overlap decision reads a `geometry.iou_matrix` through one of two
 rules. Greedy keep (`_greedy_keep`): walk the windows in a fixed order and
 keep each one that overlaps no kept window by more than a threshold; NMS
@@ -19,6 +28,7 @@ fine-tuning labels, banded by the `FINETUNE_*` constants.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +56,7 @@ MAP_MATCH_IOU = 0.5     # a detection matches a ground-truth box from here up
 BBOX_MIN_IOU = 0.5      # a proposal regresses onto a box from here up
 
 SVM_REG = 1e-4          # weight of 0.5*|w|^2 in the SVM objective
+_U = np.finfo(np.float64).eps / 2  # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -219,23 +230,71 @@ def assign_finetune_labels(proposals, ground_truth):
 def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
                lr: float, w=None, b: float = 0.0):
     """Deterministic full-batch subgradient descent on the regularized hinge
-    loss 0.5*SVM_REG*|w|^2 + c*mean(max(0, 1 - y*(xw+b)))."""
+    loss 0.5*SVM_REG*|w|^2 + c*mean(max(0, 1 - y*(xw+b))).
+
+    Exact safe screening: a row keeps its last computed margin and the
+    running sums of |dw| and |db| at that time; with |y| = 1 its margin has
+    since moved by at most |x_i|*(weight path since) + (bias path since). An
+    epoch recomputes only the rows whose margin could be within the rounding
+    slack of 1, and runs the full `y*(x@w+b)` on the first epoch and whenever
+    a recomputed margin lies within that slack of 1. So each epoch's violator
+    set is the full product's, the update reads the same rows in ascending
+    order, and `w`, `b` are the bytes one full product per epoch gives. `x`
+    is used as given when it is float64.
+    """
     n, d = x.shape
     if w is None:
         w = np.zeros(d, dtype=np.float64)
-    x64 = x.astype(np.float64)
+    x64 = x.astype(np.float64, copy=False)
     y64 = y.astype(np.float64)
+    # Any summation order computes y*(x.w + b) within
+    # gamma_{d+1}*(|x||w| + |b|) of its exact value, gamma_k = k*u/(1 - k*u)
+    # (Higham, Accuracy and Stability, 3.1); a subset product and the full
+    # one may err in opposite directions, so the slack is twice that. The
+    # extra 7 in gamma_{d+8}, the upward factor on every norm and the
+    # upward-rounded path sums cover the bound's own arithmetic.
+    up = 1.0 + 2 * (d + 4) * _U
+    slack_rate = 2.0 * (d + 8) * _U / (1.0 - (d + 8) * _U)
+    x_norm = np.sqrt(np.einsum("ij,ij->i", x64, x64)) * up
+    excess = np.empty(n)   # margin - 1 as last computed
+    seen_w = np.zeros(n)   # path_w and path_b at that time
+    seen_b = np.zeros(n)
+    path_w = path_b = w_max = b_max = 0.0
     for t in range(epochs):
-        margins = y64 * (x64 @ w + b)
-        viol = margins < 1.0
+        w_max = max(w_max, math.sqrt(w @ w) * up)
+        b_max = max(b_max, abs(b))
+        slack_w, slack_b = slack_rate * w_max, slack_rate * b_max
+        full = t == 0
+        if not full:
+            reach = (x_norm * (path_w + slack_w - seen_w)
+                     + (path_b + slack_b - seen_b))
+            rows = np.flatnonzero(excess <= reach)
+            near = y64[rows] * (x64[rows] @ w + b) - 1.0
+            full = bool((np.abs(near) <= x_norm[rows] * slack_w
+                         + slack_b).any())
+            if not full:
+                excess[rows] = near
+                seen_w[rows] = path_w
+                seen_b[rows] = path_b
+                viol = rows[near < 0.0]
+        if full:
+            margins = y64 * (x64 @ w + b)
+            excess = margins - 1.0
+            seen_w[:] = path_w
+            seen_b[:] = path_b
+            viol = np.flatnonzero(margins < 1.0)
         step = lr / (1.0 + 0.02 * t)
         gw = SVM_REG * w
         gb = 0.0
-        if viol.any():
+        if len(viol):
             gw = gw - c * (y64[viol] @ x64[viol]) / n
             gb = -c * y64[viol].sum() / n
-        w = w - step * gw
-        b = b - step * gb
+        w_next = w - step * gw
+        b_next = b - step * gb
+        dw = w_next - w
+        path_w = np.nextafter(path_w + math.sqrt(dw @ dw) * up, np.inf)
+        path_b = np.nextafter(path_b + abs(b_next - b) * up, np.inf)
+        w, b = w_next, b_next
     return w, b
 
 
@@ -249,12 +308,30 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     negatives (all of them when None). Each mining round rescores the full
     negative pool and appends the false positives (score > -1) that are not
     yet in the training set, then refits; positives are never removed.
+    Non-finite features, labels other than +1/-1, a `c` or `lr` that is not
+    finite and positive and a negative count raise ShapeError before any fit.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    if features.ndim != 2 or len(labels) != len(features):
+    if features.ndim != 2 or labels.ndim != 1 or len(labels) != len(features):
         raise ShapeError(
             f"features {features.shape} vs labels {labels.shape} mismatch")
+    for name, value in (("c", c), ("lr", lr)):
+        if not (np.isfinite(value) and value > 0):
+            raise ShapeError(
+                f"SVM {name} must be finite and positive, got {value}")
+    for name, value in (("epochs", epochs),
+                        ("hard_negative_rounds", hard_negative_rounds),
+                        ("initial_negatives", initial_negatives or 0)):
+        if value < 0:
+            raise ShapeError(f"SVM {name} must be >= 0, got {value}")
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        raise ShapeError(f"SVM feature row {bad[0]} is not finite")
+    bad = np.flatnonzero(np.abs(labels) != 1.0)
+    if len(bad):
+        raise ShapeError(
+            f"SVM label {bad[0]} is {labels[bad[0]]:g}, not +1 or -1")
     pos = np.flatnonzero(labels > 0)
     neg = np.flatnonzero(labels < 0)
     if len(pos) == 0 or len(neg) == 0:
@@ -474,7 +551,11 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                     reg_targets.append(target)
     svms, regressors = {}, {}
     for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
-        svms[cls] = train_svm(np.array(feats), np.array(labels), c=svm_c)
+        feats = np.array(feats).reshape(len(feats), extractor.feature_length)
+        try:
+            svms[cls] = train_svm(feats, np.array(labels), c=svm_c)
+        except ShapeError as e:
+            raise ShapeError(f"class {cls}: {e}") from e
         if with_bbox:
             regressors[cls] = bbox_regress_train(np.array(reg_feats),
                                                  np.array(reg_targets))

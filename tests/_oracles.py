@@ -338,3 +338,30 @@ def oracle_maxpool_forward(x, window, stride, padding=(0, 0)):
     row = oy * sh + local // ww - ph
     col = ox * sw + local % ww - pw
     return out, row * x.shape[3] + col
+
+
+# ---------------------------------------------------------------------------
+# The SVM fit before safe screening: one full margin product per epoch.
+# `detection._fit_hinge` must return the same bytes.
+# ---------------------------------------------------------------------------
+
+def oracle_fit_hinge(x, y, c, epochs, lr, w=None, b=0.0):
+    """The parent's `_fit_hinge`, verbatim but for its name."""
+    from pyrapool.detection import SVM_REG
+    n, d = x.shape
+    if w is None:
+        w = np.zeros(d, dtype=np.float64)
+    x64 = x.astype(np.float64)
+    y64 = y.astype(np.float64)
+    for t in range(epochs):
+        margins = y64 * (x64 @ w + b)
+        viol = margins < 1.0
+        step = lr / (1.0 + 0.02 * t)
+        gw = SVM_REG * w
+        gb = 0.0
+        if viol.any():
+            gw = gw - c * (y64[viol] @ x64[viol]) / n
+            gb = -c * y64[viol].sum() / n
+        w = w - step * gw
+        b = b - step * gb
+    return w, b

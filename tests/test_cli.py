@@ -363,6 +363,30 @@ class TestExitCodes:
         assert ("test sample 2 has label 9, outside [0, 5)"
                 in capsys.readouterr().err)
 
+    def test_detect_names_class_without_negatives(self, corpus, checkpoint,
+                                                  tmp_path, capsys):
+        # no training proposals: every class has positives and no negatives
+        root, det_paths = corpus
+        empty = tmp_path / "none.txt"
+        empty.write_text("")
+        first = min(int(line.split(",")[1]) for line in
+                    Path(det_paths["gt"]).read_text().splitlines())
+        out = tmp_path / "dets.txt"
+        rc = cli.main([
+            "detect", "--checkpoint", str(checkpoint),
+            "--train-images", det_paths["manifest"],
+            "--train-proposals", str(empty),
+            "--train-gt", det_paths["gt"],
+            "--images", det_paths["manifest"],
+            "--proposals", det_paths["proposals"],
+            "--scales", "48", "--view-size", "32",
+            "--out", str(out),
+        ])
+        assert rc == cli.EXIT_ERROR
+        assert (f"class {first}: SVM training needs both classes present"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_empty_train_manifest(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")

@@ -6,11 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
+from pyrapool import dataio, net, spp
 from pyrapool import detection as det
-from pyrapool import net, spp
 from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect, map_window
-from _oracles import brute_force_iou, reference_iou
+from _oracles import brute_force_iou, oracle_fit_hinge, reference_iou
 
 W = WindowRect
 
@@ -106,6 +106,37 @@ class TestTrainSvm:
         with pytest.raises(ShapeError, match="both classes"):
             det.train_svm(np.ones((4, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda x, y, kw: x.__setitem__((5, 1), np.nan),
+         "feature row 5 is not finite"),
+        (lambda x, y, kw: x.__setitem__((7, 0), -np.inf),
+         "feature row 7 is not finite"),
+        (lambda x, y, kw: y.__setitem__(3, 2.0), "label 3 is 2, not"),
+        (lambda x, y, kw: y.__setitem__(4, 0.0), "label 4 is 0, not"),
+        (lambda x, y, kw: y.__setitem__(6, np.nan), "label 6 is nan, not"),
+        (lambda x, y, kw: kw.update(c=np.nan), "c must be finite and positive"),
+        (lambda x, y, kw: kw.update(c=0.0), "c must be finite and positive"),
+        (lambda x, y, kw: kw.update(lr=np.inf),
+         "lr must be finite and positive"),
+        (lambda x, y, kw: kw.update(lr=-0.5), "lr must be finite and positive"),
+        (lambda x, y, kw: kw.update(epochs=-1), "epochs must be >= 0"),
+        (lambda x, y, kw: kw.update(hard_negative_rounds=-1),
+         "hard_negative_rounds must be >= 0"),
+        (lambda x, y, kw: kw.update(initial_negatives=-2),
+         "initial_negatives must be >= 0"),
+    ])
+    def test_bad_input_rejected_before_any_fit(self, change, message,
+                                               monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the inputs were checked")
+
+        x, y = self._separable(n=6)
+        kwargs = {}
+        change(x, y, kwargs)
+        monkeypatch.setattr(det, "_fit_hinge", no_fit)
+        with pytest.raises(ShapeError, match=message):
+            det.train_svm(x, y, **kwargs)
+
     def test_hard_mining_grows_training_set_and_keeps_positives(self):
         x, y = self._separable(n=60)
         capped = det.train_svm(x, y, initial_negatives=3, epochs=600)
@@ -130,6 +161,164 @@ class TestTrainSvm:
         acc_mined = ((mined.scores(x) > 0) == (y > 0)).mean()
         acc_unmined = ((unmined.scores(x) > 0) == (y > 0)).mean()
         assert acc_mined >= acc_unmined
+
+
+U = np.finfo(np.float64).eps / 2
+
+
+def _gamma(k):
+    """Higham's gamma_k = k*u/(1 - k*u): the relative rounding bound of a
+    k-term float64 dot product in any summation order."""
+    return k * U / (1.0 - k * U)
+
+
+class _Products(np.ndarray):
+    """float64 rows that log the row count of every `rows @ w` product and
+    shift products over a strict subset of the rows by `push` times their
+    worst-case rounding gamma_d * |rows| @ |w|: a BLAS whose kernel for a few
+    rows rounds differently from its kernel for all of them."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+        self.n_rows = getattr(obj, "n_rows", None)
+        self.push = getattr(obj, "push", 0.0)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(a) for a in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if (ufunc is np.matmul and inputs[0] is self
+                and plain[1].ndim == 1):
+            self.log.append(len(self))
+            if len(self) < self.n_rows:
+                d = self.shape[1]
+                out = out + self.push * _gamma(d) * (np.abs(plain[0])
+                                                     @ np.abs(plain[1]))
+        return out
+
+
+def _products(x, push=0.0):
+    rows = np.array(x, dtype=np.float64).view(_Products)
+    rows.log, rows.n_rows, rows.push = [], len(rows), push
+    return rows
+
+
+def _epoch1_margins(x, y, lr):
+    w, b = oracle_fit_hinge(x, y, 1.0, 1, lr)
+    return y * (x @ w + b)
+
+
+def _fit_problems(seed):
+    """Random hinge problems, one per kind: cold and warm starts, duplicate
+    rows, all-zero rows, float32, strided and integer-valued features, and
+    margins placed on and next to 1.0."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(24, 120)), int(rng.integers(2, 48))
+    y = np.where(rng.random(n) < 0.3, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    gauss = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 10.0])
+    relu = np.maximum(rng.normal(size=(n, d)), 0).astype(np.float32)
+    dup = gauss[rng.integers(0, 5, n)]
+    zeros = gauss.copy()
+    zeros[rng.random(n) < 0.3] = 0.0
+    ints = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    w_warm = rng.normal(size=d) * 0.3
+    # from a cold start the epoch-1 margins are lr * a: the first lr = 1/a_i
+    # that rounds a margin to exactly 1.0 puts it there in a screened epoch
+    a = _epoch1_margins(ints, y, 1.0)
+    lr_on_one = next(lr for lr in 1.0 / a[a > 0]
+                     if (_epoch1_margins(ints, y, lr) == 1.0).any())
+    # warm start with every positive row's margin at 1.0 or one ulp away
+    b_near = 1.0 - float(gauss[0] @ w_warm)
+    near = gauss.copy()
+    near[y > 0] = gauss[0]
+    eps = [np.nextafter(b_near, -np.inf), b_near, np.nextafter(b_near, np.inf)]
+    return {
+        "cold": (gauss, y, 1.0, 150, 0.5, None, 0.0),
+        "warm": (gauss, y, 4.0, 120, 0.3, w_warm, float(rng.normal())),
+        "float32": (relu, y, 1.0, 150, 0.5, None, 0.0),
+        "strided": (np.repeat(gauss, 2, axis=1)[:, ::2], y, 1.0, 150, 0.5,
+                    None, 0.0),
+        "duplicates": (dup, y, 1.0, 150, 1.0, None, 0.0),
+        "zero_rows": (zeros, y, 0.5, 150, 0.5, w_warm, 0.25),
+        "integers": (ints, y, 1.0, 150, 0.5, None, 0.0),
+        "integers_on_one": (ints, y, 1.0, 120, lr_on_one, None, 0.0),
+        "near_one": (near, y, 1.0, 120, 0.5, w_warm, float(rng.choice(eps))),
+        "near_one_slow": (near, y, 1.0, 60, 1e-9, w_warm, b_near),
+    }
+
+
+class TestScreenedFit:
+    """`_fit_hinge` screens rows that cannot violate the margin and must give
+    the bytes of `oracle_fit_hinge`, which computes every margin each epoch."""
+
+    @staticmethod
+    def _assert_same_fit(args):
+        x, y, c, epochs, lr, w, b = args
+        w_ref, b_ref = oracle_fit_hinge(np.asarray(x), y, c, epochs, lr,
+                                        w=w, b=b)
+        w_got, b_got = det._fit_hinge(x, y, c, epochs, lr, w=w, b=b)
+        assert w_got.tobytes() == w_ref.tobytes()
+        assert np.float64(b_got).tobytes() == np.float64(b_ref).tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_oracle_on_random_problems(self, seed):
+        for args in _fit_problems(900 + seed).values():
+            self._assert_same_fit(args)
+
+    def test_capped_then_mined_fit_equals_oracle(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        pos = rng.normal(loc=(3.0, 0.0), scale=0.2, size=(30, 2))
+        neg_a = rng.normal(loc=(-3.0, 0.0), scale=0.2, size=(10, 2))
+        neg_b = rng.normal(loc=(1.2, 0.0), scale=0.1, size=(30, 2))
+        x = np.vstack([pos, neg_a, neg_b])
+        y = np.concatenate([np.ones(30), -np.ones(40)])
+        got = det.train_svm(x, y, initial_negatives=10, epochs=300)
+        monkeypatch.setattr(det, "_fit_hinge", oracle_fit_hinge)
+        ref = det.train_svm(x, y, initial_negatives=10, epochs=300)
+        assert got.hard_negatives_added == ref.hard_negatives_added > 0
+        assert got.weight.tobytes() == ref.weight.tobytes()
+        assert np.float64(got.bias).tobytes() == np.float64(ref.bias).tobytes()
+
+    @staticmethod
+    def _balanced(b):
+        """Row 0's margin is `b` exactly at every epoch (x0.w = 3 - 3 with
+        w0 = w1 throughout); rows 1 and 2 sit far above 1, so no row
+        violates, w only shrinks and b stays."""
+        d = 64
+        x = np.zeros((3, d))
+        x[0, :2] = (1.0, -1.0)
+        x[1, 2] = 1.0
+        x[2, 3] = 1.0
+        y = np.array([1.0, 1.0, -1.0])
+        w = np.full(d, 3.0)
+        w[3] = -10.0
+        return x, y, w, b
+
+    def test_subset_rounding_cannot_change_violators(self):
+        # row 0's full product gives margin 1.0 exactly: not a violator; a
+        # subset product rounded half its worst case lower reads it below 1
+        x, y, w, b = self._balanced(1.0)
+        args = (_products(x, push=-0.5), y, 1.0, 4, 0.5, w, b)
+        self._assert_same_fit(args)
+        assert args[0].log == [3] + [1, 3] * 3
+
+    def test_margin_within_two_roundings_of_one_runs_full_product(self):
+        # a recomputed margin 1.5 one-product rounding bounds above 1 may be
+        # a violator once both products' rounding is counted
+        x, y, w, _ = self._balanced(0.0)
+        one = _gamma(x.shape[1] + 1) * np.linalg.norm(x[0]) * np.linalg.norm(w)
+        b = 1.0 + 1.5 * (one + U)
+        args = (_products(x), y, 1.0, 4, 0.5, w, b)
+        self._assert_same_fit(args)
+        assert args[0].log == [3] + [1, 3] * 3
+
+    def test_skips_rows_far_from_the_margin(self):
+        x, y = TestTrainSvm()._separable(n=40)
+        rows = _products(x)
+        det._fit_hinge(rows, y, 1.0, 400, 0.5)
+        # every row violates at epoch 0 and may still be near at epoch 1
+        assert rows.log[:2] == [80, 80] and 80 not in rows.log[2:]
+        assert sum(rows.log) < 0.1 * 80 * 400
 
 
 class TestNms:
@@ -577,6 +766,20 @@ class TestPoolOnce:
         assert dets
         assert len(calls) == sum(len(p) for p in self.proposals.values())
 
+    def test_class_without_negatives_is_named(self):
+        # every proposal of image b overlaps its class-0 box: class 0 gets
+        # positives and no negatives, class 1 has no box in this split
+        images = {"b": self.images["b"]}
+        proposals = {"b": self.proposals["b"][:4]}
+        with pytest.raises(ShapeError, match="^class 0: SVM training needs "
+                                             "both classes present$"):
+            det.fit_detector(self._extractor(), images, proposals,
+                             {"b": self.gt["b"]}, classes=(0,))
+        with pytest.raises(ShapeError, match="^class 1: SVM training needs "
+                                             "both classes present$"):
+            det.fit_detector(self._extractor(), images, self.proposals,
+                             {"b": self.gt["b"]}, classes=(0, 1))
+
     def test_training_proposal_outside_image_rejected(self):
         # the second proposal lies wholly right of the 80-px image and
         # overlaps the first by IoU > 0.7, so negative dedup would drop it
@@ -585,6 +788,37 @@ class TestPoolOnce:
         gt = {"edge": [(0, W(0, 0, 30, 30))]}
         with pytest.raises(ShapeError, match="edge"):
             det.fit_detector(self._extractor(), images, proposals, gt, (0,))
+
+
+class TestScreenedDetectorDigest:
+    """The detections of a fitted detector are the bytes that the unscreened
+    SVM fit gives."""
+
+    @pytest.mark.parametrize("seed", (3, 17, 29))
+    def test_detections_match_oracle_fit(self, seed, tmp_path, monkeypatch):
+        spec = net.toy_shape_net()
+        params = net.ParameterStore(seed=seed, sigma=0.05)
+        splits = []
+        for name, n_images in (("train", 4), ("test", 3)):
+            paths = dataio.generate_toy_detection_dataset(
+                tmp_path / name, seed=seed + n_images, n_images=n_images)
+            images = {i: dataio.load_image(p).pixels for i, p in
+                      dataio.load_detection_manifest(paths["manifest"]).items()}
+            splits.append((images, det.read_proposals(paths["proposals"]),
+                           det.read_ground_truth(paths["gt"])))
+        (images, proposals, gt), (test_images, test_proposals, _) = splits
+        classes = sorted({c for boxes in gt.values() for c, _ in boxes})
+
+        def detect():
+            ex = det.RegionFeatureExtractor(spec, params, scales=(48, 64),
+                                            view=32)
+            model = det.fit_detector(ex, images, proposals, gt, classes)
+            return det.format_detections(det.run_detector(
+                ex, model, test_images, test_proposals, apply_bbox=True))
+
+        text = detect()
+        monkeypatch.setattr(det, "_fit_hinge", oracle_fit_hinge)
+        assert text and detect() == text
 
 
 class TestSpeedBench:
