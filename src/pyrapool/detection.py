@@ -6,6 +6,9 @@ shared-vs-per-window timing benchmark.
 Feature maps are computed once per (image, scale), for one image at a time;
 each candidate window picks the scale whose resize brings it closest to the
 view-size pixel count, is projected onto that map and pooled to a fixed length.
+An image's windows travel as one (N,4) int64 array (`geometry.window_array`)
+from projection (`geometry.project_windows`) through pooling, scoring, NMS and
+bbox regression; `Detection` objects are built only for the NMS survivors.
 
 Each class's linear SVM is fit by full-batch subgradient descent on the
 hinge loss, with exact safe screening of the margin product. A row's margin
@@ -36,8 +39,8 @@ import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import (WindowRect, iou_matrix, map_window, resize_to,
-                       select_scale)
+from .geometry import (WindowRect, iou_matrix, project_windows, resize_to,
+                       window_array)
 from .inference import network_input
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
 from .spp import PyramidSpec, pool_rects, spp_forward
@@ -120,28 +123,22 @@ class RegionFeatureExtractor:
     def extract_many(self, image_id: str, pixels: np.ndarray,
                      windows) -> np.ndarray:
         """(len(windows), feature_length) features of one image's candidate
-        windows, row i for windows[i]; one `pool_rects` call per scale."""
-        if not windows:
+        windows, a WindowRect sequence or an (N,4) array, row i for
+        windows[i]; one `project_windows` call, one `pool_rects` call per
+        scale."""
+        windows = window_array(windows)
+        if len(windows) == 0:
             return np.empty((0, self.feature_length), np.float32)
         entry = self.prepare(image_id, pixels)
-        img_w, img_h = entry["size"]
-        by_scale: dict[int, tuple[list, list]] = {}
-        for row, window in enumerate(windows):
-            if (window.x0 >= img_w or window.y0 >= img_h
-                    or window.x1 <= 0 or window.y1 <= 0):
-                raise ShapeError(f"proposal {window} of image {image_id} "
-                                 f"lies outside {img_w}x{img_h}")
-            win = window.clamped(img_w, img_h)
-            s = select_scale(win, (img_w, img_h), self.scales, self.view)
-            featmap, (rw, rh) = entry["maps"][s]
-            scaled = win.scaled(s / min(img_w, img_h)).clamped(rw, rh)
-            r = map_window(scaled, self.stride, featmap.shape[1:])
-            rows, rects = by_scale.setdefault(s, ([], []))
-            rows.append(row)
-            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+        grids = {s: (size, featmap.shape[1:])
+                 for s, (featmap, size) in entry["maps"].items()}
+        chosen, rects = project_windows(windows, entry["size"], grids,
+                                        self.stride, self.view, image_id)
         feats = np.empty((len(windows), self.feature_length), np.float32)
-        for s, (rows, rects) in by_scale.items():
-            feats[rows] = pool_rects(entry["maps"][s][0], rects, self.pyramid)
+        for s, (featmap, _) in entry["maps"].items():
+            rows = np.flatnonzero(chosen == s)
+            if len(rows):
+                feats[rows] = pool_rects(featmap, rects[rows], self.pyramid)
         return feats
 
     def extract(self, image_id: str, pixels: np.ndarray,
@@ -166,10 +163,10 @@ class SvmModel:
         return features.astype(np.float64) @ self.weight + self.bias
 
 
-def _greedy_keep(windows, order, threshold: float) -> list[int]:
-    """Indices of `windows` kept by walking `order`: a window is kept unless
-    it overlaps an already-kept window by more than `threshold` IoU."""
-    overlaps = iou_matrix(windows, windows) > threshold
+def _greedy_keep(overlaps: np.ndarray, order) -> list[int]:
+    """Indices kept by walking `order`: a window is kept unless it overlaps
+    an already-kept window, `overlaps` being the boolean matrix of IoU above
+    the threshold."""
     suppressed = np.zeros(len(overlaps), dtype=bool)
     kept = []
     for i in order:
@@ -200,7 +197,8 @@ def mine_svm_samples(proposals, ground_truth):
     positives = list(ground_truth)
     near = (iou_matrix(proposals, positives) > NEG_MAX_IOU).any(axis=1)
     candidates = [p for p, n in zip(proposals, near) if not n]
-    kept = _greedy_keep(candidates, range(len(candidates)), NEG_DEDUP_IOU)
+    kept = _greedy_keep(iou_matrix(candidates, candidates) > NEG_DEDUP_IOU,
+                        range(len(candidates)))
     return positives, [candidates[i] for i in kept]
 
 
@@ -310,8 +308,10 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     yet in the training set, then refits; positives are never removed.
     Non-finite features, labels other than +1/-1, a `c` or `lr` that is not
     finite and positive and a negative count raise ShapeError before any fit.
+    Rows are checked and gathered in the caller's dtype; `_fit_hinge` makes
+    the one float64 copy of the rows it fits.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.ndim != 1 or len(labels) != len(features):
         raise ShapeError(
@@ -347,7 +347,9 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     w, b = fit(None, 0.0)
     added = 0
     for _ in range(hard_negative_rounds):
-        pool_scores = features[neg] @ w + b
+        if len(active_neg) == len(neg):  # every negative is already in
+            break
+        pool_scores = features[neg].astype(np.float64) @ w + b
         current = set(active_neg)
         hard = [int(i) for i, s in zip(neg, pool_scores)
                 if s > -1.0 and int(i) not in current]
@@ -367,10 +369,16 @@ def nms(detections, threshold: float = NMS_THRESHOLD):
     """Greedy non-maximum suppression over one class: keep by descending
     score (ties in input order), drop anything overlapping a kept window by
     more than `threshold` IoU. Survivor scores are unchanged."""
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-detections[i].score, i))
-    kept = _greedy_keep([d.window for d in detections], order, threshold)
+    windows = [d.window for d in detections]
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    kept = _nms_keep(iou_matrix(windows, windows) > threshold, scores)
     return [detections[i] for i in kept]
+
+
+def _nms_keep(overlaps: np.ndarray, scores: np.ndarray) -> list[int]:
+    """Rows NMS keeps, walked by descending score: a stable sort, so ties
+    (-0.0 and 0.0 among them) keep input order."""
+    return _greedy_keep(overlaps, np.argsort(-scores, kind="stable"))
 
 
 def nms_per_class(detections):
@@ -471,22 +479,50 @@ class BBoxRegressor:
 
     def apply(self, feature: np.ndarray, window: WindowRect,
               image_size) -> WindowRect:
+        """The regressed window of one feature row; `apply_rows` of one."""
+        box = self.apply_rows(feature[None], window_array([window]),
+                              image_size)
+        return WindowRect(*box[0].tolist())
+
+    def apply_rows(self, features: np.ndarray, windows: np.ndarray,
+                   image_size) -> np.ndarray:
+        """(N,4) int64 regressed windows, clamped into the image, of (N,D)
+        features and (N,4) windows; the windows unchanged when disabled.
+
+        Each row's offsets are its own `aug @ weights` product: a batched
+        product may round differently. The box arithmetic after it is
+        elementwise float64, and `np.round` rounds half to even, as `round`
+        does. Regressed corners that are not finite raise ShapeError.
+        """
         if not self.enabled:
-            return window
-        aug = np.concatenate([feature.astype(np.float64), [1.0]])
-        tx, ty, tw, th = aug @ self.weights
-        px = window.x0 + window.width / 2.0
-        py = window.y0 + window.height / 2.0
-        gx = px + window.width * tx
-        gy = py + window.height * ty
-        gw = window.width * np.exp(tw)
-        gh = window.height * np.exp(th)
-        x0 = int(round(gx - gw / 2.0))
-        y0 = int(round(gy - gh / 2.0))
-        x1 = max(x0 + 1, int(round(gx + gw / 2.0)))
-        y1 = max(y0 + 1, int(round(gy + gh / 2.0)))
+            return windows
+        aug = np.concatenate([features.astype(np.float64),
+                              np.ones((len(features), 1))], axis=1)
+        tx, ty, tw, th = np.array([row @ self.weights for row in aug]
+                                  ).reshape(-1, 4).T
+        width, height = (windows[:, 2] - windows[:, 0],
+                         windows[:, 3] - windows[:, 1])
+        gx = windows[:, 0] + width / 2.0 + width * tx
+        gy = windows[:, 1] + height / 2.0 + height * ty
+        gw = width * np.exp(tw)
+        gh = height * np.exp(th)
+        corners = np.stack([gx - gw / 2.0, gy - gh / 2.0,
+                            gx + gw / 2.0, gy + gh / 2.0], axis=1)
+        bad = ~np.isfinite(corners).all(axis=1)
+        if bad.any():
+            win = WindowRect(*windows[bad.argmax()].tolist())
+            raise ShapeError(f"bbox regression of {win} is not finite")
+        # clipping into [0, size] first keeps int64 exact and changes no
+        # clamped result: max, min and round commute with the clamp below
         img_w, img_h = image_size
-        return WindowRect(x0, y0, x1, y1).clamped(img_w, img_h)
+        x0, y0, x1, y1 = np.round(np.clip(
+            corners, 0, (img_w, img_h, img_w, img_h))).astype(np.int64).T
+        x1 = np.maximum(x0 + 1, x1)
+        y1 = np.maximum(y0 + 1, y1)
+        return np.stack([np.maximum(0, np.minimum(x0, img_w - 1)),
+                         np.maximum(0, np.minimum(y0, img_h - 1)),
+                         np.maximum(1, np.minimum(x1, img_w)),
+                         np.maximum(1, np.minimum(y1, img_h))], axis=1)
 
 
 def bbox_regress_train(features: np.ndarray, targets: np.ndarray,
@@ -568,26 +604,30 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
                  apply_bbox: bool = False):
     """Score every proposal with every class SVM, NMS per class, optionally
     bbox-regress the survivors. Returns detections sorted by image then
-    class."""
+    class, the survivors of each class in descending score order.
+
+    Each image's proposals become one window array; NMS and the regression
+    run on rows of it, and only survivors become `Detection` objects."""
     out = []
     for image_id in sorted(images):
         pixels = images[image_id]
-        props = proposals.get(image_id, [])
-        feats = extractor.extract_many(image_id, pixels, props)
-        row_of = dict(zip(props, feats))
+        windows = window_array(proposals.get(image_id, []))
+        feats = extractor.extract_many(image_id, pixels, windows)
+        overlaps = iou_matrix(windows, windows) > nms_threshold
         image_size = (pixels.shape[2], pixels.shape[1])
         for cls, svm in sorted(model.svms.items()):
             scores = svm.scores(feats)
-            dets = [Detection(image_id, p, cls, float(s))
-                    for p, s in zip(props, scores)]
-            survivors = nms(dets, nms_threshold)
-            if apply_bbox and model.regressors.get(cls, BBoxRegressor()).enabled:
-                reg = model.regressors[cls]
-                survivors = [Detection(
-                    image_id, reg.apply(row_of[d.window], d.window,
-                                        image_size), cls, d.score)
-                    for d in survivors]
-            out.extend(survivors)
+            if not np.isfinite(scores).all():
+                raise ShapeError(
+                    f"non-finite detection score for {image_id}")
+            kept = _nms_keep(overlaps, scores)
+            boxes = windows[kept]
+            if apply_bbox and cls in model.regressors:
+                boxes = model.regressors[cls].apply_rows(feats[kept], boxes,
+                                                         image_size)
+            out.extend(Detection(image_id, WindowRect(*box), cls, score)
+                       for box, score in zip(boxes.tolist(),
+                                             scores[kept].tolist()))
     return out
 
 

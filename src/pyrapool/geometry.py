@@ -16,6 +16,10 @@ snap afterwards, see inference).
 Layers with other paddings would need per-layer offsets; FeatureGeometry
 refuses them at construction instead.
 
+`map_window` projects one window, as the few views of an image need;
+`project_windows` picks a scale for each of many (N,4) windows and projects
+them all with the same operations, as region detection needs.
+
 Window overlap is `iou_matrix`, the package's one IoU: every detection
 decision (negative mining, NMS, mAP matching, bbox pairs, fine-tuning labels)
 and the toy corpus's shape placement read it.
@@ -79,14 +83,15 @@ class WindowRect:
 
 
 def iou_matrix(a, b) -> np.ndarray:
-    """(len(a), len(b)) float64 intersection-over-union of two sequences of
-    WindowRect, in [0, 1].
+    """(len(a), len(b)) float64 intersection-over-union of two window sets,
+    each a sequence of WindowRect or an (N,4) array (`window_array`), in
+    [0, 1].
 
     Intersections and areas are exact integers and each entry is one float64
     division of them, so the matrix is exactly symmetric.
     """
-    ax0, ay0, ax1, ay1 = _corners(a)[:, :, None]
-    bx0, by0, bx1, by1 = _corners(b)[:, None, :]
+    ax0, ay0, ax1, ay1 = window_array(a).T[:, :, None]
+    bx0, by0, bx1, by1 = window_array(b).T[:, None, :]
     iw = np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0)
     ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0)
     inter = iw * ih
@@ -94,10 +99,21 @@ def iou_matrix(a, b) -> np.ndarray:
                     - inter)
 
 
-def _corners(windows) -> np.ndarray:
-    """(4, N) int64 rows x0, y0, x1, y1 of a sequence of WindowRect."""
+def window_array(windows) -> np.ndarray:
+    """(N,4) int64 rows x0, y0, x1, y1 of a sequence of WindowRect; an (N,4)
+    array is returned as int64 after the checks `WindowRect` makes."""
+    if isinstance(windows, np.ndarray):
+        if windows.ndim != 2 or windows.shape[1] != 4:
+            raise ShapeError(f"expected (N,4) windows, got shape "
+                             f"{windows.shape}")
+        x0, y0, x1, y1 = windows.T
+        bad = (x1 <= x0) | (y1 <= y0)
+        if bad.any():
+            raise ShapeError(
+                f"degenerate window {windows[bad.argmax()].tolist()}")
+        return windows.astype(np.int64, copy=False)
     return np.array([(w.x0, w.y0, w.x1, w.y1) for w in windows],
-                    dtype=np.int64).reshape(-1, 4).T
+                    dtype=np.int64).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -206,6 +222,64 @@ def select_scale(win: WindowRect, image_size, scales, view: int = 224) -> int:
         if best is None or err < best[0]:
             best = (err, s)
     return best[1]
+
+
+def project_windows(windows: np.ndarray, image_size, grids, stride: int,
+                    view: int, image_id) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rects of many image-domain windows on per-scale maps.
+
+    The array form of the per-window chain: check the window against the
+    image, clamp it into the image, `select_scale`, `WindowRect.scaled` by
+    scale/min_side, clamp into the resized image, then `map_window`'s
+    boundary rules, clamp and single-cell fallback, with the same float64
+    operations in the same order (`np.round` rounds half to even, as `round`
+    does). `windows` is (N,4) int64; `grids` maps each scale to
+    ((rw, rh), (map_h, map_w)), the resized image size and its map size,
+    with map_w*stride >= rw and map_h*stride >= rh, as the floor(kernel/2)
+    padding that `FeatureGeometry` enforces gives. Returns the (N,) chosen
+    scales and the (N,4) int64 rects in `FeatureRect` field order. A window
+    outside the image raises ShapeError naming it and `image_id`.
+    """
+    img_w, img_h = image_size
+    x0, y0, x1, y1 = windows.T
+    outside = (x0 >= img_w) | (y0 >= img_h) | (x1 <= 0) | (y1 <= 0)
+    if outside.any():
+        win = WindowRect(*windows[outside.argmax()].tolist())
+        raise ShapeError(f"proposal {win} of image {image_id} "
+                         f"lies outside {img_w}x{img_h}")
+    if not grids:
+        raise ShapeError("scale list is empty")
+    min_side = min(img_w, img_h)
+    if min_side <= 0:
+        raise ShapeError(f"degenerate image size {image_size}")
+    x0 = np.maximum(0, np.minimum(x0, img_w - 1))
+    y0 = np.maximum(0, np.minimum(y0, img_h - 1))
+    x1 = np.maximum(1, np.minimum(x1, img_w))
+    y1 = np.maximum(1, np.minimum(y1, img_h))
+    scales = sorted(grids)
+    factors = [s / min_side for s in scales]
+    target = float(view * view)
+    w, h = x1 - x0, y1 - y0
+    pick = np.array([np.abs(w * f * h * f - target)
+                     for f in factors]).argmin(axis=0)  # first minimum
+    f = np.array(factors)[pick]
+    rw, rh, map_h, map_w = np.array(
+        [(*grids[s][0], *grids[s][1]) for s in scales], dtype=np.int64)[pick].T
+    sx0 = np.round(x0 * f).astype(np.int64)
+    sy0 = np.round(y0 * f).astype(np.int64)
+    sx1 = np.maximum(sx0 + 1, np.round(x1 * f).astype(np.int64))
+    sy1 = np.maximum(sy0 + 1, np.round(y1 * f).astype(np.int64))
+    sx0 = np.maximum(0, np.minimum(sx0, rw - 1))
+    sy0 = np.maximum(0, np.minimum(sy0, rh - 1))
+    sx1 = np.maximum(1, np.minimum(sx1, rw))
+    sy1 = np.maximum(1, np.minimum(sy1, rh))
+    fx0 = np.minimum(np.maximum(sx0 // stride + 1, 0), map_w - 1)
+    fy0 = np.minimum(np.maximum(sy0 // stride + 1, 0), map_h - 1)
+    fx1 = np.minimum(np.maximum(-(-sx1 // stride) - 1, 0), map_w - 1)
+    fy1 = np.minimum(np.maximum(-(-sy1 // stride) - 1, 0), map_h - 1)
+    rects = np.stack([fx0, fy0, np.maximum(fx1, fx0), np.maximum(fy1, fy0)],
+                     axis=1)
+    return np.array(scales)[pick], rects
 
 
 def _round_half_up(x: float) -> int:

@@ -2,9 +2,9 @@
 
 The gradient oracle is central finite differences evaluated in float64; it
 never calls any backward-pass code, so analytic gradients are checked against
-an implementation-independent estimate. The `oracle_*` training kernels at
-the end are the earlier implementations that the current ones must match
-bit for bit.
+an implementation-independent estimate. The `oracle_*` training and
+detection code at the end holds the earlier implementations that the current
+ones must match bit for bit.
 """
 
 import numpy as np
@@ -365,3 +365,104 @@ def oracle_fit_hinge(x, y, c, epochs, lr, w=None, b=0.0):
         w = w - step * gw
         b = b - step * gb
     return w, b
+
+
+# ---------------------------------------------------------------------------
+# Detection windows as they were before they travelled as arrays: each
+# window clamped, scaled and projected on its own, a `Detection` for every
+# proposal of every class, and one bbox regression per survivor. The array
+# path must give the same features, errors and detections.
+# ---------------------------------------------------------------------------
+
+def oracle_extract_many(extractor, image_id, pixels, windows):
+    """The parent's `RegionFeatureExtractor.extract_many`, with `self` named
+    `extractor`."""
+    from pyrapool.errors import ShapeError
+    from pyrapool.geometry import map_window, select_scale
+    from pyrapool.spp import pool_rects
+    if not windows:
+        return np.empty((0, extractor.feature_length), np.float32)
+    entry = extractor.prepare(image_id, pixels)
+    img_w, img_h = entry["size"]
+    by_scale = {}
+    for row, window in enumerate(windows):
+        if (window.x0 >= img_w or window.y0 >= img_h
+                or window.x1 <= 0 or window.y1 <= 0):
+            raise ShapeError(f"proposal {window} of image {image_id} "
+                             f"lies outside {img_w}x{img_h}")
+        win = window.clamped(img_w, img_h)
+        s = select_scale(win, (img_w, img_h), extractor.scales, extractor.view)
+        featmap, (rw, rh) = entry["maps"][s]
+        scaled = win.scaled(s / min(img_w, img_h)).clamped(rw, rh)
+        r = map_window(scaled, extractor.stride, featmap.shape[1:])
+        rows, rects = by_scale.setdefault(s, ([], []))
+        rows.append(row)
+        rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+    feats = np.empty((len(windows), extractor.feature_length), np.float32)
+    for s, (rows, rects) in by_scale.items():
+        feats[rows] = pool_rects(entry["maps"][s][0], rects, extractor.pyramid)
+    return feats
+
+
+def oracle_bbox_apply(regressor, feature, window, image_size):
+    """The parent's `BBoxRegressor.apply`, with `self` named `regressor`."""
+    from pyrapool.geometry import WindowRect
+    if not regressor.enabled:
+        return window
+    aug = np.concatenate([feature.astype(np.float64), [1.0]])
+    tx, ty, tw, th = aug @ regressor.weights
+    px = window.x0 + window.width / 2.0
+    py = window.y0 + window.height / 2.0
+    gx = px + window.width * tx
+    gy = py + window.height * ty
+    gw = window.width * np.exp(tw)
+    gh = window.height * np.exp(th)
+    x0 = int(round(gx - gw / 2.0))
+    y0 = int(round(gy - gh / 2.0))
+    x1 = max(x0 + 1, int(round(gx + gw / 2.0)))
+    y1 = max(y0 + 1, int(round(gy + gh / 2.0)))
+    img_w, img_h = image_size
+    return WindowRect(x0, y0, x1, y1).clamped(img_w, img_h)
+
+
+def oracle_nms(detections, threshold=0.3):
+    """The parent's `nms`, with its `_greedy_keep` inlined."""
+    from pyrapool.geometry import iou_matrix
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i].score, i))
+    windows = [d.window for d in detections]
+    overlaps = iou_matrix(windows, windows) > threshold
+    suppressed = np.zeros(len(overlaps), dtype=bool)
+    kept = []
+    for i in order:
+        if not suppressed[i]:
+            kept.append(i)
+            suppressed |= overlaps[i]
+    return [detections[i] for i in kept]
+
+
+def oracle_run_detector(extractor, model, images, proposals,
+                        nms_threshold=0.3, apply_bbox=False):
+    """The parent's `run_detector` over the oracles above."""
+    from pyrapool.detection import BBoxRegressor, Detection
+    out = []
+    for image_id in sorted(images):
+        pixels = images[image_id]
+        props = proposals.get(image_id, [])
+        feats = oracle_extract_many(extractor, image_id, pixels, props)
+        row_of = dict(zip(props, feats))
+        image_size = (pixels.shape[2], pixels.shape[1])
+        for cls, svm in sorted(model.svms.items()):
+            scores = svm.scores(feats)
+            dets = [Detection(image_id, p, cls, float(s))
+                    for p, s in zip(props, scores)]
+            survivors = oracle_nms(dets, nms_threshold)
+            if apply_bbox and model.regressors.get(cls, BBoxRegressor()).enabled:
+                reg = model.regressors[cls]
+                survivors = [Detection(
+                    image_id, oracle_bbox_apply(reg, row_of[d.window],
+                                                d.window, image_size),
+                    cls, d.score)
+                    for d in survivors]
+            out.extend(survivors)
+    return out

@@ -9,8 +9,10 @@ import pytest
 from pyrapool import dataio, net, spp
 from pyrapool import detection as det
 from pyrapool.errors import ShapeError
-from pyrapool.geometry import WindowRect, map_window
-from _oracles import brute_force_iou, oracle_fit_hinge, reference_iou
+from pyrapool.geometry import WindowRect, map_window, window_array
+from _oracles import (brute_force_iou, oracle_bbox_apply,
+                      oracle_extract_many, oracle_fit_hinge, oracle_nms,
+                      oracle_run_detector, reference_iou)
 
 W = WindowRect
 
@@ -819,6 +821,212 @@ class TestScreenedDetectorDigest:
         text = detect()
         monkeypatch.setattr(det, "_fit_hinge", oracle_fit_hinge)
         assert text and detect() == text
+
+
+class _ScoreRule(det.SvmModel):
+    """An SVM stand-in whose scores are a fixed function of the features."""
+
+    def __init__(self, rule):
+        super().__init__(np.zeros(1), 0.0)
+        self.rule = rule
+
+    def scores(self, features):
+        return self.rule(features.astype(np.float64))
+
+
+def _random_windows(rng, n, img_w, img_h):
+    """Windows partly outside the image, flush with its edges, narrower than
+    a stride, and duplicated."""
+    out = []
+    for _ in range(n):
+        x0 = int(rng.integers(-10, img_w - 1))
+        y0 = int(rng.integers(-10, img_h - 1))
+        out.append(W(x0, y0, max(x0 + 1, 1) + int(rng.integers(0, 40)),
+                     max(y0 + 1, 1) + int(rng.integers(0, 40))))
+    out += [W(0, 0, img_w, img_h), W(0, 0, 1, 1), W(img_w - 2, 0, img_w, 3),
+            W(5, 5, 7, 9), W(-3, img_h - 4, 6, img_h + 5)]
+    return out + out[:3]
+
+
+class TestWindowArrays:
+    """The array path from windows to detections against the per-window code
+    it replaced (`_oracles`), byte for byte."""
+
+    def setup_method(self):
+        self.spec = net.toy_shape_net()
+        self.params = net.ParameterStore(seed=71, sigma=0.05)
+        rng = np.random.default_rng(72)
+        self.images = {f"im{i}": rng.uniform(0, 255, (1, h, w)).astype(
+            np.float32) for i, (h, w) in enumerate(((64, 80), (50, 37),
+                                                     (72, 72)))}
+
+    def _extractor(self, scales=(32, 48, 64, 96)):
+        return det.RegionFeatureExtractor(self.spec, self.params,
+                                          scales=scales, view=32)
+
+    def test_extract_many_matches_oracle(self):
+        rng = np.random.default_rng(73)
+        ex, ref = self._extractor(), self._extractor()
+        for image_id, pixels in self.images.items():
+            h, w = pixels.shape[1:]
+            windows = _random_windows(rng, 60, w, h)
+            expect = oracle_extract_many(ref, image_id, pixels, windows)
+            for form in (windows, window_array(windows)):
+                got = ex.extract_many(image_id, pixels, form)
+                assert got.dtype == np.float32
+                assert got.tobytes() == expect.tobytes()
+        empty = ex.extract_many("im0", self.images["im0"], np.empty((0, 4)))
+        assert empty.shape == (0, ex.feature_length)
+
+    def test_half_pixel_scaled_corners_match_oracle(self):
+        # min side 64: scale 32 halves every coordinate, so odd corners land
+        # on k + 0.5 and round half to even
+        pixels = self.images["im0"]
+        windows = [W(x, y, x + dx, y + dy) for x in (1, 3, 5, 7)
+                   for y in (3, 9) for dx, dy in ((3, 5), (5, 3), (9, 7))]
+        ex, ref = self._extractor((32,)), self._extractor((32,))
+        assert (ex.extract_many("im0", pixels, windows).tobytes()
+                == oracle_extract_many(ref, "im0", pixels, windows).tobytes())
+
+    def test_outside_window_error_text_matches_oracle(self):
+        pixels = self.images["im0"]
+        windows = [W(-5, -5, 10, 10), W(79, 63, 90, 70), W(80, 0, 90, 10),
+                   W(0, 0, 5, 5), W(0, -9, 5, 0)]
+        with pytest.raises(ShapeError) as ref:
+            oracle_extract_many(self._extractor(), "im0", pixels, windows)
+        with pytest.raises(ShapeError) as got:
+            self._extractor().extract_many("im0", pixels, windows)
+        assert str(got.value) == str(ref.value) == (
+            f"proposal {W(80, 0, 90, 10)} of image im0 lies outside 80x64")
+
+    def test_apply_rows_matches_oracle(self):
+        rng = np.random.default_rng(74)
+        for trial in range(60):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 50))
+            img = tuple(int(v) for v in rng.integers(20, 120, 2))
+            scale = float(rng.choice([0.001, 0.05, 1.0]))
+            reg = det.BBoxRegressor(rng.normal(size=(d + 1, 4)) * scale)
+            feats = rng.normal(size=(n, d)).astype(np.float32)
+            windows = _random_windows(rng, n, *img)[:n]
+            got = reg.apply_rows(feats, window_array(windows), img)
+            expect = [oracle_bbox_apply(reg, f, w, img)
+                      for f, w in zip(feats, windows)]
+            assert got.dtype == np.int64
+            assert [W(*r) for r in got.tolist()] == expect
+            assert [reg.apply(f, w, img) for f, w in zip(feats, windows)] \
+                == expect
+
+    def test_half_pixel_regressed_corners_match_oracle(self):
+        # bias-only offsets (tx, ty) = (1/8, 3/8) on 4-pixel-wide windows
+        # move the centre by 0.5 or 1.5: every corner lands on k + 0.5
+        weights = np.zeros((3, 4))
+        weights[-1] = (0.125, 0.375, 0.0, 0.0)
+        reg = det.BBoxRegressor(weights)
+        windows = [W(x, y, x + 4, y + 4) for x in range(0, 12, 3)
+                   for y in range(0, 12, 5)]
+        feats = np.zeros((len(windows), 2), np.float32)
+        got = reg.apply_rows(feats, window_array(windows), (40, 40))
+        expect = [oracle_bbox_apply(reg, f, w, (40, 40))
+                  for f, w in zip(feats, windows)]
+        assert [W(*r) for r in got.tolist()] == expect
+        # corners 0.5, 6.5, 4.5 and 10.5 round to 0, 6, 4 and 10
+        assert expect[1] == W(0, 6, 4, 10)
+
+    def test_disabled_regressor_returns_rows_unchanged(self):
+        windows = window_array([W(1, 2, 30, 40), W(-4, 0, 3, 3)])
+        assert det.BBoxRegressor(None).apply_rows(
+            np.ones((2, 3)), windows, (10, 10)) is windows
+
+    def test_non_finite_regression_rejected(self):
+        weights = np.zeros((2, 4))
+        weights[0, 2] = np.inf
+        with pytest.raises(ShapeError, match="bbox regression of .* is not "
+                                             "finite"):
+            det.BBoxRegressor(weights).apply(np.ones(1), W(0, 0, 5, 5),
+                                             (10, 10))
+
+    def test_nms_matches_oracle_with_ties(self):
+        rng = np.random.default_rng(75)
+        for _ in range(300):
+            n = int(rng.integers(0, 30))
+            windows = _random_windows(rng, n, 60, 60)[:n]
+            scores = rng.choice([-0.0, 0.0, 0.5, -1.25, 2.0], size=n) \
+                if rng.random() < 0.5 else rng.normal(size=n)
+            dets = [det.Detection("i", w, 0, float(s))
+                    for w, s in zip(windows, scores)]
+            threshold = float(rng.choice([0.0, 0.3, 0.7]))
+            assert det.nms(dets, threshold) == oracle_nms(dets, threshold)
+            assert (det.format_detections(det.nms(dets, threshold))
+                    == det.format_detections(oracle_nms(dets, threshold)))
+
+    def _fitted(self):
+        ex = self._extractor((48, 64))
+        gt = {"im0": [(0, W(5, 5, 35, 35)), (1, W(40, 20, 75, 60))],
+              "im1": [(0, W(3, 10, 30, 45))], "im2": [(1, W(20, 20, 60, 70))]}
+        rng = np.random.default_rng(76)
+        proposals = {}
+        for image_id, pixels in self.images.items():
+            h, w = pixels.shape[1:]
+            props = [W(max(0, g.x0 + dx), max(0, g.y0 + dy), g.x1 + dx,
+                       g.y1 + dy) for _, g in gt[image_id]
+                     for dx, dy in ((0, 0), (2, 1), (-3, 2))]
+            proposals[image_id] = props + _random_windows(rng, 20, w, h)
+        model = det.fit_detector(ex, self.images, proposals, gt, (0, 1))
+        return model, proposals
+
+    def _assert_same_detections(self, model, proposals, **kwargs):
+        got = det.run_detector(self._extractor((48, 64)), model, self.images,
+                               proposals, **kwargs)
+        expect = oracle_run_detector(self._extractor((48, 64)), model,
+                                     self.images, proposals, **kwargs)
+        assert got == expect
+        assert det.format_detections(got) == det.format_detections(expect)
+        return got
+
+    def test_run_detector_matches_oracle(self):
+        model, proposals = self._fitted()
+        assert all(reg.enabled for reg in model.regressors.values())
+        model.regressors[1] = det.BBoxRegressor(None)
+        model.svms[2] = model.svms[0]  # a class without a regressor
+        proposals["im1"] = []  # an image with no proposals
+        for apply_bbox in (False, True):
+            for threshold in (0.3, 0.5):
+                dets = self._assert_same_detections(
+                    model, proposals, apply_bbox=apply_bbox,
+                    nms_threshold=threshold)
+                assert dets and not any(d.image_id == "im1" for d in dets)
+
+    def test_run_detector_score_ties_match_oracle(self):
+        model, proposals = self._fitted()
+        model.svms = {
+            0: _ScoreRule(lambda f: np.where(f[:, 0] > np.median(f[:, 0]),
+                                             0.0, -0.0)),
+            1: _ScoreRule(lambda f: np.round(f[:, 1] * 2.0) / 2.0),
+            2: _ScoreRule(lambda f: np.zeros(len(f)))}
+        dets = self._assert_same_detections(model, proposals, apply_bbox=True)
+        assert any(det.format_detections([d]).split(",")[2] == "-0.000000"
+                   for d in dets)
+
+    def test_nan_score_names_the_image(self):
+        model, proposals = self._fitted()
+        model.svms[1] = _ScoreRule(
+            lambda f: np.where(np.arange(len(f)) == 3, np.nan, 0.0))
+        for run in (det.run_detector, oracle_run_detector):
+            with pytest.raises(ShapeError, match="^non-finite detection "
+                                                 "score for im0$"):
+                run(self._extractor((48, 64)), model, self.images, proposals)
+
+    def test_outside_proposal_rejected_through_fit_and_run(self):
+        model, proposals = self._fitted()
+        proposals["im1"] = proposals["im1"] + [W(37, 0, 50, 10)]
+        message = (f"^proposal {W(37, 0, 50, 10)} of image im1 lies outside "
+                   f"37x50$").replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ShapeError, match=message):
+            det.run_detector(self._extractor(), model, self.images, proposals)
+        gt = {"im1": [(0, W(3, 10, 30, 45))]}
+        with pytest.raises(ShapeError, match=message):
+            det.fit_detector(self._extractor(), {"im1": self.images["im1"]},
+                             proposals, gt, (0,))
 
 
 class TestSpeedBench:

@@ -228,3 +228,115 @@ class TestIouMatrix:
         assert geo.iou_matrix([], a).shape == (0, len(a))
         assert geo.iou_matrix(a, []).shape == (len(a), 0)
         assert geo.iou_matrix([], []).dtype == np.float64
+
+    def test_arrays_equal_sequences_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        a = _related_windows(rng, 10)
+        b = _related_windows(rng, 4)
+        m = geo.iou_matrix(a, b)
+        for x, y in ((geo.window_array(a), b), (a, geo.window_array(b)),
+                     (geo.window_array(a), geo.window_array(b))):
+            assert geo.iou_matrix(x, y).tobytes() == m.tobytes()
+
+
+def _scalar_projection(win, image_size, grids, stride, view):
+    """The per-window chain that `project_windows` vectorises."""
+    img_w, img_h = image_size
+    win = win.clamped(img_w, img_h)
+    s = geo.select_scale(win, image_size, tuple(grids), view)
+    (rw, rh), map_size = grids[s]
+    scaled = win.scaled(s / min(img_w, img_h)).clamped(rw, rh)
+    r = geo.map_window(scaled, stride, map_size)
+    return s, (r.fx0, r.fy0, r.fx1, r.fy1)
+
+
+def _grids(image_size, scales, stride, extra=0):
+    """Resized sizes and map sizes of a floor(kernel/2)-padded trunk: at
+    least ceil(side/stride) cells, `extra` more for an even pool kernel."""
+    out = {}
+    for s in scales:
+        rw, rh = geo.resized_dims(*image_size, s)
+        out[s] = ((rw, rh),
+                  (-(-rh // stride) + extra, -(-rw // stride) + extra))
+    return out
+
+
+class TestProjectWindows:
+    def _check(self, windows, image_size, grids, stride, view):
+        arr = geo.window_array(windows)
+        chosen, rects = geo.project_windows(arr, image_size, grids, stride,
+                                            view, "img")
+        assert rects.dtype == np.int64 and rects.shape == (len(windows), 4)
+        for win, s, rect in zip(windows, chosen.tolist(), rects.tolist()):
+            assert (s, tuple(rect)) == _scalar_projection(
+                win, image_size, grids, stride, view)
+
+    def test_matches_scalar_chain_on_random_windows(self):
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            iw, ih = (int(v) for v in rng.integers(8, 200, 2))
+            stride = int(rng.choice([1, 2, 3, 4, 12, 16]))
+            view = int(rng.choice([8, 16, 32, 224]))
+            scales = sorted({int(v) for v in rng.integers(8, 260, 4)})
+            grids = _grids((iw, ih), scales, stride, int(rng.integers(0, 2)))
+            windows = []
+            for _ in range(int(rng.integers(1, 40))):
+                x0 = int(rng.integers(-20, iw))
+                y0 = int(rng.integers(-20, ih))
+                x1 = max(x0 + 1, 1) + int(rng.integers(0, iw + 20))
+                y1 = max(y0 + 1, 1) + int(rng.integers(0, ih + 20))
+                windows.append(W(x0, y0, x1, y1))
+            self._check(windows, (iw, ih), grids, stride, view)
+
+    def test_half_pixel_corners_round_to_even(self):
+        # min side 64 at scale 32 halves every coordinate: odd corners land
+        # on k + 0.5, and 1.5 -> 2, 2.5 -> 2, 4.5 -> 4, 5.5 -> 6 (half up
+        # would give [3, 4, 4, 5] and [3, 4, 5, 4] at stride 1)
+        grids = _grids((96, 64), (32,), 2)
+        windows = [W(3, 5, 9, 11), W(5, 3, 11, 9), W(1, 1, 3, 3),
+                   W(0, 0, 96, 64), W(95, 63, 96, 64)]
+        self._check(windows, (96, 64), grids, 2, 16)
+        _, rects = geo.project_windows(geo.window_array(windows[:2]),
+                                       (96, 64), grids, 1, 16, "img")
+        assert rects.tolist() == [[3, 3, 3, 5], [3, 3, 5, 3]]
+
+    def test_flush_and_narrow_windows(self):
+        iw, ih, stride = 80, 64, 4
+        grids = _grids((iw, ih), (48, 64, 96), stride)
+        windows = [W(0, 0, iw, ih), W(0, 0, 1, 1), W(iw - 1, ih - 1, iw, ih),
+                   W(0, 10, 2, 12), W(40, 0, 43, ih), W(10, 10, 11, 60)]
+        windows += [W(x, x, x + 3, x + 2) for x in range(0, 60, 7)]
+        for view in (4, 32, 64):
+            self._check(windows, (iw, ih), grids, stride, view)
+
+    def test_ties_go_to_the_smaller_scale(self):
+        # f = s / 100: 16x20 at scale 50 gives 80 pixels, at 150 gives 720;
+        # both are exactly 320 from view 20's 400
+        grids = _grids((100, 100), (150, 50), 2)
+        win = W(0, 0, 16, 20)
+        chosen, _ = geo.project_windows(geo.window_array([win]), (100, 100),
+                                        grids, 2, 20, "img")
+        assert chosen.tolist() == [50]
+        self._check([win], (100, 100), grids, 2, 20)
+
+    def test_outside_window_names_it_and_the_image(self):
+        grids = _grids((80, 64), (64,), 4)
+        windows = geo.window_array([W(-5, -5, 10, 10), W(80, 0, 90, 10),
+                                    W(0, 64, 10, 70)])
+        with pytest.raises(ShapeError) as e:
+            geo.project_windows(windows, (80, 64), grids, 4, 32, "img7")
+        assert str(e.value) == (f"proposal {W(80, 0, 90, 10)} of image img7 "
+                                f"lies outside 80x64")
+
+    def test_window_array_forms(self):
+        wins = [W(1, 2, 3, 4), W(5, 6, 7, 9)]
+        arr = geo.window_array(wins)
+        assert arr.dtype == np.int64 and arr.tolist() == [[1, 2, 3, 4],
+                                                          [5, 6, 7, 9]]
+        assert geo.window_array(arr.astype(np.int32)).dtype == np.int64
+        assert geo.window_array([]).shape == (0, 4)
+        with pytest.raises(ShapeError, match=r"\(N,4\) windows"):
+            geo.window_array(np.zeros((2, 3)))
+        with pytest.raises(ShapeError,
+                           match=r"degenerate window \[5, 6, 5, 9\]"):
+            geo.window_array(np.array([[1, 2, 3, 4], [5, 6, 5, 9]]))
