@@ -113,7 +113,8 @@ class RegionFeatureExtractor:
         self._held = None
         entry = {"size": (pixels.shape[2], pixels.shape[1]), "maps": {}}
         for s in self.scales:
-            inst, x = network_input(self.spec, self.params, pixels, s)
+            inst, x = network_input(self.spec, self.params, pixels, s,
+                                    (False,))
             rh, rw = inst.input_size
             entry["maps"][s] = (inst.conv_features(x)[0], (rw, rh))
             self.conv_passes += 1

@@ -1,13 +1,16 @@
 """Test-time prediction: full-image representations, the standard 10-view
 crop scheme, and multi-view testing pooled directly from feature maps.
 
-Views are (scale, window, flip) triples on the min-side-resized image. The
-feature-map path runs the conv trunk and the fc head once per (scale, flip),
-pooling every window of the group from the shared map. Windows are projected
-with the boundary formulas; on any side where a view touches the
-resized-image border, the mapped rect is snapped to the map border so that a
-full-image view pools exactly the full map (the raw left-boundary formula
-would drop row/column 0).
+Views are (scale, window, flip) triples on the min-side-resized image; a
+view must lie inside the image at its scale. The feature-map path resizes
+the image once per scale and runs the conv trunk once per scale on a batch
+of the unflipped and mirrored inputs its views need. One `pool_rects` call
+pools every window of the scale from that stack of maps, and the fc head
+runs once per (scale, flip) group. Windows are projected with the boundary
+formulas; on any side where a view touches the resized-image border, the
+mapped rect is snapped to the map border so that a full-image view pools
+exactly the full map (the raw left-boundary formula would drop row/column
+0).
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import FeatureRect, WindowRect, map_window, resize_image, resized_dims
+from .geometry import (FeatureRect, WindowRect, map_window, resize_image,
+                       resized_dims)
 from .net import NetworkSpec, ParameterStore, instantiate
 from .spp import pool_rects
 from .tensor import softmax
@@ -88,43 +92,74 @@ def view_to_feature_rect(window: WindowRect, resized_size, stride: int,
 
 
 def network_input(spec: NetworkSpec, params: ParameterStore,
-                  pixels: np.ndarray, s: int, flip: bool = False):
-    """The one path from an image to the network: resize to min side `s`,
-    optionally mirror, preprocess, and instantiate the net at that size.
-    Returns (instance, (1, C, h, w) input batch)."""
+                  pixels: np.ndarray, s: int, flips):
+    """The one path from an image to the network: resize to min side `s`
+    once, mirror a copy for every set flag in `flips`, preprocess, and
+    instantiate the net at that size. Returns (instance,
+    (len(flips), C, h, w) input batch), row i mirrored when flips[i]."""
     resized = resize_image(pixels, s)
-    if flip:
-        resized = resized[:, :, ::-1]
+    batch = np.stack([resized[:, :, ::-1] if flip else resized
+                      for flip in flips])
     inst = instantiate(spec, resized.shape[1:], params)
-    return inst, dataio.preprocess(resized)[None]
+    return inst, dataio.preprocess(batch)
+
+
+def _check_views_inside(pixels: np.ndarray, views):
+    """Reject a view whose window leaves its scale's resized image: pooling
+    would clamp it to a region the view does not describe."""
+    sizes = {s: resized_dims(pixels.shape[2], pixels.shape[1], s)
+             for s in {view.scale for view in views}}
+    for view in views:
+        rw, rh = sizes[view.scale]
+        win = view.window
+        if win.x0 < 0 or win.y0 < 0 or win.x1 > rw or win.y1 > rh:
+            raise ShapeError(f"view {view} lies outside the {rw}x{rh} "
+                             f"image at scale {view.scale}")
 
 
 def predict_views(spec: NetworkSpec, params: ParameterStore,
                   pixels: np.ndarray, views) -> np.ndarray:
     """Average the softmax scores of all views, pooling each window from the
-    feature map of its (scale, flip) group; trunk, `pool_rects` and head run
-    once a group."""
+    feature map of its (scale, flip) group. Per scale, one resize and one
+    trunk pass over the stacked unflipped and mirrored inputs it needs give
+    the group maps, and one `pool_rects` call pools all their windows; the
+    head runs once a group. Rows are summed group by group in order of first
+    appearance, each group's in view order, so the result does not depend
+    on how the groups share trunk passes."""
     if not views:
         raise ShapeError("view list is empty")
+    _check_views_inside(pixels, views)
     stride = spec.trunk_geometry().stride
     pyramid = spec.pyramid()
     groups: dict[tuple, list] = {}
     for view in views:
         groups.setdefault((view.scale, view.flip), []).append(view)
+    flips_of: dict[int, list] = {}
+    for s, flip in groups:
+        flips_of.setdefault(s, []).append(flip)
 
-    total = None
-    for (s, flip), members in groups.items():
-        inst, x = network_input(spec, params, pixels, s, flip)
+    probs = {}
+    for s, flips in flips_of.items():
+        inst, x = network_input(spec, params, pixels, s, flips)
         rh, rw = inst.input_size
-        featmap = inst.conv_features(x)[0]
+        featmaps = inst.conv_features(x)
         rects = []
-        for view in members:
-            win = view.window.hflipped(rw) if flip else view.window
-            r = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
-            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
-        probs = softmax(inst.head_forward(pool_rects(featmap, rects, pyramid)))
-        # row by row, in view order: the float64 sum is the per-view one
-        for row in probs:
+        for b, flip in enumerate(flips):
+            for view in groups[s, flip]:
+                win = view.window.hflipped(rw) if flip else view.window
+                r = view_to_feature_rect(win, (rw, rh), stride,
+                                         featmaps.shape[2:])
+                rects.append((b, r.fx0, r.fy0, r.fx1, r.fy1))
+        pooled = pool_rects(featmaps, rects, pyramid)
+        start = 0
+        for flip in flips:
+            stop = start + len(groups[s, flip])
+            probs[s, flip] = softmax(inst.head_forward(pooled[start:stop]))
+            start = stop
+    total = None
+    # row by row, in view order: the float64 sum is the per-view one
+    for key in groups:
+        for row in probs[key]:
             total = row.astype(np.float64) if total is None else total + row
     return total / len(views)
 
@@ -172,7 +207,7 @@ def full_image_representation(spec: NetworkSpec, params: ParameterStore,
     """One forward pass over the whole min-side-s image; returns the named
     layer's activations flattened (default: the pooled pyramid vector),
     optionally l2-normalized for classifier export."""
-    inst, x = network_input(spec, params, pixels, s)
+    inst, x = network_input(spec, params, pixels, s, (False,))
     if layer is None:
         layer = spec.layers[spec.spp_index].name
     feat = inst.feature_at(x, layer)[0].reshape(-1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +30,27 @@ from .spp import (PyramidSpec, pool_maps, spp_backward_batch,
 
 
 class ForwardStats:
-    """Process-wide instrumentation: how many convolutional-trunk passes ran.
+    """Process-wide instrumentation: how many images the convolutional trunk
+    has run, counting each map of a batch, so one pass over a (B,C,H,W)
+    batch adds B.
 
     Multi-view prediction and region pooling are contractually bounded in
-    trunk passes; tests reset and read this counter.
+    trunk passes per image; tests reset and read this counter. Threads that
+    share the process (the parallel `detect` workers) add to it under a
+    lock.
     """
 
     def __init__(self):
+        self._lock = threading.Lock()
         self.trunk_passes = 0
 
+    def add(self, images: int):
+        with self._lock:
+            self.trunk_passes += images
+
     def reset(self):
-        self.trunk_passes = 0
+        with self._lock:
+            self.trunk_passes = 0
 
 
 stats = ForwardStats()
@@ -366,7 +377,8 @@ class NetworkInstance:
         return x, {"train_mode": train_mode, "caches": caches}
 
     def _begin_pass(self, batch):
-        """Reject a batch this instance cannot run, else count a trunk pass."""
+        """Reject a batch this instance cannot run, else count a trunk pass
+        for each of its images."""
         expect = (self.spec.in_channels, *self.input_size)
         if batch.ndim != 4 or batch.shape[1:] != expect:
             raise ShapeError(
@@ -375,7 +387,7 @@ class NetworkInstance:
         if not np.isfinite(batch).all():
             bad = batch.size - int(np.count_nonzero(np.isfinite(batch)))
             raise ShapeError(f"batch holds {bad} non-finite values")
-        stats.trunk_passes += 1
+        stats.add(batch.shape[0])
 
     def backward(self, saved, grad_logits: np.ndarray) -> None:
         """Accumulate parameter gradients from a train-mode forward pass into
@@ -396,7 +408,8 @@ class NetworkInstance:
         return tensor.softmax(x) if isinstance(layer, Softmax) else x
 
     def conv_features(self, batch: np.ndarray) -> np.ndarray:
-        """Eval-mode feature map entering the pyramid layer (one trunk pass)."""
+        """Eval-mode feature maps entering the pyramid layer, one per image
+        of the batch (one trunk pass per image)."""
         if self.spec.spp_index is None:
             raise GraphError("network has no pyramid layer")
         self._begin_pass(batch)

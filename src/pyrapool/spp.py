@@ -17,9 +17,11 @@ Two bin geometries are provided:
   divides the map side and exists mainly for that agreement check.
 
 Two kernels pool the fractional bins. Evaluation is max-only: `pool_rects`
-pools any number of regions of one map from a range-max sparse table, four
-gathers per bin, in memory bounded by a few copies of the map (see its
-docstring); `pool_maps` pools whole maps through it. `spp_forward_batch`
+pools any number of regions of a stack of same-size maps (a single map is
+the stack of one) from a range-max sparse table, four gathers per bin, in
+memory bounded by a few copies of the stack (see its docstring); multi-view
+testing pools a scale's unflipped and mirrored maps in one call, and
+`pool_maps` pools whole maps through it. `spp_forward_batch`
 (and `spp_forward`, its one-map form) also returns the per-bin argmax that
 `spp_backward_batch` routes gradients through; the argmax exists only for
 that backward pass, so only training calls it. Max is exact, so the two
@@ -136,8 +138,9 @@ _MIN_BLOCK_VALUES = 1 << 16
 
 
 def _rect_bins(rects: np.ndarray, pyr: PyramidSpec):
-    """Half-open cell bounds r0, r1, c0, c1 of every bin of every rect, each
-    (N, M), ordered level-major then bins row-major like `spp_forward`."""
+    """Half-open cell bounds r0, r1, c0, c1 of every bin of every
+    (fx0, fy0, fx1, fy1) rect, each (N, M), ordered level-major then bins
+    row-major like `spp_forward`."""
     n, j, i = np.array([(n, j, i) for n in pyr.levels
                         for j in range(n) for i in range(n)]).T
     fx0, fy0, fx1, fy1 = rects.T[:, :, None]
@@ -146,35 +149,55 @@ def _rect_bins(rects: np.ndarray, pyr: PyramidSpec):
     return fy0 + r0, fy0 + r1, fx0 + c0, fx0 + c1
 
 
-def pool_rects(featmap: np.ndarray, rects, pyr: PyramidSpec) -> np.ndarray:
-    """Eval-only pyramid pooling of many regions of one (K,H,W) map.
+def pool_rects(featmaps: np.ndarray, rects, pyr: PyramidSpec) -> np.ndarray:
+    """Eval-only pyramid pooling of many regions of a stack of same-size maps.
 
-    `rects` is (N,4) inclusive cell bounds (fx0, fy0, fx1, fy1), in
-    `FeatureRect` field order. Row i of the (N, K*M) result equals
-    `spp_forward` of the crop rects[i] bit for bit; no argmax is computed.
+    `featmaps` is a (B,K,H,W) stack and `rects` is (N,5) rows
+    (b, fx0, fy0, fx1, fy1): the index of the map a rect lies in, then its
+    inclusive cell bounds in `FeatureRect` field order. A single (K,H,W) map
+    is the stack of one, and its `rects` are (N,4) rows without the index.
+    Row i of the (N, K*M) result equals `spp_forward` of the crop rects[i]
+    bit for bit; no argmax is computed.
 
     Range-max by sparse table (Bender & Farach-Colton 2000): a bin of
     2^a <= height < 2^(a+1) rows and 2^b <= width < 2^(b+1) columns is the
     max of four overlapping 2^a x 2^b window maxima. The table is walked one
     (a, b) level at a time, rows doubled in the outer loop and columns in the
     inner one, and only up to the levels some bin needs; each level's bins
-    are gathered before the next level replaces it. Memory beyond the
-    result: three channel-last copies of the map, two gathered blocks of at
-    most max(K*H*W, 65536) values, and 120 bytes of indices per bin.
+    are gathered before the next level replaces it. The stack enters the
+    table as one channel-last (B*H, W, K) map, map b's rows from b*H on: a
+    bin's windows never leave its own map, so on a level W' columns wide the
+    window max at (y, x) of map b is row (b*H + y)*W' + x of the table. Memory
+    beyond the result: three channel-last copies of the stack, two gathered
+    blocks of at most max(B*K*H*W, 65536) values, and 120 bytes of indices
+    per bin.
     """
-    if featmap.ndim != 3:
-        raise ShapeError(f"expected (K,H,W) feature map, got {featmap.shape}")
-    k, h, w = featmap.shape
     rects = np.asarray(rects, dtype=np.int64)
-    if rects.ndim != 2 or rects.shape[1] != 4:
-        raise ShapeError(f"expected (N,4) rects, got shape {rects.shape}")
-    fx0, fy0, fx1, fy1 = rects.T
+    if featmaps.ndim == 3:
+        if rects.ndim != 2 or rects.shape[1] != 4:
+            raise ShapeError(f"expected (N,4) rects, got shape {rects.shape}")
+        featmaps = featmaps[None]
+        rects = np.concatenate([np.zeros((len(rects), 1), np.int64), rects], 1)
+    elif featmaps.ndim != 4:
+        raise ShapeError(f"expected a (K,H,W) feature map or a (B,K,H,W) "
+                         f"stack, got {featmaps.shape}")
+    elif rects.ndim != 2 or rects.shape[1] != 5:
+        raise ShapeError(f"expected (N,5) rects (b, fx0, fy0, fx1, fy1), "
+                         f"got shape {rects.shape}")
+    nmaps, k, h, w = featmaps.shape
+    maps, fx0, fy0, fx1, fy1 = rects.T
+    bad = (maps < 0) | (maps >= nmaps)
+    if bad.any():
+        raise ShapeError(f"rect {rects[bad.argmax()].tolist()} names map "
+                         f"{maps[bad.argmax()]} of a stack of {nmaps}")
     bad = ((fx0 < 0) | (fy0 < 0) | (fx1 >= w) | (fy1 >= h)
            | (fx1 < fx0) | (fy1 < fy0))
     if bad.any():
-        raise ShapeError(f"rect {rects[bad.argmax()].tolist()} is empty or "
-                         f"outside the {h}x{w} map")
-    r0, r1, c0, c1 = (e.reshape(-1) for e in _rect_bins(rects, pyr))
+        raise ShapeError(f"rect {rects[bad.argmax(), 1:].tolist()} is empty "
+                         f"or outside the {h}x{w} map")
+    r0, r1, c0, c1 = _rect_bins(rects[:, 1:], pyr)
+    top = (maps * h)[:, None]  # map b's rows start at b*H in the table
+    r0, r1, c0, c1 = (e.reshape(-1) for e in (r0 + top, r1 + top, c0, c1))
     # floor(log2) of each bin's height and width
     a = np.frexp(r1 - r0)[1] - 1
     b = np.frexp(c1 - c0)[1] - 1
@@ -182,15 +205,17 @@ def pool_rects(featmap: np.ndarray, rects, pyr: PyramidSpec) -> np.ndarray:
     order = np.argsort(level, kind="stable")
     starts = np.flatnonzero(np.diff(level[order])) + 1
     groups = np.split(order, starts) if order.size else []
-    block = max(h * w * k, _MIN_BLOCK_VALUES) // max(k, 1)
+    block = max(nmaps * h * w * k, _MIN_BLOCK_VALUES) // max(k, 1)
 
-    out = np.empty((len(r0), k), dtype=featmap.dtype)
-    rows, row_level = np.ascontiguousarray(featmap.transpose(1, 2, 0)), 0
+    out = np.empty((len(r0), k), dtype=featmaps.dtype)
+    rows = np.ascontiguousarray(featmaps.transpose(0, 2, 3, 1)).reshape(
+        nmaps * h, w, k)
+    row_level = 0
     cols, col_level = rows, 0
     for idx in groups:
         la, lb = int(a[idx[0]]), int(b[idx[0]])
         if la != row_level:
-            cols = None  # so doubling rows holds two map copies, not three
+            cols = None  # so doubling rows holds two stack copies, not three
             while row_level < la:
                 s = 1 << row_level
                 rows = np.maximum(rows[:-s], rows[s:])

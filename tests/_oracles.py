@@ -2,9 +2,9 @@
 
 The gradient oracle is central finite differences evaluated in float64; it
 never calls any backward-pass code, so analytic gradients are checked against
-an implementation-independent estimate. The `oracle_*` training and
-detection code at the end holds the earlier implementations that the current
-ones must match bit for bit.
+an implementation-independent estimate. The `oracle_*` training, inference
+and detection code at the end holds the earlier implementations that the
+current ones must match bit for bit.
 """
 
 import numpy as np
@@ -466,3 +466,41 @@ def oracle_run_detector(extractor, model, images, proposals,
                     for d in survivors]
             out.extend(survivors)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Multi-view testing as it was before the flip pair shared a trunk pass: one
+# resize, trunk pass, `pool_rects` call and head call per (scale, flip)
+# group. The batched path must give the same probabilities byte for byte.
+# ---------------------------------------------------------------------------
+
+def oracle_predict_views(spec, params, pixels, views):
+    """The parent's `predict_views`, calling today's `network_input` with a
+    one-flip sequence."""
+    from pyrapool.errors import ShapeError
+    from pyrapool.inference import network_input, view_to_feature_rect
+    from pyrapool.spp import pool_rects
+    from pyrapool.tensor import softmax
+    if not views:
+        raise ShapeError("view list is empty")
+    stride = spec.trunk_geometry().stride
+    pyramid = spec.pyramid()
+    groups: dict[tuple, list] = {}
+    for view in views:
+        groups.setdefault((view.scale, view.flip), []).append(view)
+
+    total = None
+    for (s, flip), members in groups.items():
+        inst, x = network_input(spec, params, pixels, s, (flip,))
+        rh, rw = inst.input_size
+        featmap = inst.conv_features(x)[0]
+        rects = []
+        for view in members:
+            win = view.window.hflipped(rw) if flip else view.window
+            r = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
+            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+        probs = softmax(inst.head_forward(pool_rects(featmap, rects, pyramid)))
+        # row by row, in view order: the float64 sum is the per-view one
+        for row in probs:
+            total = row.astype(np.float64) if total is None else total + row
+    return total / len(views)

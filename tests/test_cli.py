@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pyrapool import cli, dataio, net, training
+from pyrapool import cli, dataio, inference, net, training
+
+from _oracles import oracle_predict_views
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,38 @@ class TestTrainReproducibility:
             assert rc == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestEvalViews:
+    @pytest.mark.parametrize("mode,flags", [
+        ("10view", ["--scale", "28", "--view", "24"]),
+        ("96view", ["--scales", "24,28,32", "--view", "24"])])
+    def test_report_matches_oracle_views(self, corpus, checkpoint, tmp_path,
+                                         monkeypatch, mode, flags):
+        # the report, and every image's averaged probabilities, are the ones
+        # the one-pass-per-(scale, flip) path gives
+        root, _ = corpus
+        reports, probs = [], []
+        for label, predict in (("new", inference.predict_views),
+                               ("oracle", oracle_predict_views)):
+            seen = []
+
+            def recorded(*args, predict=predict, seen=seen):
+                out = predict(*args)
+                seen.append(out.tobytes())
+                return out
+
+            monkeypatch.setattr(inference, "predict_views", recorded)
+            out = tmp_path / f"{label}.txt"
+            rc = cli.main(["eval", "--checkpoint", str(checkpoint),
+                           "--test-manifest", str(root / "cls" / "test.txt"),
+                           "--mode", mode, *flags, "--out", str(out)])
+            assert rc == 0
+            reports.append(out.read_bytes())
+            probs.append(seen)
+        assert reports[0] == reports[1]
+        assert f"mode,{mode}".encode() in reports[0]
+        assert len(probs[0]) > 0 and probs[0] == probs[1]
 
 
 class TestAtomicWrite:

@@ -9,6 +9,8 @@ from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect
 from pyrapool.tensor import softmax
 
+from _oracles import oracle_predict_views
+
 
 class TestTenViews:
     def test_positions_on_256_square(self):
@@ -87,7 +89,7 @@ class TestPredictViews:
         np.testing.assert_allclose(fwd, rev, atol=1e-12)
 
     def test_conv_pass_economy(self):
-        views = inference.multi_view_windows((48, 40), scales=(32, 36, 40),
+        views = inference.multi_view_windows((40, 40), scales=(32, 36, 40),
                                              view=28)
         assert len(views) > 6
         net.stats.reset()
@@ -106,7 +108,7 @@ class TestPredictViews:
 
 
     def test_head_once_per_scale_flip_group(self, monkeypatch):
-        views = inference.multi_view_windows((48, 40), scales=(32, 36, 40),
+        views = inference.multi_view_windows((40, 40), scales=(32, 36, 40),
                                              view=28)
         head_forward = net.NetworkInstance.head_forward
         batches = []
@@ -129,7 +131,7 @@ class TestPredictViews:
         for view in views:
             inst, x = inference.network_input(self.spec, self.params,
                                               self.pixels, view.scale,
-                                              view.flip)
+                                              (view.flip,))
             rh, rw = inst.input_size
             featmap = inst.conv_features(x)[0]
             win = view.window.hflipped(rw) if view.flip else view.window
@@ -144,12 +146,91 @@ class TestPredictViews:
                                       views)
         np.testing.assert_array_equal(got, total / len(views))
 
+    def test_view_outside_image_rejected_before_any_trunk_pass(
+            self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("instantiate reached")
+
+        monkeypatch.setattr(inference, "instantiate", unreachable)
+        inside = inference.View(36, WindowRect(0, 0, 36, 36), False)
+        for window in (WindowRect(0, 0, 100, 100), WindowRect(-1, 0, 30, 30),
+                       WindowRect(0, 4, 36, 37)):
+            outside = inference.View(36, window, True)
+            with pytest.raises(ShapeError, match="36x36") as err:
+                inference.predict_views(self.spec, self.params, self.pixels,
+                                        [inside, outside])
+            assert str(outside) in str(err.value)
+
+    def test_network_input_rows_are_single_flip_inputs(self):
+        inst, x = inference.network_input(self.spec, self.params, self.pixels,
+                                          36, (False, True, True))
+        assert x.shape == (3, 1, 36, 36)
+        for row, flip in zip(x, (False, True, True)):
+            _, single = inference.network_input(self.spec, self.params,
+                                                self.pixels, 36, (flip,))
+            np.testing.assert_array_equal(row, single[0])
+        np.testing.assert_array_equal(x[1], x[0][:, :, ::-1])
+
     def test_nan_pixel_rejected(self):
         pixels = self.pixels.copy()
         pixels[0, 10, 10] = np.nan
         views = inference.ten_view_windows((40, 40), s=36, view=32)
         with pytest.raises(ShapeError, match="non-finite"):
             inference.predict_views(self.spec, self.params, pixels, views)
+
+
+class TestMatchesOracle:
+    """`predict_views` against the one-pass-per-(scale, flip) path it
+    replaced (`_oracles`), byte for byte, for any view list."""
+
+    spec = net.toy_shape_net()
+
+    def params(self, head_gain):
+        # a large gain on the last fc layer spreads one class's per-view
+        # probabilities over many decades, so that the float64 sum depends
+        # on the order the rows are added in
+        params = net.ParameterStore(seed=46, sigma=0.05)
+        net.instantiate(self.spec, (32, 32), params)
+        params["fc2.weight"].value *= head_gain
+        return params
+
+    def lists(self, rng, size):
+        ten = inference.ten_view_windows(size, s=28, view=24)
+        multi = inference.multi_view_windows(size, scales=(24, 32, 40),
+                                             view=20)
+        shuffled = list(multi)
+        rng.shuffle(shuffled)
+        by_group = {}
+        for v in multi:
+            by_group.setdefault((v.scale, v.flip), []).append(v)
+        # interleaved: round robin over the (scale, flip) groups
+        interleaved = [g[i] for i in range(max(map(len, by_group.values())))
+                       for g in by_group.values() if i < len(g)]
+        flipped_only = [v for v in multi if v.scale != 32 or v.flip]
+        picks = rng.choice(len(multi), 7)
+        duplicates = [multi[i] for i in picks] + [multi[picks[0]]] * 3
+        return {"ten": ten, "multi": multi, "reversed": multi[::-1],
+                "shuffled": shuffled, "interleaved": interleaved,
+                "flipped only at 32": flipped_only,
+                "duplicates": duplicates, "ten twice": ten + ten[::-1],
+                "single": [multi[int(rng.integers(len(multi)))]]}
+
+    @pytest.mark.parametrize("head_gain", [1, 3000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_byte_equal_on_random_images(self, dtype, head_gain):
+        rng = np.random.default_rng(47 if dtype == np.float32 else 48)
+        params = self.params(head_gain)
+        for _ in range(4):
+            h, w = (int(v) for v in rng.integers(24, 73, 2))
+            if h == w:
+                w += 1
+            pixels = rng.uniform(0, 255, (1, h, w)).astype(dtype)
+            for name, views in self.lists(rng, (w, h)).items():
+                got = inference.predict_views(self.spec, params, pixels,
+                                              views)
+                expect = oracle_predict_views(self.spec, params, pixels,
+                                              views)
+                assert got.tobytes() == expect.tobytes(), (h, w, name)
 
 
 class TestFlipConsistency:

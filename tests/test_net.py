@@ -2,6 +2,8 @@
 input sizes, end-to-end gradients, and checkpoint round-trips."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -231,6 +233,69 @@ class TestParameterSharing:
         net.instantiate(spec, (8, 8), params)
         with pytest.raises(SpecMismatchError, match="fc1.weight"):
             net.instantiate(spec, (10, 10), params)
+
+
+def wide_trunk_spec():
+    return net.NetworkSpec([
+        net.Conv(32, 5, 1),
+        net.ReLU(),
+        net.MaxPool(3, 2),
+        net.Conv(96, 3, 2),
+        net.ReLU(),
+        net.Conv(64, 3, 1),
+        net.ReLU(),
+        net.SPP((3, 2, 1)),
+        net.FC(4),
+        net.Softmax(),
+    ], in_channels=3)
+
+
+class TestConvFeaturesBatch:
+    @pytest.mark.parametrize("make_spec", [net.toy_shape_net, wide_trunk_spec])
+    def test_flip_pair_equals_two_single_passes(self, make_spec):
+        # predict_views runs each scale's unflipped and mirrored inputs as
+        # one batch; each map must be the map of its own batch-1 pass
+        spec = make_spec()
+        params = net.ParameterStore(seed=24)
+        rng = np.random.default_rng(24)
+        for _ in range(6):
+            h, w = (int(v) for v in rng.integers(8, 65, 2))
+            inst = net.instantiate(spec, (h, w), params)
+            x = rng.normal(size=(1, spec.in_channels, h, w)).astype(np.float32)
+            pair = np.concatenate([x, x[:, :, :, ::-1]])
+            maps = inst.conv_features(pair)
+            for row, image in zip(maps, pair):
+                single = inst.conv_features(image[None])[0]
+                assert row.tobytes() == single.tobytes(), (h, w)
+
+    def test_trunk_passes_count_images(self):
+        inst = net.instantiate(tiny_spec(), (8, 8), net.ParameterStore())
+        net.stats.reset()
+        inst.conv_features(np.zeros((3, 1, 8, 8), np.float32))
+        inst.feature_at(np.zeros((2, 1, 8, 8), np.float32), "spp1")
+        assert net.stats.trunk_passes == 5
+
+    def test_threads_count_every_pass(self):
+        # the parallel detect workers share the counter
+        inst = net.instantiate(tiny_spec(), (4, 4), net.ParameterStore())
+        batch = np.zeros((2, 1, 4, 4), np.float32)
+        calls, threads = 200, 4
+        interval = sys.getswitchinterval()
+        net.stats.reset()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(
+                target=lambda: [inst.conv_features(batch)
+                                for _ in range(calls)])
+                for _ in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert net.stats.trunk_passes == threads * calls * len(batch)
 
 
 class TestNonFiniteInput:

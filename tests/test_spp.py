@@ -265,28 +265,71 @@ class TestPoolRects:
             spp.pool_rects(np.zeros((2, 3, 5)), [0, 0, 1, 1],
                            spp.PyramidSpec([1]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stack_equals_per_map_calls(self, dtype):
+        # every map size 1..12, stacks of 1-3 maps with ties, rects in mixed
+        # map order: row i is the single-map pooling of its own map
+        rng = np.random.default_rng(1204)
+        pyr = spp.PyramidSpec([4, 3, 2, 1])
+        for h in range(1, 13):
+            for w in range(1, 13):
+                nmaps = int(rng.integers(1, 4))
+                stack = tied_relu(rng, (nmaps, 3, h, w), dtype)
+                n = 40
+                x0, x1 = np.sort(rng.integers(0, w, (2, n)), axis=0)
+                y0, y1 = np.sort(rng.integers(0, h, (2, n)), axis=0)
+                maps = rng.integers(0, nmaps, n)
+                rects = np.stack([maps, x0, y0, x1, y1], 1)
+                out = spp.pool_rects(stack, rects, pyr)
+                assert out.dtype == dtype
+                for b in range(nmaps):
+                    rows = maps == b
+                    expect = spp.pool_rects(stack[b], rects[rows, 1:], pyr)
+                    np.testing.assert_array_equal(out[rows], expect)
+
+    @pytest.mark.parametrize("index", [-1, 2, 7])
+    def test_bad_map_index_rejected(self, index):
+        x = np.zeros((2, 2, 3, 5), np.float32)
+        rects = [(0, 0, 0, 1, 1), (index, 0, 0, 1, 1)]
+        with pytest.raises(ShapeError, match=f"names map {index} of a stack "
+                                             f"of 2"):
+            spp.pool_rects(x, rects, spp.PyramidSpec([1]))
+
+    def test_stack_rects_must_be_n_by_5(self):
+        with pytest.raises(ShapeError, match=r"\(N,5\)"):
+            spp.pool_rects(np.zeros((2, 2, 3, 5)), [(0, 0, 1, 1)],
+                           spp.PyramidSpec([1]))
+
     def test_memory_stays_under_docstring_bound(self):
-        # zf5-sized conv5 map and a selective-search-sized proposal set
+        # zf5-sized conv5 map, then a stack of two, and a
+        # selective-search-sized proposal set
         import tracemalloc
-        rng = np.random.default_rng(1203)
         k, h, w, n = 256, 75, 100, 2000
-        featmap = np.maximum(rng.normal(size=(k, h, w)), 0).astype(np.float32)
-        x0 = rng.integers(0, w, n)
-        y0 = rng.integers(0, h, n)
-        rects = np.stack([x0, y0, np.minimum(w - 1, x0 + rng.integers(0, 60, n)),
-                          np.minimum(h - 1, y0 + rng.integers(0, 45, n))], 1)
         pyr = spp.PyramidSpec([6, 3, 2, 1])
-        tracemalloc.start()
-        try:
-            out = spp.pool_rects(featmap, rects, pyr)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bins = n * pyr.num_bins
-        bound = (out.nbytes + 3 * featmap.nbytes
-                 + 2 * max(featmap.size, 1 << 16) * featmap.itemsize
-                 + 120 * bins)
-        assert peak < bound, f"peak {peak / 1e6:.1f} MB >= {bound / 1e6:.1f} MB"
+        for nmaps in (None, 2):
+            rng = np.random.default_rng(1203)
+            shape = (k, h, w) if nmaps is None else (nmaps, k, h, w)
+            featmap = np.maximum(rng.normal(size=shape), 0).astype(np.float32)
+            x0 = rng.integers(0, w, n)
+            y0 = rng.integers(0, h, n)
+            rects = np.stack(
+                [x0, y0, np.minimum(w - 1, x0 + rng.integers(0, 60, n)),
+                 np.minimum(h - 1, y0 + rng.integers(0, 45, n))], 1)
+            if nmaps is not None:
+                rects = np.concatenate(
+                    [rng.integers(0, nmaps, (n, 1)), rects], 1)
+            tracemalloc.start()
+            try:
+                out = spp.pool_rects(featmap, rects, pyr)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bins = n * pyr.num_bins
+            bound = (out.nbytes + 3 * featmap.nbytes
+                     + 2 * max(featmap.size, 1 << 16) * featmap.itemsize
+                     + 120 * bins)
+            assert peak < bound, (f"{nmaps} maps: peak {peak / 1e6:.1f} MB "
+                                  f">= {bound / 1e6:.1f} MB")
 
 
 class TestPoolMaps:

@@ -140,7 +140,8 @@ class TestNormalisation:
             px = rng.uniform(0, 255, size=(1, side, side)).astype(np.float32)
             for s in (24, 32, 40):
                 xs = training._square_inputs([(px, 0)], s)[[0]]
-                _, x = inference.network_input(spec, params, px, s)
+                _, x = inference.network_input(spec, params, px, s,
+                                               (False,))
                 assert xs.dtype == x.dtype
                 np.testing.assert_array_equal(xs, x)
 
