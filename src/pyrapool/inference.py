@@ -168,9 +168,11 @@ def predict_crops(spec: NetworkSpec, params: ParameterStore,
                   pixels: np.ndarray, views) -> np.ndarray:
     """Baseline view averaging from pixel crops: each view is cropped out of
     the resized image and run through the whole network (one trunk pass per
-    view)."""
+    view). A view outside its scale's resized image is rejected, as in
+    `predict_views`."""
     if not views:
         raise ShapeError("view list is empty")
+    _check_views_inside(pixels, views)
     total = None
     resized_cache: dict[int, np.ndarray] = {}
     inst_cache: dict[tuple, object] = {}

@@ -9,11 +9,18 @@ tolerances when fed float64 inputs.
 Convolution is an im2col matmul. The patch matrix is built once per call,
 directly in float64; `conv_forward` returns it in a `ConvCache` beside its
 output, training hands that to `conv_backward` so the weight gradient reuses
-it, and the input gradient is computed only when a caller asks for it.
+it, and the input gradient is computed only when a caller asks for it. Its
+output is C-contiguous (B,O,OH,OW), so the ReLU mask and the gradients that
+meet it in backward share one memory order.
 
 Max ties are broken by the first index in row-major scan order, which makes
-backward routing deterministic. Backward passes of max pooling scatter with
-`np.bincount`, which adds each cell's contributions in element order.
+backward routing deterministic. `maxpool_forward` finds that index by
+scanning the window's taps last to first with an arithmetic select (no
+masked stores) on a window-cell index held in the smallest unsigned dtype
+that fits the window (uint8 up to 256 cells); a window whose max is NaN
+keeps cell 0. The returned argmax is flat intp. Backward passes of max
+pooling scatter with `np.bincount`, which adds each cell's contributions in
+element order.
 """
 
 from __future__ import annotations
@@ -117,10 +124,13 @@ def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
     cols = _im2col(x, spec)
     out = _acc_matmul(cols, weights.reshape(o, -1).T, x.dtype)
-    out = out.reshape(b, spec.out_size(h), spec.out_size(w), o)
-    out = out.transpose(0, 3, 1, 2)
-    out = out + bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False)
-    return out, ConvCache(cols, x.shape, x.dtype)
+    oh, ow = spec.out_size(h), spec.out_size(w)
+    # the bias add writes NCHW memory order; `+` would keep the matmul's
+    # channel-last order, and every later elementwise op would mix layouts
+    res = np.empty((b, o, oh, ow), dtype=x.dtype)
+    np.add(out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2),
+           bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False), out=res)
+    return res, ConvCache(cols, x.shape, x.dtype)
 
 
 def conv_backward(grad_out: np.ndarray, cache: ConvCache,
@@ -204,15 +214,24 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
 
     Returns the pooled map and an argmax map of flat row*W+col indices into the
     unpadded input plane; ties go to the first cell in row-major order. Padded
-    border cells are -inf and can never win.
+    border cells are -inf: they win only a window whose every cell is -inf.
     """
     taps = _pool_taps(x, window, stride, padding)
     out = _max_of(taps)
     # scanning the taps last to first leaves each output the first cell
-    # that holds its max
-    local = np.zeros(out.shape, dtype=np.intp)
+    # that holds its max; a NaN output equals no tap and keeps cell 0.
+    # No masked stores: in the smallest index dtype, eq = -(tap == out) is
+    # 0 or all ones, and local ^= (local ^ t) & eq sets local to t where set
+    dt = np.min_scalar_type(len(taps) - 1)
+    local = np.zeros(out.shape, dtype=dt)
+    eq = np.empty(out.shape, dtype=dt)
+    sel = np.empty(out.shape, dtype=dt)
     for t in range(len(taps) - 1, -1, -1):
-        np.copyto(local, t, where=taps[t] == out)
+        np.equal(taps[t], out, out=eq)
+        np.negative(eq, out=eq)
+        np.bitwise_xor(local, dt.type(t), out=sel)
+        sel &= eq
+        local ^= sel
 
     # flat index = window origin of the output cell + offset of its tap
     (_, ww), (sh, sw), (ph, pw) = window, stride, padding
@@ -221,7 +240,7 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
                    dtype=np.intp)
     oy = np.arange(out.shape[2]).reshape(-1, 1) * sh - ph
     ox = np.arange(out.shape[3]) * sw - pw
-    return out, (oy * w + ox) + off[local]
+    return out, (oy * w + ox) + off.take(local)
 
 
 def scatter_to_argmax(grad_out: np.ndarray, argmax: np.ndarray, shape,

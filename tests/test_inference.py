@@ -161,6 +161,36 @@ class TestPredictViews:
                                         [inside, outside])
             assert str(outside) in str(err.value)
 
+    def _crops_error_equals_views_error(self, monkeypatch, window):
+        # the crop baseline checks its views as predict_views does, before
+        # any resize or trunk pass, and raises the same error
+        view = inference.View(36, window, False)
+        with pytest.raises(ShapeError) as views_err:
+            inference.predict_views(self.spec, self.params, self.pixels,
+                                    [view])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("resize or instantiate reached")
+
+        monkeypatch.setattr(inference, "resize_image", unreachable)
+        monkeypatch.setattr(inference, "instantiate", unreachable)
+        with pytest.raises(ShapeError) as crops_err:
+            inference.predict_crops(self.spec, self.params, self.pixels,
+                                    [view])
+        assert str(crops_err.value) == str(views_err.value)
+        assert str(view) in str(crops_err.value)
+        assert "36x36" in str(crops_err.value)
+
+    def test_crop_larger_than_image_rejected(self, monkeypatch):
+        # before: silently classified the whole 36x36 resized image
+        self._crops_error_equals_views_error(monkeypatch,
+                                             WindowRect(0, 0, 100, 100))
+
+    def test_crop_left_of_image_rejected(self, monkeypatch):
+        # before: an empty slice, then a GraphError naming no view
+        self._crops_error_equals_views_error(monkeypatch,
+                                             WindowRect(-4, 0, 30, 30))
+
     def test_network_input_rows_are_single_flip_inputs(self):
         inst, x = inference.network_input(self.spec, self.params, self.pixels,
                                           36, (False, True, True))

@@ -20,6 +20,19 @@ def assert_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def _with_special_values(rng, x):
+    """`x` with -0.0 among its zeros (signed-zero ties), scattered NaN and
+    -inf cells, and one plane each of all -inf and of mixed signed zeros."""
+    x = x.copy()
+    flat = x.reshape(-1)
+    flat[(flat == 0) & (rng.random(flat.size) < 0.5)] = -0.0
+    flat[rng.random(flat.size) < 0.03] = np.nan
+    flat[rng.random(flat.size) < 0.1] = -np.inf
+    x[-1, -1] = -np.inf
+    x[0, 0] = np.where(rng.random(x.shape[2:]) < 0.5, -0.0, 0.0)
+    return x
+
+
 class TestKernelsMatchOracles:
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_conv_forward_and_gradients(self, trial):
@@ -37,6 +50,7 @@ class TestKernelsMatchOracles:
 
         expected = oracle_conv_forward(x, wt, bias, spec)
         out, cache = tensor.conv_forward(x, wt, bias, spec)
+        assert out.flags.c_contiguous  # NCHW memory order, not channel-last
         assert_bits(out, expected)
 
         r = tied_relu(rng, out.shape, dtype) - 0.5
@@ -70,34 +84,50 @@ class TestKernelsMatchOracles:
         assert_bits(tensor.maxpool_backward(g, argmax, x.shape),
                     oracle_maxpool_backward(g, argmax, x.shape))
 
-    @pytest.mark.parametrize("trial", range(TRIALS))
+    @pytest.mark.parametrize("trial", range(TRIALS + 6))
     def test_maxpool_forward(self, trial):
         # by turns: overlapping 3/2 pad-1 windows, window = stride, and
-        # random (often non-square) windows with -inf padding
+        # random (often non-square) windows with -inf padding; odd trials
+        # add NaN, -inf and signed-zero cells, and the last six pool windows
+        # of over 255 cells, whose cell index does not fit in uint8
         rng = np.random.default_rng(1000 + trial)
         b, c = (int(rng.integers(1, 5)) for _ in range(2))
         h, w = (int(rng.integers(2, 16)) for _ in range(2))
         dtype = np.float64 if trial % 4 == 3 else np.float32
-        kind = trial % 3
+        kind = trial % 3 if trial < TRIALS else 3
         if kind == 0:
             window, stride, padding = (3, 3), (2, 2), (1, 1)
         elif kind == 1:
             window = tuple(int(rng.integers(1, min(h, w) + 1))
                            for _ in range(2))
             stride, padding = window, (0, 0)
-        else:
+        elif kind == 2:
             window = tuple(int(rng.integers(1, 5)) for _ in range(2))
             stride = tuple(int(rng.integers(1, 4)) for _ in range(2))
             padding = tuple(int(rng.integers(0, m)) for m in window)
             if any(wd > side + 2 * pd for wd, side, pd in
                    zip(window, (h, w), padding)):
                 window, stride, padding = (3, 2), (2, 1), (1, 1)
+        else:
+            window = (16 + trial % 2, 17)
+            stride = tuple(int(rng.integers(1, 4)) for _ in range(2))
+            padding = (trial % 3, trial % 2)
+            h, w = (int(rng.integers(m, m + 5)) for m in window)
         x = tied_relu(rng, (b, c, h, w), dtype)
+        if trial % 2:
+            x = _with_special_values(rng, x)
+        if kind == 3:
+            # the first window's last cell, past 255, holds its max
+            x[0, 0, window[0] - padding[0] - 1,
+              window[1] - padding[1] - 1] = 50.0
         out, argmax = tensor.maxpool_forward(x, window, stride, padding)
         expected_out, expected_argmax = oracle_maxpool_forward(
             x, window, stride, padding)
+        assert argmax.dtype == np.intp
         assert_bits(out, expected_out)
         assert_bits(argmax, expected_argmax)
+        if kind == 3:
+            assert out[0, 0, 0, 0] == 50.0
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_spp_backward_batch(self, trial):
@@ -142,6 +172,19 @@ class TestToyNetStep:
         for name, slot in inst.params.items():
             assert slot.grad.any(), name
             assert_bits(slot.grad, oracle.params[name].grad)
+
+    def test_conv_relu_masks_are_c_contiguous(self):
+        # backward multiplies each mask by an NCHW gradient: one memory order
+        spec, inst, x, labels = _toy_step(32, 1)
+        _, caches = net.forward_layers(spec.layers, x, inst.slots, True,
+                                       np.random.default_rng(0))
+        masks = [cache for prev, layer, cache in
+                 zip(spec.layers, spec.layers[1:], caches[1:])
+                 if isinstance(prev, net.Conv) and isinstance(layer, net.ReLU)]
+        assert len(masks) == 2
+        for mask in masks:
+            assert mask.dtype == bool and mask.ndim == 4
+            assert mask.flags.c_contiguous
 
 
 class TestStepDoesLess:
