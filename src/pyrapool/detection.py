@@ -125,8 +125,8 @@ class RegionFeatureExtractor:
                      windows) -> np.ndarray:
         """(len(windows), feature_length) features of one image's candidate
         windows, a WindowRect sequence or an (N,4) array, row i for
-        windows[i]; one `project_windows` call, one `pool_rects` call per
-        scale."""
+        windows[i]; one `project_windows` call, and one `pool_rects` call
+        over all the image's scale maps."""
         windows = window_array(windows)
         if len(windows) == 0:
             return np.empty((0, self.feature_length), np.float32)
@@ -135,12 +135,10 @@ class RegionFeatureExtractor:
                  for s, (featmap, size) in entry["maps"].items()}
         chosen, rects = project_windows(windows, entry["size"], grids,
                                         self.stride, self.view, image_id)
-        feats = np.empty((len(windows), self.feature_length), np.float32)
-        for s, (featmap, _) in entry["maps"].items():
-            rows = np.flatnonzero(chosen == s)
-            if len(rows):
-                feats[rows] = pool_rects(featmap, rects[rows], self.pyramid)
-        return feats
+        scales = np.array(list(grids))
+        maps = (chosen[:, None] == scales).argmax(axis=1)
+        return pool_rects([featmap for featmap, _ in entry["maps"].values()],
+                          np.column_stack([maps, rects]), self.pyramid)
 
     def extract(self, image_id: str, pixels: np.ndarray,
                 window: WindowRect) -> np.ndarray:

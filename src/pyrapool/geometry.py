@@ -16,9 +16,10 @@ snap afterwards, see inference).
 Layers with other paddings would need per-layer offsets; FeatureGeometry
 refuses them at construction instead.
 
-`map_window` projects one window, as the few views of an image need;
-`project_windows` picks a scale for each of many (N,4) windows and projects
-them all with the same operations, as region detection needs.
+`map_window` projects one window; `map_windows` is its array form, which
+both runtime paths use: `project_windows` picks a scale for each of many
+(N,4) windows and projects them all, as region detection needs, and
+`inference.project_views` projects all views of an image.
 
 Window overlap is `iou_matrix`, the package's one IoU: every detection
 decision (negative mining, NMS, mAP matching, bbox pairs, fine-tuning labels)
@@ -273,13 +274,20 @@ def project_windows(windows: np.ndarray, image_size, grids, stride: int,
     sy0 = np.maximum(0, np.minimum(sy0, rh - 1))
     sx1 = np.maximum(1, np.minimum(sx1, rw))
     sy1 = np.maximum(1, np.minimum(sy1, rh))
-    fx0 = np.minimum(np.maximum(sx0 // stride + 1, 0), map_w - 1)
-    fy0 = np.minimum(np.maximum(sy0 // stride + 1, 0), map_h - 1)
-    fx1 = np.minimum(np.maximum(-(-sx1 // stride) - 1, 0), map_w - 1)
-    fy1 = np.minimum(np.maximum(-(-sy1 // stride) - 1, 0), map_h - 1)
-    rects = np.stack([fx0, fy0, np.maximum(fx1, fx0), np.maximum(fy1, fy0)],
-                     axis=1)
-    return np.array(scales)[pick], rects
+    rects = map_windows(sx0, sy0, sx1, sy1, stride, map_h, map_w)
+    return np.array(scales)[pick], np.stack(rects, axis=1)
+
+
+def map_windows(x0, y0, x1, y1, stride: int, map_h, map_w):
+    """`map_window` of many windows, given as int64 coordinate arrays, onto
+    maps of (broadcast) `map_h` x `map_w` cells: the same boundary rules,
+    clamp and single-cell fallback, without the outside check, which the
+    callers make on the image. Returns the fx0, fy0, fx1, fy1 arrays."""
+    fx0 = np.minimum(np.maximum(x0 // stride + 1, 0), map_w - 1)
+    fy0 = np.minimum(np.maximum(y0 // stride + 1, 0), map_h - 1)
+    fx1 = np.minimum(np.maximum(-(-x1 // stride) - 1, 0), map_w - 1)
+    fy1 = np.minimum(np.maximum(-(-y1 // stride) - 1, 0), map_h - 1)
+    return fx0, fy0, np.maximum(fx1, fx0), np.maximum(fy1, fy0)
 
 
 def _round_half_up(x: float) -> int:

@@ -4,9 +4,10 @@ crop scheme, and multi-view testing pooled directly from feature maps.
 Views are (scale, window, flip) triples on the min-side-resized image; a
 view must lie inside the image at its scale. The feature-map path resizes
 the image once per scale and runs the conv trunk once per scale on a batch
-of the unflipped and mirrored inputs its views need. One `pool_rects` call
-pools every window of the scale from that stack of maps, and the fc head
-runs once per (scale, flip) group. Windows are projected with the boundary
+of the unflipped and mirrored inputs its views need. All views of the image
+are then projected as one int64 array (`project_views`), one `pool_rects`
+call pools every window from all the (scale, flip) maps, and the fc head
+runs once over all the pooled rows. Windows are projected with the boundary
 formulas; on any side where a view touches the resized-image border, the
 mapped rect is snapped to the map border so that a full-image view pools
 exactly the full map (the raw left-boundary formula would drop row/column
@@ -21,8 +22,7 @@ import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import (FeatureRect, WindowRect, map_window, resize_image,
-                       resized_dims)
+from .geometry import WindowRect, map_windows, resize_image, resized_dims
 from .net import NetworkSpec, ParameterStore, instantiate
 from .spp import pool_rects
 from .tensor import softmax
@@ -78,17 +78,25 @@ def multi_view_windows(image_size, scales=MULTI_VIEW_SCALES, view: int = 224):
     return views
 
 
-def view_to_feature_rect(window: WindowRect, resized_size, stride: int,
-                         map_size) -> FeatureRect:
-    """map_window plus border snapping for edge-flush view windows."""
-    rw, rh = resized_size
-    map_h, map_w = map_size
-    r = map_window(window, stride, map_size)
-    fx0 = 0 if window.x0 <= 0 else r.fx0
-    fy0 = 0 if window.y0 <= 0 else r.fy0
-    fx1 = map_w - 1 if window.x1 >= rw else r.fx1
-    fy1 = map_h - 1 if window.y1 >= rh else r.fy1
-    return FeatureRect(fx0, fy0, max(fx1, fx0), max(fy1, fy0))
+def project_views(windows: np.ndarray, flips: np.ndarray,
+                  sizes: np.ndarray, stride: int) -> np.ndarray:
+    """Feature rects of many views, each on its own map: `map_windows` plus
+    border snapping. `windows` is (N,4) int64 x0, y0, x1, y1 on the resized
+    image, inside it as `predict_views` checks, row i mirrored first when
+    flips[i], and `sizes` is (N,4) int64 rows rw, rh, map_h, map_w, the
+    resized image and map sizes. On a side where a window touches the
+    resized-image border, its rect is snapped to the map border; that only
+    widens a rect, so it stays non-empty. Returns (N,4) int64 rects in
+    `FeatureRect` field order."""
+    rw, rh, map_h, map_w = sizes.T
+    x0, y0, x1, y1 = windows.T
+    x0, x1 = np.where(flips, rw - x1, x0), np.where(flips, rw - x0, x1)
+    fx0, fy0, fx1, fy1 = map_windows(x0, y0, x1, y1, stride, map_h, map_w)
+    fx0 = np.where(x0 <= 0, 0, fx0)
+    fy0 = np.where(y0 <= 0, 0, fy0)
+    fx1 = np.where(x1 >= rw, map_w - 1, fx1)
+    fy1 = np.where(y1 >= rh, map_h - 1, fy1)
+    return np.stack([fx0, fy0, fx1, fy1], axis=1)
 
 
 def network_input(spec: NetworkSpec, params: ParameterStore,
@@ -122,15 +130,14 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
     """Average the softmax scores of all views, pooling each window from the
     feature map of its (scale, flip) group. Per scale, one resize and one
     trunk pass over the stacked unflipped and mirrored inputs it needs give
-    the group maps, and one `pool_rects` call pools all their windows; the
-    head runs once a group. Rows are summed group by group in order of first
-    appearance, each group's in view order, so the result does not depend
-    on how the groups share trunk passes."""
+    the group maps. All views are then projected as one array, pooled from
+    all the maps in one `pool_rects` call, and run through the head in one
+    call. Rows are summed group by group in order of first appearance, each
+    group's in view order, so the result does not depend on how the groups
+    share trunk passes or head calls."""
     if not views:
         raise ShapeError("view list is empty")
     _check_views_inside(pixels, views)
-    stride = spec.trunk_geometry().stride
-    pyramid = spec.pyramid()
     groups: dict[tuple, list] = {}
     for view in views:
         groups.setdefault((view.scale, view.flip), []).append(view)
@@ -138,29 +145,29 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
     for s, flip in groups:
         flips_of.setdefault(s, []).append(flip)
 
-    probs = {}
+    maps, index, sizes = [], {}, {}
     for s, flips in flips_of.items():
         inst, x = network_input(spec, params, pixels, s, flips)
-        rh, rw = inst.input_size
         featmaps = inst.conv_features(x)
-        rects = []
-        for b, flip in enumerate(flips):
-            for view in groups[s, flip]:
-                win = view.window.hflipped(rw) if flip else view.window
-                r = view_to_feature_rect(win, (rw, rh), stride,
-                                         featmaps.shape[2:])
-                rects.append((b, r.fx0, r.fy0, r.fx1, r.fy1))
-        pooled = pool_rects(featmaps, rects, pyramid)
-        start = 0
-        for flip in flips:
-            stop = start + len(groups[s, flip])
-            probs[s, flip] = softmax(inst.head_forward(pooled[start:stop]))
-            start = stop
+        for flip, featmap in zip(flips, featmaps):
+            index[s, flip] = len(maps)
+            maps.append(featmap)
+        rh, rw = inst.input_size
+        sizes[s] = (rw, rh, *featmaps.shape[2:])
+    # one row per view, group by group: map, flip, sizes, window
+    table = np.array([(index[s, flip], flip, *sizes[s], view.window.x0,
+                       view.window.y0, view.window.x1, view.window.y1)
+                      for (s, flip), members in groups.items()
+                      for view in members], dtype=np.int64)
+    rects = project_views(table[:, 6:], table[:, 1] != 0, table[:, 2:6],
+                          spec.trunk_geometry().stride)
+    pooled = pool_rects(maps, np.column_stack([table[:, 0], rects]),
+                        spec.pyramid())
     total = None
-    # row by row, in view order: the float64 sum is the per-view one
-    for key in groups:
-        for row in probs[key]:
-            total = row.astype(np.float64) if total is None else total + row
+    # any scale's instance runs the one shared head; row by row, in view
+    # order, the float64 sum is the per-view one
+    for row in softmax(inst.head_forward(pooled)):
+        total = row.astype(np.float64) if total is None else total + row
     return total / len(views)
 
 

@@ -17,11 +17,13 @@ Two bin geometries are provided:
   divides the map side and exists mainly for that agreement check.
 
 Two kernels pool the fractional bins. Evaluation is max-only: `pool_rects`
-pools any number of regions of a stack of same-size maps (a single map is
-the stack of one) from a range-max sparse table, four gathers per bin, in
-memory bounded by a few copies of the stack (see its docstring); multi-view
-testing pools a scale's unflipped and mirrored maps in one call, and
-`pool_maps` pools whole maps through it. `spp_forward_batch`
+pools any number of regions of a sequence of same-channel maps of any sizes
+(a (B,K,H,W) stack is B maps of one size, a single map the sequence of one)
+from a range-max sparse table, four gathers per bin, in memory bounded by a
+few copies of the maps laid out as one table (see its docstring). Multi-view
+testing pools all of an image's (scale, flip) maps in one call, region
+detection all of its scale maps, and `pool_maps` pools whole maps through
+it. `spp_forward_batch`
 (and `spp_forward`, its one-map form) also returns the per-bin argmax that
 `spp_backward_batch` routes gradients through; the argmax exists only for
 that backward pass, so only training calls it. Max is exact, so the two
@@ -34,6 +36,8 @@ channels. Downstream fully-connected weights depend on this order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -137,66 +141,94 @@ def spp_forward_batch(x: np.ndarray, pyr: PyramidSpec):
 _MIN_BLOCK_VALUES = 1 << 16
 
 
+@lru_cache(maxsize=16)
+def _bin_grid(levels: tuple[int, ...]) -> np.ndarray:
+    """(3, M) read-only rows n, j, i of every bin of a pyramid: its level's
+    grid size, bin row and bin column, in `spp_forward` order. Cached, as
+    every eval call pools with one of a few pyramids."""
+    grid = np.array([(n, j, i) for n in levels
+                     for j in range(n) for i in range(n)]).T
+    grid.flags.writeable = False
+    return grid
+
+
 def _rect_bins(rects: np.ndarray, pyr: PyramidSpec):
     """Half-open cell bounds r0, r1, c0, c1 of every bin of every
     (fx0, fy0, fx1, fy1) rect, each (N, M), ordered level-major then bins
     row-major like `spp_forward`."""
-    n, j, i = np.array([(n, j, i) for n in pyr.levels
-                        for j in range(n) for i in range(n)]).T
+    n, j, i = _bin_grid(pyr.levels)
     fx0, fy0, fx1, fy1 = rects.T[:, :, None]
     r0, r1 = _bounds(j, n, fy1 - fy0 + 1)
     c0, c1 = _bounds(i, n, fx1 - fx0 + 1)
     return fy0 + r0, fy0 + r1, fx0 + c0, fx0 + c1
 
 
-def pool_rects(featmaps: np.ndarray, rects, pyr: PyramidSpec) -> np.ndarray:
-    """Eval-only pyramid pooling of many regions of a stack of same-size maps.
+def pool_rects(featmaps, rects, pyr: PyramidSpec) -> np.ndarray:
+    """Eval-only pyramid pooling of many regions of many same-channel maps.
 
-    `featmaps` is a (B,K,H,W) stack and `rects` is (N,5) rows
-    (b, fx0, fy0, fx1, fy1): the index of the map a rect lies in, then its
-    inclusive cell bounds in `FeatureRect` field order. A single (K,H,W) map
-    is the stack of one, and its `rects` are (N,4) rows without the index.
-    Row i of the (N, K*M) result equals `spp_forward` of the crop rects[i]
-    bit for bit; no argmax is computed.
+    `featmaps` is a sequence of (K,H_b,W_b) maps of any sizes, and `rects`
+    is (N,5) rows (b, fx0, fy0, fx1, fy1): the index of the map a rect lies
+    in, then its inclusive cell bounds in `FeatureRect` field order, which
+    must lie inside map b. A (B,K,H,W) array is B maps of one size, and a
+    single (K,H,W) map is the sequence of one, with (N,4) `rects` rows
+    without the index. Row i of the (N, K*M) result equals `spp_forward` of
+    the crop rects[i] bit for bit; no argmax is computed.
 
     Range-max by sparse table (Bender & Farach-Colton 2000): a bin of
     2^a <= height < 2^(a+1) rows and 2^b <= width < 2^(b+1) columns is the
     max of four overlapping 2^a x 2^b window maxima. The table is walked one
     (a, b) level at a time, rows doubled in the outer loop and columns in the
     inner one, and only up to the levels some bin needs; each level's bins
-    are gathered before the next level replaces it. The stack enters the
-    table as one channel-last (B*H, W, K) map, map b's rows from b*H on: a
+    are gathered before the next level replaces it. The maps enter the table
+    as one channel-last (sum H_b, max W_b, K) map: map b's rows start at the
+    sum of the heights before it, and its columns past W_b hold -inf. A
     bin's windows never leave its own map, so on a level W' columns wide the
-    window max at (y, x) of map b is row (b*H + y)*W' + x of the table. Memory
-    beyond the result: three channel-last copies of the stack, two gathered
-    blocks of at most max(B*K*H*W, 65536) values, and 120 bytes of indices
-    per bin.
+    window max at (y, x) of map b is row (top_b + y)*W' + x of the table.
+    Memory beyond the result: three copies of that table (sum H_b x max W_b
+    x K values each), two gathered blocks of at most max(sum H_b x max W_b x
+    K, 65536) values, and 120 bytes of indices per bin.
     """
     rects = np.asarray(rects, dtype=np.int64)
-    if featmaps.ndim == 3:
+    if isinstance(featmaps, np.ndarray) and featmaps.ndim == 3:
         if rects.ndim != 2 or rects.shape[1] != 4:
             raise ShapeError(f"expected (N,4) rects, got shape {rects.shape}")
         featmaps = featmaps[None]
         rects = np.concatenate([np.zeros((len(rects), 1), np.int64), rects], 1)
-    elif featmaps.ndim != 4:
+    elif isinstance(featmaps, np.ndarray) and featmaps.ndim != 4:
         raise ShapeError(f"expected a (K,H,W) feature map or a (B,K,H,W) "
                          f"stack, got {featmaps.shape}")
     elif rects.ndim != 2 or rects.shape[1] != 5:
         raise ShapeError(f"expected (N,5) rects (b, fx0, fy0, fx1, fy1), "
                          f"got shape {rects.shape}")
-    nmaps, k, h, w = featmaps.shape
+    shapes = [np.shape(m) for m in featmaps]
+    if not shapes or any(len(shape) != 3 or shape[0] != shapes[0][0]
+                         for shape in shapes):
+        raise ShapeError(f"expected a non-empty sequence of (K,H,W) maps of "
+                         f"one channel count, got shapes {shapes}")
+    tops = list(accumulate((mh for _, mh, _ in shapes), initial=0))
+    table_h, table_w = tops.pop(), max(mw for _, _, mw in shapes)
     maps, fx0, fy0, fx1, fy1 = rects.T
-    bad = (maps < 0) | (maps >= nmaps)
+    bad = (maps < 0) | (maps >= len(shapes))
     if bad.any():
         raise ShapeError(f"rect {rects[bad.argmax()].tolist()} names map "
-                         f"{maps[bad.argmax()]} of a stack of {nmaps}")
+                         f"{maps[bad.argmax()]} of a stack of {len(shapes)}")
+    # per rect: its map's height, width and first table row
+    h, w, top = np.array([(mh, mw, start) for (_, mh, mw), start
+                          in zip(shapes, tops)], dtype=np.int64)[maps].T
     bad = ((fx0 < 0) | (fy0 < 0) | (fx1 >= w) | (fy1 >= h)
            | (fx1 < fx0) | (fy1 < fy0))
     if bad.any():
-        raise ShapeError(f"rect {rects[bad.argmax(), 1:].tolist()} is empty "
-                         f"or outside the {h}x{w} map")
+        i = bad.argmax()
+        raise ShapeError(f"rect {rects[i, 1:].tolist()} is empty or outside "
+                         f"the {h[i]}x{w[i]} map {maps[i]}")
+    k = shapes[0][0]
+    rows = np.empty((table_h, table_w, k), dtype=np.result_type(*featmaps))
+    for featmap, (_, mh, mw), start in zip(featmaps, shapes, tops):
+        rows[start:start + mh, :mw] = featmap.transpose(1, 2, 0)
+        if mw < table_w:
+            rows[start:start + mh, mw:] = -np.inf
     r0, r1, c0, c1 = _rect_bins(rects[:, 1:], pyr)
-    top = (maps * h)[:, None]  # map b's rows start at b*H in the table
+    top = top[:, None]
     r0, r1, c0, c1 = (e.reshape(-1) for e in (r0 + top, r1 + top, c0, c1))
     # floor(log2) of each bin's height and width
     a = np.frexp(r1 - r0)[1] - 1
@@ -205,17 +237,15 @@ def pool_rects(featmaps: np.ndarray, rects, pyr: PyramidSpec) -> np.ndarray:
     order = np.argsort(level, kind="stable")
     starts = np.flatnonzero(np.diff(level[order])) + 1
     groups = np.split(order, starts) if order.size else []
-    block = max(nmaps * h * w * k, _MIN_BLOCK_VALUES) // max(k, 1)
+    block = max(rows.size, _MIN_BLOCK_VALUES) // max(k, 1)
 
-    out = np.empty((len(r0), k), dtype=featmaps.dtype)
-    rows = np.ascontiguousarray(featmaps.transpose(0, 2, 3, 1)).reshape(
-        nmaps * h, w, k)
+    out = np.empty((len(r0), k), dtype=rows.dtype)
     row_level = 0
     cols, col_level = rows, 0
     for idx in groups:
         la, lb = int(a[idx[0]]), int(b[idx[0]])
         if la != row_level:
-            cols = None  # so doubling rows holds two stack copies, not three
+            cols = None  # so doubling rows holds two table copies, not three
             while row_level < la:
                 s = 1 << row_level
                 rows = np.maximum(rows[:-s], rows[s:])
@@ -264,7 +294,7 @@ def spp_backward_batch(grad_out: np.ndarray, argmax: np.ndarray, featmap_shape):
     if argmax.shape[0] != b:
         raise ShapeError(f"argmax map batch {argmax.shape[0]} != {b}")
     return scatter_to_argmax(grad_out, argmax, featmap_shape, 1,
-                             "grad length", f"{k}x{h}x{w}")
+                             "grad length", f"{k}x{h}x{w}", "stale map?")
 
 
 def spp_backward(grad_out: np.ndarray, argmax: np.ndarray, featmap_shape):

@@ -244,15 +244,16 @@ def maxpool_forward(x: np.ndarray, window, stride, padding=(0, 0)):
 
 
 def scatter_to_argmax(grad_out: np.ndarray, argmax: np.ndarray, shape,
-                      lead: int, grad_name: str, block_name: str):
+                      lead: int, grad_name: str, block_name: str, cause: str):
     """Adjoint of a max pool of an input of `shape`, whose first `lead` dims
-    number the blocks argmax indexes flat into; the names word the errors."""
+    number the blocks argmax indexes flat into; the names and the likely
+    `cause` of an index outside a block word the errors."""
     if grad_out.shape != argmax.shape:
         raise ShapeError(f"{grad_name} {grad_out.shape} does not match "
                          f"argmax map {argmax.shape}")
     size = math.prod(shape[lead:])
     if argmax.size and (argmax.min() < 0 or argmax.max() >= size):
-        raise ShapeError(f"argmax map indexes outside {block_name}; stale map?")
+        raise ShapeError(f"argmax map indexes outside {block_name}; {cause}")
     # bincount adds in element order, from 0.0, in float64
     base = np.arange(math.prod(shape[:lead])).reshape(
         *shape[:lead], *[1] * (argmax.ndim - lead)) * size
@@ -264,8 +265,10 @@ def scatter_to_argmax(grad_out: np.ndarray, argmax: np.ndarray, shape,
 def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_shape):
     """Route `grad_out` to the argmax cells; overlapping windows accumulate."""
     _, _, h, w = input_shape
-    return scatter_to_argmax(grad_out, argmax, input_shape, 2, "grad_out",
-                             f"a {h}x{w} plane")
+    return scatter_to_argmax(
+        grad_out, argmax, input_shape, 2, "grad_out", f"a {h}x{w} plane",
+        "stale map, or a window whose every cell is -inf, which takes a "
+        "padding cell?")
 
 
 def fc_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

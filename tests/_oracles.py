@@ -471,14 +471,29 @@ def oracle_run_detector(extractor, model, images, proposals,
 # ---------------------------------------------------------------------------
 # Multi-view testing as it was before the flip pair shared a trunk pass: one
 # resize, trunk pass, `pool_rects` call and head call per (scale, flip)
-# group. The batched path must give the same probabilities byte for byte.
+# group, each view projected on its own. The batched path must give the
+# same rects and probabilities byte for byte.
 # ---------------------------------------------------------------------------
 
+def view_to_feature_rect(window, resized_size, stride, map_size):
+    """The scalar view projection `inference.project_views` replaced:
+    `map_window` plus border snapping for edge-flush view windows."""
+    from pyrapool.geometry import FeatureRect, map_window
+    rw, rh = resized_size
+    map_h, map_w = map_size
+    r = map_window(window, stride, map_size)
+    fx0 = 0 if window.x0 <= 0 else r.fx0
+    fy0 = 0 if window.y0 <= 0 else r.fy0
+    fx1 = map_w - 1 if window.x1 >= rw else r.fx1
+    fy1 = map_h - 1 if window.y1 >= rh else r.fy1
+    return FeatureRect(fx0, fy0, max(fx1, fx0), max(fy1, fy0))
+
+
 def oracle_predict_views(spec, params, pixels, views):
-    """The parent's `predict_views`, calling today's `network_input` with a
-    one-flip sequence."""
+    """The `predict_views` of before the flip pair shared a trunk pass,
+    calling today's `network_input` with a one-flip sequence."""
     from pyrapool.errors import ShapeError
-    from pyrapool.inference import network_input, view_to_feature_rect
+    from pyrapool.inference import network_input
     from pyrapool.spp import pool_rects
     from pyrapool.tensor import softmax
     if not views:

@@ -878,6 +878,27 @@ class TestWindowArrays:
         empty = ex.extract_many("im0", self.images["im0"], np.empty((0, 4)))
         assert empty.shape == (0, ex.feature_length)
 
+    def test_extract_many_pools_once_per_image(self, monkeypatch):
+        # every scale's windows come from one `pool_rects` call over all the
+        # image's scale maps
+        calls = []
+
+        def counted(featmaps, rects, pyr):
+            calls.append([m.shape for m in featmaps])
+            return pool_rects(featmaps, rects, pyr)
+
+        pool_rects = det.pool_rects
+        monkeypatch.setattr(det, "pool_rects", counted)
+        rng = np.random.default_rng(75)
+        ex = self._extractor()
+        for image_id, pixels in self.images.items():
+            h, w = pixels.shape[1:]
+            calls.clear()
+            windows = _random_windows(rng, 60, w, h)
+            feats = ex.extract_many(image_id, pixels, windows)
+            assert len(feats) == len(windows)
+            assert len(calls) == 1 and len(calls[0]) == len(ex.scales)
+
     def test_half_pixel_scaled_corners_match_oracle(self):
         # min side 64: scale 32 halves every coordinate, so odd corners land
         # on k + 0.5 and round half to even

@@ -6,10 +6,10 @@ import pytest
 from pyrapool import inference, net
 from pyrapool import spp as spp_mod
 from pyrapool.errors import ShapeError
-from pyrapool.geometry import WindowRect
+from pyrapool.geometry import WindowRect, resized_dims
 from pyrapool.tensor import softmax
 
-from _oracles import oracle_predict_views
+from _oracles import oracle_predict_views, view_to_feature_rect
 
 
 class TestTenViews:
@@ -72,6 +72,29 @@ class TestPredictViews:
         direct = inst.predict_proba(x[None])[0]
         np.testing.assert_allclose(via_views, direct, atol=1e-7)
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_full_image_view_is_exactly_the_full_forward(self, flip):
+        # the border snapping makes a whole-image view pool exactly the whole
+        # map, at any scale and on either flip, so its probabilities are the
+        # plain forward pass's bit for bit
+        wide = np.random.default_rng(50).uniform(
+            0, 255, (1, 40, 57)).astype(np.float32)
+        softmax_layer = self.spec.layers[-1].name
+        for pixels in (self.pixels, wide):
+            for s in (24, 29, 36, 40, 47):
+                rw, rh = resized_dims(pixels.shape[2], pixels.shape[1], s)
+                full = inference.View(s, WindowRect(0, 0, rw, rh), flip)
+                got = inference.predict_views(
+                    self.spec, self.params, pixels, [full]).astype(np.float32)
+                inst, x = inference.network_input(self.spec, self.params,
+                                                  pixels, s, (flip,))
+                expect = inst.predict_proba(x)[0]
+                assert got.tobytes() == expect.tobytes(), (pixels.shape, s)
+                if not flip:
+                    rep = inference.full_image_representation(
+                        self.spec, self.params, pixels, s, layer=softmax_layer)
+                    assert got.tobytes() == rep.tobytes(), (pixels.shape, s)
+
     def test_duplicated_views_do_not_change_prediction(self):
         views = inference.ten_view_windows((40, 40), s=36, view=32)
         once = inference.predict_views(self.spec, self.params, self.pixels,
@@ -107,7 +130,7 @@ class TestPredictViews:
         assert np.isclose(p.sum(), 1.0, atol=1e-9)
 
 
-    def test_head_once_per_scale_flip_group(self, monkeypatch):
+    def test_head_once_per_call(self, monkeypatch):
         views = inference.multi_view_windows((40, 40), scales=(32, 36, 40),
                                              view=28)
         head_forward = net.NetworkInstance.head_forward
@@ -119,8 +142,7 @@ class TestPredictViews:
 
         monkeypatch.setattr(net.NetworkInstance, "head_forward", counted)
         inference.predict_views(self.spec, self.params, self.pixels, views)
-        assert len(batches) == 6  # (scale, flip) groups
-        assert sum(batches) == len(views)
+        assert batches == [len(views)]  # one head call, one row per view
 
     def test_batched_head_equals_per_view_sum(self):
         # oracle: one head call per view, summed in view order in float64
@@ -135,8 +157,8 @@ class TestPredictViews:
             rh, rw = inst.input_size
             featmap = inst.conv_features(x)[0]
             win = view.window.hflipped(rw) if view.flip else view.window
-            r = inference.view_to_feature_rect(win, (rw, rh), stride,
-                                               featmap.shape[1:])
+            r = view_to_feature_rect(win, (rw, rh), stride,
+                                     featmap.shape[1:])
             vec, _ = spp_mod.spp_forward(
                 featmap[:, r.fy0:r.fy1 + 1, r.fx0:r.fx1 + 1],
                 self.spec.pyramid())
@@ -207,6 +229,61 @@ class TestPredictViews:
         views = inference.ten_view_windows((40, 40), s=36, view=32)
         with pytest.raises(ShapeError, match="non-finite"):
             inference.predict_views(self.spec, self.params, pixels, views)
+
+
+class TestProjectViews:
+    """`project_views` against the scalar projection it replaced
+    (`_oracles.view_to_feature_rect`), byte for byte."""
+
+    @staticmethod
+    def oracle(windows, flips, sizes, stride):
+        rects = []
+        for (x0, y0, x1, y1), flip, (rw, rh, map_h, map_w) in zip(
+                windows.tolist(), flips, sizes.tolist()):
+            win = WindowRect(x0, y0, x1, y1)
+            win = win.hflipped(rw) if flip else win
+            r = view_to_feature_rect(win, (rw, rh), stride, (map_h, map_w))
+            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+        return np.array(rects, dtype=np.int64).reshape(-1, 4)
+
+    def test_equals_scalar_oracle(self):
+        rng = np.random.default_rng(49)
+        for trial in range(300):
+            stride = int(rng.choice([1, 2, 3, 4, 8, 16]))
+            n = 24
+            rw, rh = rng.integers(1, 90, (2, n))
+            # a padded trunk gives ceil(side/stride) cells for odd kernels
+            # and floor(side/stride) + 1 for even ones: map*stride >= side,
+            # often with cells past the image's right or bottom edge
+            odd = rng.random((2, n)) < 0.5
+            map_w = np.where(odd[0], -(-rw // stride), rw // stride + 1)
+            map_h = np.where(odd[1], -(-rh // stride), rh // stride + 1)
+            x0 = rng.integers(0, rw)
+            y0 = rng.integers(0, rh)
+            x1 = rng.integers(x0 + 1, rw + 1)
+            y1 = rng.integers(y0 + 1, rh + 1)
+            # flush with each edge, and whole-image views
+            edge = rng.integers(0, 6, n)
+            x0 = np.where((edge == 0) | (edge == 4), 0, x0)
+            y0 = np.where((edge == 1) | (edge == 4), 0, y0)
+            x1 = np.where((edge == 2) | (edge == 4), rw, x1)
+            y1 = np.where((edge == 3) | (edge == 4), rh, y1)
+            windows = np.stack([x0, y0, x1, y1], 1)
+            flips = rng.random(n) < 0.5
+            sizes = np.stack([rw, rh, map_h, map_w], 1)
+            got = inference.project_views(windows, flips, sizes, stride)
+            expect = self.oracle(windows, flips, sizes, stride)
+            assert got.dtype == np.int64
+            assert got.tobytes() == expect.tobytes(), trial
+
+    def test_whole_image_views_take_the_whole_map(self):
+        sizes = np.array([(36, 48, 9, 12), (37, 37, 10, 10), (5, 3, 1, 2)])
+        windows = np.array([(0, 0, rw, rh) for rw, rh, _, _ in sizes])
+        for flip in (False, True):
+            got = inference.project_views(windows, np.full(3, flip), sizes, 4)
+            expect = [(0, 0, map_w - 1, map_h - 1)
+                      for _, _, map_h, map_w in sizes]
+            np.testing.assert_array_equal(got, expect)
 
 
 class TestMatchesOracle:

@@ -287,6 +287,56 @@ class TestPoolRects:
                     expect = spp.pool_rects(stack[b], rects[rows, 1:], pyr)
                     np.testing.assert_array_equal(out[rows], expect)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maps_of_any_sizes_equal_per_map_calls(self, dtype):
+        # 1-5 maps of 1-12 cells a side with ties, rects in mixed map order:
+        # row i is the single-map pooling of its own map, bit for bit
+        rng = np.random.default_rng(1205)
+        for trial in range(150):
+            pyr = spp.PyramidSpec([(6, 3, 2, 1), (4, 2, 1), (1,)][trial % 3])
+            nmaps = int(rng.integers(1, 6))
+            sides = rng.integers(1, 13, (nmaps, 2))
+            maps = [tied_relu(rng, (3, h, w), dtype) for h, w in sides]
+            n = int(rng.integers(0, 30))
+            which = rng.integers(0, nmaps, n)
+            h, w = sides[which].T
+            x0, x1 = np.sort(rng.integers(0, w, (2, n)), axis=0)
+            y0, y1 = np.sort(rng.integers(0, h, (2, n)), axis=0)
+            rects = np.stack([which, x0, y0, x1, y1], 1).reshape(-1, 5)
+            out = spp.pool_rects(maps, rects, pyr)
+            assert out.dtype == dtype
+            assert out.shape == (n, 3 * pyr.num_bins)
+            for b, featmap in enumerate(maps):
+                rows = which == b
+                expect = spp.pool_rects(featmap, rects[rows, 1:], pyr)
+                assert out[rows].tobytes() == expect.tobytes(), (trial, b)
+
+    @pytest.mark.parametrize("rect", [
+        (0, 0, 0, 5, 1), (0, 0, 0, 1, 2), (1, 2, 0, 2, 3), (2, 0, 3, 0, 3)])
+    def test_rect_outside_its_own_map_rejected(self, rect):
+        # each rect lies inside the 6-wide or the 4-tall map, but not in the
+        # map it names: the error names the rect and that map's size
+        maps = [np.zeros((2, 2, 3), np.float32),
+                np.zeros((2, 4, 2), np.float32),
+                np.zeros((2, 1, 6), np.float32)]
+        b = rect[0]
+        _, h, w = maps[b].shape
+        with pytest.raises(ShapeError) as err:
+            spp.pool_rects(maps, [(1, 0, 0, 1, 3), rect], spp.PyramidSpec([1]))
+        assert str(list(rect[1:])) in str(err.value)
+        assert f"outside the {h}x{w} map {b}" in str(err.value)
+
+    def test_maps_of_any_sizes_no_rects(self):
+        maps = [np.zeros((2, 3, 3), np.float32), np.zeros((2, 5, 1), np.float32)]
+        out = spp.pool_rects(maps, np.zeros((0, 5), int), spp.PyramidSpec([2, 1]))
+        assert out.shape == (0, 10)
+        assert out.dtype == np.float32
+
+    def test_maps_must_share_channels(self):
+        maps = [np.zeros((2, 3, 3), np.float32), np.zeros((3, 3, 3), np.float32)]
+        with pytest.raises(ShapeError, match="one channel count"):
+            spp.pool_rects(maps, [(0, 0, 0, 1, 1)], spp.PyramidSpec([1]))
+
     @pytest.mark.parametrize("index", [-1, 2, 7])
     def test_bad_map_index_rejected(self, index):
         x = np.zeros((2, 2, 3, 5), np.float32)
@@ -301,23 +351,31 @@ class TestPoolRects:
                            spp.PyramidSpec([1]))
 
     def test_memory_stays_under_docstring_bound(self):
-        # zf5-sized conv5 map, then a stack of two, and a
-        # selective-search-sized proposal set
+        # zf5-sized conv5 map, then a stack of two, then three maps of
+        # unequal sizes, and a selective-search-sized proposal set
         import tracemalloc
         k, h, w, n = 256, 75, 100, 2000
         pyr = spp.PyramidSpec([6, 3, 2, 1])
-        for nmaps in (None, 2):
+        for nmaps in (None, 2, "ragged"):
             rng = np.random.default_rng(1203)
-            shape = (k, h, w) if nmaps is None else (nmaps, k, h, w)
-            featmap = np.maximum(rng.normal(size=shape), 0).astype(np.float32)
-            x0 = rng.integers(0, w, n)
-            y0 = rng.integers(0, h, n)
+            if nmaps == "ragged":
+                sides = [(h, w), (56, 75), (38, 50)]
+                featmap = [np.maximum(rng.normal(size=(k, *hw)), 0).astype(
+                    np.float32) for hw in sides]
+            else:
+                shape = (k, h, w) if nmaps is None else (nmaps, k, h, w)
+                featmap = np.maximum(rng.normal(size=shape), 0).astype(
+                    np.float32)
+                sides = [(h, w)] * (nmaps or 1)
+            which = rng.integers(0, len(sides), n)
+            mh, mw = np.array(sides)[which].T
+            x0 = rng.integers(0, mw)
+            y0 = rng.integers(0, mh)
             rects = np.stack(
-                [x0, y0, np.minimum(w - 1, x0 + rng.integers(0, 60, n)),
-                 np.minimum(h - 1, y0 + rng.integers(0, 45, n))], 1)
+                [x0, y0, np.minimum(mw - 1, x0 + rng.integers(0, 60, n)),
+                 np.minimum(mh - 1, y0 + rng.integers(0, 45, n))], 1)
             if nmaps is not None:
-                rects = np.concatenate(
-                    [rng.integers(0, nmaps, (n, 1)), rects], 1)
+                rects = np.concatenate([which[:, None], rects], 1)
             tracemalloc.start()
             try:
                 out = spp.pool_rects(featmap, rects, pyr)
@@ -325,9 +383,10 @@ class TestPoolRects:
             finally:
                 tracemalloc.stop()
             bins = n * pyr.num_bins
-            bound = (out.nbytes + 3 * featmap.nbytes
-                     + 2 * max(featmap.size, 1 << 16) * featmap.itemsize
-                     + 120 * bins)
+            # the table: sum of heights x widest width x K values
+            table = sum(hh for hh, _ in sides) * max(ww for _, ww in sides) * k
+            bound = (out.nbytes + 3 * table * 4
+                     + 2 * max(table, 1 << 16) * 4 + 120 * bins)
             assert peak < bound, (f"{nmaps} maps: peak {peak / 1e6:.1f} MB "
                                   f">= {bound / 1e6:.1f} MB")
 

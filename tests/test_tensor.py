@@ -215,6 +215,18 @@ class TestMaxPool:
             tensor.maxpool_backward(np.ones((1, 1, 2, 2)), argmax + 20,
                                     (1, 1, 2, 2))
 
+    def test_all_minus_inf_window_error_names_the_padding_cell(self):
+        # a padded window whose every cell is -inf takes a padding cell, so
+        # its argmax indexes outside the plane; the error says so
+        x = np.full((1, 1, 4, 4), -np.inf, np.float32)
+        y, argmax = tensor.maxpool_forward(x, (3, 3), (2, 2), (1, 1))
+        with pytest.raises(ShapeError) as err:
+            tensor.maxpool_backward(np.ones_like(y), argmax, x.shape)
+        message = str(err.value)
+        assert "outside a 4x4 plane" in message
+        assert "stale map" in message
+        assert "every cell is -inf" in message and "padding cell" in message
+
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_finite_differences(self, trial):
         # overlapping windows included: stride may be below the window size
