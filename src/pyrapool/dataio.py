@@ -116,8 +116,14 @@ def encode_netpbm(image: Image) -> bytes:
 
 
 def load_image(path) -> Image:
+    """Decode the NetPBM file `path`; a malformed file raises ShapeError
+    naming the path."""
     with open(path, "rb") as f:
-        return decode_netpbm(f.read())
+        data = f.read()
+    try:
+        return decode_netpbm(data)
+    except ShapeError as e:
+        raise ShapeError(f"{path}: {e}") from None
 
 
 def save_image(path, image: Image):

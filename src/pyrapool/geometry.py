@@ -312,8 +312,15 @@ def resize_image(img: np.ndarray, s: int) -> np.ndarray:
 
 
 def resize_to(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Bilinear resample to an explicit (new_h, new_w), half-pixel centers
-    (a no-op when the size is unchanged)."""
+    """Bilinear resample of a (C,H,W) array to an explicit (new_h, new_w),
+    half-pixel centers (a copy when the size is unchanged). Axis 0 is only
+    carried along, so a stack of same-sized images, reshaped to
+    (N*C,H,W), resizes in one call.
+
+    Separable, in float64: a column pass blends each source row's two
+    neighbouring columns, then a row pass blends two of those rows. Each
+    output element gets the same float64 operations, in the same order, as
+    blending the four source corners row pair by row pair."""
     c, h, w = img.shape
     if (new_h, new_w) == (h, w):
         return img.copy()
@@ -326,9 +333,8 @@ def resize_to(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
     img64 = img.astype(np.float64, copy=False)
-    top = img64[:, y0][:, :, x0] * (1 - wx) + img64[:, y0][:, :, x1] * wx
-    bot = img64[:, y1][:, :, x0] * (1 - wx) + img64[:, y1][:, :, x1] * wx
-    out = top * (1 - wy) + bot * wy
+    rows = img64[:, :, x0] * (1 - wx) + img64[:, :, x1] * wx
+    out = rows[:, y0] * (1 - wy) + rows[:, y1] * wy
     return out.astype(img.dtype, copy=False)
 
 

@@ -163,12 +163,10 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
                           spec.trunk_geometry().stride)
     pooled = pool_rects(maps, np.column_stack([table[:, 0], rects]),
                         spec.pyramid())
-    total = None
-    # any scale's instance runs the one shared head; row by row, in view
-    # order, the float64 sum is the per-view one
-    for row in softmax(inst.head_forward(pooled)):
-        total = row.astype(np.float64) if total is None else total + row
-    return total / len(views)
+    # any scale's instance runs the one shared head; accumulate adds the
+    # float64 rows one after another, in view order, as the per-view sum does
+    probs = softmax(inst.head_forward(pooled)).astype(np.float64)
+    return np.add.accumulate(probs)[-1] / len(views)
 
 
 def predict_crops(spec: NetworkSpec, params: ParameterStore,

@@ -450,7 +450,7 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
     Softmax passes its input through: training couples it with the loss.
     Caches for `backward_layers` are kept in train mode only (a conv layer
     keeps its float64 patch matrix, not its input); in eval mode the list is
-    empty, and max pooling and the pyramid compute no argmax.
+    empty, max pooling and the pyramid compute no argmax, and ReLU no mask.
     """
     caches = []
     for layer in layers:
@@ -479,7 +479,10 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
             out = tensor.fc_forward(flat, wslot.value, bslot.value)
             cache = (flat, x.shape)
         elif isinstance(layer, ReLU):
-            out, cache = tensor.relu_forward(x)
+            if train_mode:
+                out, cache = tensor.relu_forward(x)
+            else:
+                out = np.maximum(x, 0)
         elif isinstance(layer, Dropout):
             out, cache = tensor.dropout(x, layer.rate, train_mode, rng)
         elif isinstance(layer, Softmax):
@@ -661,7 +664,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = struct.unpack("<H", take(2, "name length"))[0]
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(
+                f"checkpoint {path} has a slot name that is not UTF-8 at "
+                f"byte {off - name_len + e.start}") from None
         ndim = struct.unpack("<B", take(1, "ndim"))[0]
         shape = tuple(struct.unpack("<I", take(4, "dim"))[0]
                       for _ in range(ndim))

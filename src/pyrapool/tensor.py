@@ -6,12 +6,15 @@ Values are stored in 32-bit floats during training; every reduction (matmul,
 sum) accumulates in 64-bit and casts back, so gradient checks run to tight
 tolerances when fed float64 inputs.
 
-Convolution is an im2col matmul. The patch matrix is built once per call,
-directly in float64; `conv_forward` returns it in a `ConvCache` beside its
-output, training hands that to `conv_backward` so the weight gradient reuses
-it, and the input gradient is computed only when a caller asks for it. Its
-output is C-contiguous (B,O,OH,OW), so the ReLU mask and the gradients that
-meet it in backward share one memory order.
+Convolution is an im2col matmul. The patch matrix is built once per call:
+the input is zero-padded in its own dtype, and one strided copy, which casts
+to float64 as it goes, fills a C-ordered (B,OH,OW,C,K,K) array from an
+`as_strided` window view of it; rows are output positions and columns
+(channel, ky, kx) taps. `conv_forward` returns the matrix in a `ConvCache`
+beside its output, training hands that to `conv_backward` so the weight
+gradient reuses it, and the input gradient is computed only when a caller
+asks for it. Its output is C-contiguous (B,O,OH,OW), so the ReLU mask and
+the gradients that meet it in backward share one memory order.
 
 Max ties are broken by the first index in row-major scan order, which makes
 backward routing deterministic. `maxpool_forward` finds that index by
@@ -29,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -88,13 +91,17 @@ def _padded(x: np.ndarray, padding, fill: float) -> np.ndarray:
 
 def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """(B,C,H,W) -> float64 (B*OH*OW, C*K*K) patch matrix of the zero-padded
-    input, written in one pass from the sliding-window view."""
+    input: one strided copy, cast to float64 on the way, from a
+    (B,OH,OW,C,K,K) window view of the padded input."""
     p, k, s = spec.padding, spec.kernel, spec.stride
+    b, c, h, w = x.shape
+    oh, ow = spec.out_size(h), spec.out_size(w)
     xp = _padded(x, (p, p), 0.0)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    b, c, oh, ow = win.shape[:4]
+    sb, sc, sy, sx = xp.strides
+    win = as_strided(xp, (b, oh, ow, c, k, k),
+                     (sb, sy * s, sx * s, sc, sy, sx), writeable=False)
     cols = np.empty((b, oh, ow, c, k, k), dtype=np.float64)
-    cols[...] = win.transpose(0, 2, 3, 1, 4, 5)
+    cols[...] = win
     return cols.reshape(b * oh * ow, c * k * k)
 
 

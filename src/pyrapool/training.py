@@ -8,17 +8,20 @@ consecutive epochs. Training batches are mirrored with probability 1/2.
 
 Each image is resized once per size. Within one `train` call, an epoch at
 size s reads its batches from an (N, C, s, s) float32 stack of
-`preprocess(resize_square(pixels, s))` over the training set, and a batch is
-a gather of its rows with the chosen ones mirrored (mirroring commutes with
-the elementwise `preprocess`). A stack is kept while its size is one of the
-last STACKS_KEPT sizes used, which covers `alternate`'s period; the eval set
-gets one stack at the eval size, built once. They take at most
+`preprocess(resize_square(pixels, s))` over the training set, built with one
+resize call per source shape (per RESIZE_BLOCK source values, which bounds
+the resize's float64 intermediates), and a batch is a gather of its rows
+with the chosen ones mirrored (mirroring commutes with the elementwise
+`preprocess`). A stack is kept while its size is one of the last
+STACKS_KEPT sizes used, which covers `alternate`'s period; the eval set gets
+one stack at the eval size, built once. They take at most
 2·N·C·s_max²·4 bytes for training plus N_eval·C·e²·4 bytes for eval, and
 are dropped when `train` returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,7 @@ PLATEAU_PATIENCE = 3           # stale epochs before a decay
 PLATEAU_MIN_IMPROVE = 0.002    # 0.2 accuracy points
 MAX_DECAYS = 2
 STACKS_KEPT = 2                # training input stacks kept, newest sizes
+RESIZE_BLOCK = 1 << 18         # source values resized per call, per shape
 
 
 @dataclass
@@ -147,11 +151,21 @@ def _checked_labels(spec: NetworkSpec, dataset, name: str) -> np.ndarray:
 
 def _square_inputs(dataset, size: int) -> np.ndarray:
     """(N, C, size, size) float32 network inputs of the samples, unmirrored:
-    row i is preprocess(resize_square(pixels_i, size))."""
-    xs = np.empty((len(dataset), dataset[0][0].shape[0], size, size),
-                  dtype=np.float32)
+    row i is preprocess(resize_square(pixels_i, size)). Samples of one
+    shape and dtype are resized together, in (n*C, H, W) stacks of at most
+    RESIZE_BLOCK source values, or of one sample when it is larger."""
+    c = dataset[0][0].shape[0]
+    xs = np.empty((len(dataset), c, size, size), dtype=np.float32)
+    groups: dict[tuple, list] = {}
     for row, (pixels, _) in enumerate(dataset):
-        xs[row] = dataio.preprocess(resize_square(pixels, size))
+        groups.setdefault((pixels.shape, pixels.dtype), []).append(row)
+    for (shape, _), rows in groups.items():
+        step = max(1, RESIZE_BLOCK // math.prod(shape))
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            stack = np.concatenate([dataset[row][0] for row in block])
+            xs[block] = dataio.preprocess(resize_square(stack, size)).reshape(
+                len(block), c, size, size)
     return xs
 
 

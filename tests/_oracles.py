@@ -79,6 +79,30 @@ def brute_force_iou(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Bilinear resizing as it was before it became separable: each output row
+# pair gathers its two source rows, then their columns, once per row.
+# ---------------------------------------------------------------------------
+
+def oracle_resize_to(img, new_h, new_w):
+    c, h, w = img.shape
+    if (new_h, new_w) == (h, w):
+        return img.copy()
+    ys = (np.arange(new_h) + 0.5) * (h / new_h) - 0.5
+    xs = (np.arange(new_w) + 0.5) * (w / new_w) - 0.5
+    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
+    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[None, :, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, None, :]
+    img64 = img.astype(np.float64, copy=False)
+    top = img64[:, y0][:, :, x0] * (1 - wx) + img64[:, y0][:, :, x1] * wx
+    bot = img64[:, y1][:, :, x0] * (1 - wx) + img64[:, y1][:, :, x1] * wx
+    out = top * (1 - wy) + bot * wy
+    return out.astype(img.dtype, copy=False)
+
+
+# ---------------------------------------------------------------------------
 # The training kernels as they were before the patch matrix was cached and
 # the scatters became bincounts: a float32 im2col converted to float64 in
 # both passes, an input gradient for every layer, and `np.add.at` scatters.

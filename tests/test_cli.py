@@ -438,6 +438,33 @@ class TestExitCodes:
                        "--test-manifest", str(root / "cls" / "test.txt")])
         assert rc == cli.EXIT_BAD_CHECKPOINT
 
+    def test_slot_name_not_utf8(self, corpus, checkpoint, tmp_path, capsys):
+        # the first slot's name starts at byte 15: magic, version, count
+        # and the name's length come first
+        data = bytearray(Path(checkpoint).read_bytes())
+        data[15] = 0xFF
+        bad = tmp_path / "bad_name.ckpt"
+        bad.write_bytes(bytes(data))
+        rc = cli.main(["eval", "--checkpoint", str(bad),
+                       "--test-manifest", str(corpus[0] / "cls" / "test.txt")])
+        assert rc == cli.EXIT_BAD_CHECKPOINT
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8 at byte 15" in err
+
+    def test_truncated_image_named(self, corpus, checkpoint, tmp_path,
+                                   capsys):
+        root, _ = corpus
+        paths = [p for p, _ in dataio.load_manifest(root / "cls" / "test.txt")]
+        cut = tmp_path / "cut.pgm"
+        cut.write_bytes(Path(paths[1]).read_bytes()[:-10])
+        manifest = tmp_path / "test.txt"
+        manifest.write_text(f"{paths[0]},0\n{cut},1\n")
+        rc = cli.main(["eval", "--checkpoint", str(checkpoint),
+                       "--test-manifest", str(manifest)])
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{cut}: truncated NetPBM payload" in err
+
     def test_spec_mismatch(self, corpus, checkpoint):
         root, _ = corpus
         rc = cli.main(["eval", "--checkpoint", str(checkpoint),

@@ -6,7 +6,7 @@ import pytest
 
 from pyrapool import geometry as geo
 from pyrapool.errors import GraphError, ShapeError
-from _oracles import reference_iou
+from _oracles import oracle_resize_to, reference_iou
 
 W = geo.WindowRect
 
@@ -183,6 +183,41 @@ class TestResize:
         out = geo.resize_to(img, 1, 4)
         assert out[0, 0, 0] <= out[0, 0, 1] <= out[0, 0, 2] <= out[0, 0, 3]
         np.testing.assert_allclose(out[0, 0].mean(), 1.0, atol=0.26)
+
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_matches_two_gather_oracle(self, trial):
+        # up- and down-scaling, one side of each, same size, and sides of
+        # 1 to 60 pixels resized to 1 to 130, byte for byte
+        rng = np.random.default_rng(900 + trial)
+        c = (1, 3)[trial % 2]
+        dtype = (np.float32, np.float64, np.uint8)[trial % 3]
+        for _ in range(50):
+            h, w = (int(v) for v in rng.integers(1, 61, 2))
+            kind = int(rng.integers(4))
+            if kind == 0:
+                new_h, new_w = h, w
+            elif kind == 1:
+                new_h, new_w = (int(rng.integers(1, m + 1)) for m in (h, w))
+            elif kind == 2:
+                new_h, new_w = (int(rng.integers(m, 131)) for m in (h, w))
+            else:
+                new_h, new_w = (int(v) for v in rng.integers(1, 131, 2))
+            img = rng.uniform(0, 255, (c, h, w)).astype(dtype)
+            got = geo.resize_to(img, new_h, new_w)
+            expect = oracle_resize_to(img, new_h, new_w)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes(), (h, w, new_h, new_w)
+
+    def test_stacked_images_resize_as_one(self):
+        # axis 0 is carried along: a (N*C,H,W) stack resizes to the stack
+        # of each image's resize
+        rng = np.random.default_rng(940)
+        imgs = rng.uniform(0, 255, (5, 3, 17, 23)).astype(np.float32)
+        got = geo.resize_to(imgs.reshape(15, 17, 23), 32, 40)
+        for i, img in enumerate(imgs):
+            assert (got[3 * i:3 * i + 3].tobytes()
+                    == geo.resize_to(img, 32, 40).tobytes())
 
 
 def _related_windows(rng, n):

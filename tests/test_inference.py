@@ -230,6 +230,32 @@ class TestPredictViews:
         with pytest.raises(ShapeError, match="non-finite"):
             inference.predict_views(self.spec, self.params, pixels, views)
 
+    def test_sum_is_the_per_row_float64_loop(self, monkeypatch):
+        # a large head gain spreads one class's probabilities over many
+        # decades, so the sum depends on the order the rows are added in
+        params = net.ParameterStore(seed=43, sigma=0.05)
+        net.instantiate(self.spec, (32, 32), params)
+        params["fc2.weight"].value *= 3000
+        views = inference.multi_view_windows((40, 40), scales=(32, 36, 40),
+                                             view=20)
+        head_forward = net.NetworkInstance.head_forward
+        logits = []
+
+        def kept(inst, pooled):
+            logits.append(head_forward(inst, pooled))
+            return logits[-1]
+
+        monkeypatch.setattr(net.NetworkInstance, "head_forward", kept)
+        got = inference.predict_views(self.spec, params, self.pixels, views)
+        total = np.zeros(logits[0].shape[1])
+        for row in softmax(logits[0]):
+            total = total + row.astype(np.float64)
+        assert got.tobytes() == (total / len(views)).tobytes()
+        backward = np.zeros_like(total)
+        for row in softmax(logits[0])[::-1]:
+            backward = backward + row.astype(np.float64)
+        assert got.tobytes() != (backward / len(views)).tobytes()
+
 
 class TestProjectViews:
     """`project_views` against the scalar projection it replaced

@@ -1,12 +1,13 @@
 """Optimizer, size schedules, the training loop, and fc-only fine-tuning."""
 
 import dataclasses
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from pyrapool import detection, inference, net, training
+from pyrapool import dataio, detection, inference, net, training
 from pyrapool.errors import ShapeError, TrainingDivergedError
 from pyrapool.geometry import WindowRect
 from _oracles import oracle_train
@@ -172,15 +173,18 @@ class TestInputStacks:
         assert np.isnan(reports[-1].accuracy) != with_eval
 
     def test_one_resize_per_image_and_size(self, monkeypatch):
+        # images of one shape share a resize call; each image's rows reach
+        # resize_square once per size
         rng = np.random.default_rng(81)
         data = toy_data(rng, n=20)
         eval_set = toy_data(rng, n=7)
-        calls = {}
+        rows = {}
         resize = training.resize_square
 
         def counting(pixels, s):
-            key = (id(pixels), s)
-            calls[key] = calls.get(key, 0) + 1
+            for plane in pixels:  # one channel: a row is an image
+                key = (plane.tobytes(), s)
+                rows[key] = rows.get(key, 0) + 1
             return resize(pixels, s)
 
         monkeypatch.setattr(training, "resize_square", counting)
@@ -189,10 +193,47 @@ class TestInputStacks:
                                    eval_size=28, seed=2)
         training.train(net.toy_shape_net(n_classes=4), data, cfg,
                        eval_set=eval_set)
-        expected = ({(id(px), s) for px, _ in data for s in (32, 24)}
-                    | {(id(px), 28) for px, _ in eval_set})
-        assert set(calls) == expected
-        assert set(calls.values()) == {1}
+        expected = ({(px.tobytes(), s) for px, _ in data for s in (32, 24)}
+                    | {(px.tobytes(), 28) for px, _ in eval_set})
+        assert set(rows) == expected
+        assert set(rows.values()) == {1}
+
+    @pytest.mark.parametrize("block", [1, 3000, 1 << 18])
+    def test_stack_equals_per_image_resize(self, monkeypatch, block):
+        # mixed shapes and dtypes, resized in blocks of at most `block`
+        # source values: row i is still preprocess(resize_square(pixels_i))
+        rng = np.random.default_rng(83)
+        shapes = [(3, 17, 23), (3, 30, 30), (3, 9, 40)]
+        dtypes = [np.float32, np.float64, np.uint8]
+        data = [(rng.uniform(0, 255, shapes[i % 3])
+                 .astype(dtypes[i // 3 % 3]), 0)
+                for i in range(int(rng.integers(30, 40)))]
+        rng.shuffle(data)
+        calls = []
+        resize = training.resize_square
+
+        def counting(pixels, s):
+            calls.append(pixels.size)
+            return resize(pixels, s)
+
+        monkeypatch.setattr(training, "RESIZE_BLOCK", block)
+        monkeypatch.setattr(training, "resize_square", counting)
+        for s in (12, 32):
+            calls.clear()
+            xs = training._square_inputs(data, s)
+            assert xs.shape == (len(data), 3, s, s)
+            for row, (px, _) in enumerate(data):
+                expect = dataio.preprocess(resize(px, s))
+                assert xs[row].tobytes() == expect.tobytes()
+            # a call holds one image, or whole images within the block
+            sizes = {px.size for px, _ in data}
+            assert all(n in sizes or n <= block for n in calls)
+            groups = {}
+            for px, _ in data:
+                key = (px.shape, px.dtype)
+                groups[key] = groups.get(key, 0) + 1
+            assert len(calls) == sum(-(-n // max(1, block // math.prod(k[0])))
+                                     for k, n in groups.items())
 
     def test_random_schedule_keeps_two_training_stacks(self, monkeypatch):
         rng = np.random.default_rng(82)

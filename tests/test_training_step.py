@@ -34,17 +34,31 @@ def _with_special_values(rng, x):
 
 
 class TestKernelsMatchOracles:
-    @pytest.mark.parametrize("trial", range(TRIALS))
+    @pytest.mark.parametrize("trial", range(TRIALS + 16))
     def test_conv_forward_and_gradients(self, trial):
+        # small random shapes, then 16 trials at the workloads' shapes: up
+        # to 16 channels in and out, sides up to 60, kernels 3, 5 and 7 at
+        # strides 1 and 2, some on a row-reversed view
         rng = np.random.default_rng(700 + trial)
         dtype = np.float64 if trial % 4 == 3 else np.float32
-        b, c = (int(rng.integers(1, 5)) for _ in range(2))
-        h, w = (int(rng.integers(1, 14)) for _ in range(2))
-        p = int(rng.integers(0, 3))
-        k = int(rng.integers(1, min(h, w) + 2 * p + 1))
-        s = int(rng.integers(1, 4))
-        spec = tensor.ConvSpec(int(rng.integers(1, 6)), k, s, p)
+        if trial < TRIALS:
+            b, c = (int(rng.integers(1, 5)) for _ in range(2))
+            h, w = (int(rng.integers(1, 14)) for _ in range(2))
+            p = int(rng.integers(0, 3))
+            k = int(rng.integers(1, min(h, w) + 2 * p + 1))
+            s = int(rng.integers(1, 4))
+            o = int(rng.integers(1, 6))
+        else:
+            b = int(rng.integers(1, 3))
+            c, o = (int(rng.integers(1, 17)) for _ in range(2))
+            k = (3, 5, 7)[trial % 3]
+            s = 1 + trial % 2
+            p = int(rng.integers(0, k // 2 + 1))
+            h, w = (int(rng.integers(k, 61)) for _ in range(2))
+        spec = tensor.ConvSpec(o, k, s, p)
         x = tied_relu(rng, (b, c, h, w), dtype)
+        if trial >= TRIALS and trial % 4 == 1:
+            x = x[:, :, ::-1]  # the window view follows any strides
         wt = rng.normal(size=(spec.out_channels, c, k, k)).astype(dtype)
         bias = rng.normal(size=spec.out_channels).astype(dtype)
 
