@@ -162,6 +162,16 @@ def load_store(args, spec: net.NetworkSpec) -> net.ParameterStore:
     return store
 
 
+def _load_pixels(path, spec: net.NetworkSpec) -> np.ndarray:
+    """The (c, h, w) pixels of the image at `path`; a channel count that is
+    not the network's raises ShapeError starting with the path."""
+    pixels = dataio.load_image(path).pixels
+    if pixels.shape[0] != spec.in_channels:
+        raise ShapeError(f"{path}: image has {pixels.shape[0]} channel(s), "
+                         f"the network expects {spec.in_channels}")
+    return pixels
+
+
 def _existing(path, what):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{what} {path} does not exist")
@@ -208,7 +218,7 @@ def cmd_eval(args) -> int:
     mode, scale, view = args.mode, args.scale, args.view
     correct = 0
     for path, label in dataset:
-        pixels = dataio.load_image(path).pixels
+        pixels = _load_pixels(path, spec)
         if mode == "single":
             vec = inference.full_image_representation(
                 spec, params, pixels, scale, layer=spec.layers[-1].name)
@@ -249,7 +259,7 @@ def cmd_extract(args) -> int:
     lines = []
     base = os.path.dirname(os.path.abspath(manifest))
     for path, _ in entries:
-        pixels = dataio.load_image(path).pixels
+        pixels = _load_pixels(path, spec)
         vec = inference.full_image_representation(
             spec, params, pixels, args.scale, layer=args.layer, l2=args.l2)
         rel = os.path.relpath(path, base)
@@ -259,10 +269,9 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_images(manifest_path):
+def _load_images(manifest_path, spec: net.NetworkSpec):
     by_id = dataio.load_detection_manifest(manifest_path)
-    return {image_id: dataio.load_image(p).pixels
-            for image_id, p in by_id.items()}
+    return {image_id: _load_pixels(p, spec) for image_id, p in by_id.items()}
 
 
 def cmd_detect(args) -> int:
@@ -270,12 +279,12 @@ def cmd_detect(args) -> int:
     params = load_store(args, spec)
     scales, pyramid, view = args.scales, args.pyramid, args.view_size
     train_images = _load_images(
-        _existing(args.train_images, "--train-images"))
+        _existing(args.train_images, "--train-images"), spec)
     train_props = detection.read_proposals(
         _existing(args.train_proposals, "--train-proposals"))
     train_gt = detection.read_ground_truth(
         _existing(args.train_gt, "--train-gt"))
-    images = _load_images(_existing(args.images, "--images"))
+    images = _load_images(_existing(args.images, "--images"), spec)
     proposals = detection.read_proposals(
         _existing(args.proposals, "--proposals"))
     gt = (detection.read_ground_truth(_existing(args.gt, "--gt"))

@@ -1,5 +1,5 @@
 """Single-pass detection: region features pooled from cached multi-scale
-feature maps, per-class linear SVMs with one round of hard-negative mining,
+feature maps, per-class linear SVMs fit once on every mined negative,
 greedy NMS, bounding-box regression, model combination, mAP scoring, and the
 shared-vs-per-window timing benchmark.
 
@@ -25,8 +25,7 @@ keep each one that overlaps no kept window by more than a threshold; NMS
 walks by descending score at `NMS_THRESHOLD`, negative de-duplication in
 input order at `NEG_DEDUP_IOU`. Best match: a window's match is the box of
 highest IoU, the last one on a tie (`_last_best`) for mAP matching at
-`MAP_MATCH_IOU` and bbox pairs at `BBOX_MIN_IOU`, the first one for
-fine-tuning labels, banded by the `FINETUNE_*` constants.
+`MAP_MATCH_IOU` and bbox pairs at `BBOX_MIN_IOU`.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ DETECTION_PYRAMID = (6, 3, 2, 1)
 NMS_THRESHOLD = 0.3     # NMS drops a window overlapping a kept one by more
 NEG_MAX_IOU = 0.3       # SVM negatives overlap every positive by at most this
 NEG_DEDUP_IOU = 0.7     # and no kept negative by more than this
-FINETUNE_POS_MIN = 0.5  # fine-tuning labels: [0.5, 1] is the box's class,
-FINETUNE_NEG_MIN = 0.1  # [0.1, 0.5) background, the rest discarded
-FINETUNE_NEG_MAX = 0.5
 MAP_MATCH_IOU = 0.5     # a detection matches a ground-truth box from here up
 BBOX_MIN_IOU = 0.5      # a proposal regresses onto a box from here up
 
@@ -147,7 +143,7 @@ class RegionFeatureExtractor:
 
 
 # ---------------------------------------------------------------------------
-# SVM training with hard-negative mining
+# SVM training
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -156,7 +152,7 @@ class SvmModel:
 
     weight: np.ndarray
     bias: float
-    hard_negatives_added: int = 0
+    hard_negatives_added: int = 0  # always 0, see `train_svm`
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         return features.astype(np.float64) @ self.weight + self.bias
@@ -201,29 +197,6 @@ def mine_svm_samples(proposals, ground_truth):
     return positives, [candidates[i] for i in kept]
 
 
-def assign_finetune_labels(proposals, ground_truth):
-    """Fine-tuning sample labels for one image's proposals.
-
-    A proposal overlapping its best ground-truth box (the first, on a tie) by
-    [FINETUNE_POS_MIN, 1] takes that box's class (as 1 + class_id; 0 is
-    background); overlap in [FINETUNE_NEG_MIN, FINETUNE_NEG_MAX) is
-    background; anything else is discarded (None).
-    """
-    if not ground_truth:  # overlap 0 everywhere, below FINETUNE_NEG_MIN
-        return [None] * len(proposals)
-    overlaps = iou_matrix(proposals, [g for _, g in ground_truth])
-    best = overlaps.argmax(axis=1)
-    labels = []
-    for j, v in zip(best, overlaps[np.arange(len(best)), best]):
-        if v >= FINETUNE_POS_MIN:
-            labels.append(1 + ground_truth[j][0])
-        elif FINETUNE_NEG_MIN <= v < FINETUNE_NEG_MAX:
-            labels.append(0)
-        else:
-            labels.append(None)
-    return labels
-
-
 def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
                lr: float, w=None, b: float = 0.0):
     """Deterministic full-batch subgradient descent on the regularized hinge
@@ -238,6 +211,8 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
     set is the full product's, the update reads the same rows in ascending
     order, and `w`, `b` are the bytes one full product per epoch gives. `x`
     is used as given when it is float64.
+    A warm start (`w` given) serves `TestScreenedFit`: it puts margins on
+    1.0 and one ulp off it at a screened epoch, which no cold start reaches.
     """
     n, d = x.shape
     if w is None:
@@ -296,19 +271,16 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
 
 
 def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
-              epochs: int = 400, lr: float = 0.5,
-              hard_negative_rounds: int = 1,
-              initial_negatives: int | None = None) -> SvmModel:
+              epochs: int = 400, lr: float = 0.5) -> SvmModel:
     """Fit a binary linear SVM (labels +1/-1) by subgradient descent.
 
-    The first fit uses all positives plus the first `initial_negatives`
-    negatives (all of them when None). Each mining round rescores the full
-    negative pool and appends the false positives (score > -1) that are not
-    yet in the training set, then refits; positives are never removed.
-    Non-finite features, labels other than +1/-1, a `c` or `lr` that is not
-    finite and positive and a negative count raise ShapeError before any fit.
-    Rows are checked and gathered in the caller's dtype; `_fit_hinge` makes
-    the one float64 copy of the rows it fits.
+    One fit: all positives, then all negatives, each in input order (the
+    order sets the rounding). Callers pass every mined negative, so it is
+    the fixed point of hard-negative mining, which adds only negatives not
+    yet in the fit. Non-finite features, labels other than +1/-1, a `c` or
+    `lr` that is not finite and positive and a negative epoch count raise
+    ShapeError before any fit. Rows are checked and gathered in the caller's
+    dtype; `_fit_hinge` makes the one float64 copy of the rows it fits.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.float64)
@@ -319,11 +291,8 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
         if not (np.isfinite(value) and value > 0):
             raise ShapeError(
                 f"SVM {name} must be finite and positive, got {value}")
-    for name, value in (("epochs", epochs),
-                        ("hard_negative_rounds", hard_negative_rounds),
-                        ("initial_negatives", initial_negatives or 0)):
-        if value < 0:
-            raise ShapeError(f"SVM {name} must be >= 0, got {value}")
+    if epochs < 0:
+        raise ShapeError(f"SVM epochs must be >= 0, got {epochs}")
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
         raise ShapeError(f"SVM feature row {bad[0]} is not finite")
@@ -335,29 +304,9 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     neg = np.flatnonzero(labels < 0)
     if len(pos) == 0 or len(neg) == 0:
         raise ShapeError("SVM training needs both classes present")
-
-    active_neg = list(neg if initial_negatives is None
-                      else neg[:initial_negatives])
-
-    def fit(w, b):
-        idx = np.concatenate([pos, np.array(active_neg, dtype=int)])
-        return _fit_hinge(features[idx], labels[idx], c, epochs, lr, w=w, b=b)
-
-    w, b = fit(None, 0.0)
-    added = 0
-    for _ in range(hard_negative_rounds):
-        if len(active_neg) == len(neg):  # every negative is already in
-            break
-        pool_scores = features[neg].astype(np.float64) @ w + b
-        current = set(active_neg)
-        hard = [int(i) for i, s in zip(neg, pool_scores)
-                if s > -1.0 and int(i) not in current]
-        if not hard:
-            break
-        active_neg.extend(hard)
-        added += len(hard)
-        w, b = fit(w, b)
-    return SvmModel(w, float(b), added)
+    idx = np.concatenate([pos, neg])
+    w, b = _fit_hinge(features[idx], labels[idx], c, epochs, lr)
+    return SvmModel(w, float(b))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ both runtime paths use: `project_windows` picks a scale for each of many
 `inference.project_views` projects all views of an image.
 
 Window overlap is `iou_matrix`, the package's one IoU: every detection
-decision (negative mining, NMS, mAP matching, bbox pairs, fine-tuning labels)
-and the toy corpus's shape placement read it.
+decision (negative mining, NMS, mAP matching, bbox pairs) and the toy
+corpus's shape placement read it.
 """
 
 from __future__ import annotations

@@ -210,12 +210,6 @@ class ParameterStore:
         self._rng = np.random.default_rng(seed)
         self._slots: dict[str, Slot] = {}
 
-    def _weight_sigma(self, shape) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        fan_in = int(np.prod(shape[1:]))
-        return float(np.sqrt(2.0 / max(fan_in, 1)))
-
     def slot(self, name: str, shape, init: str = "gauss") -> Slot:
         existing = self._slots.get(name)
         if existing is not None:
@@ -225,25 +219,15 @@ class ParameterStore:
                     f"network expects {tuple(shape)}")
             return existing
         if init == "gauss":
-            value = self._rng.normal(0.0, self._weight_sigma(shape),
-                                     size=shape)
+            sigma = self.sigma
+            if sigma is None:  # fan-in scaled
+                sigma = float(np.sqrt(2.0 / max(int(np.prod(shape[1:])), 1)))
+            value = self._rng.normal(0.0, sigma, size=shape)
         elif init == "zeros":
             value = np.zeros(shape)
         else:
             raise ValueError(f"unknown init {init!r}")
         slot = Slot(value.astype(np.float32))
-        self._slots[name] = slot
-        return slot
-
-    def reinit_slot(self, name: str, shape, sigma: float | None = None,
-                    init: str = "gauss") -> Slot:
-        """Replace a slot with a fresh draw (new output heads)."""
-        if init == "zeros":
-            value = np.zeros(shape, np.float32)
-        else:
-            sig = self._weight_sigma(shape) if sigma is None else sigma
-            value = self._rng.normal(0.0, sig, size=shape).astype(np.float32)
-        slot = Slot(value)
         self._slots[name] = slot
         return slot
 
@@ -676,7 +660,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                       for _ in range(ndim))
         n_values = int(np.prod(shape)) if shape else 1
         raw = take(4 * n_values, f"values of {name}")
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        value = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        if not np.isfinite(value).all():
+            raise CheckpointError(
+                f"checkpoint {path} slot {name!r} holds a non-finite value")
+        out[name] = value.copy()
     if off != len(data):
         raise CheckpointError(
             f"checkpoint {path} has {len(data) - off} trailing bytes at byte "

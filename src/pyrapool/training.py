@@ -1,6 +1,6 @@
 """SGD training loops: single-size baseline, epoch-alternating multi-size
-training on one shared parameter store, the uniform-random size variant, and
-fc-only fine-tuning on pooled region features.
+training on one shared parameter store, and the uniform-random size variant;
+each step is one momentum update of every slot of the store (`sgd_step`).
 
 Learning rate starts at the configured value and is divided by 10 (at most
 twice) when eval accuracy plateaus: improvement below 0.2 points over 3
@@ -29,8 +29,7 @@ import numpy as np
 from . import dataio, tensor
 from .errors import GraphError, ShapeError, TrainingDivergedError
 from .geometry import resize_image
-from .net import (FC, NetworkSpec, ParameterStore, Softmax, backward_layers,
-                  forward_layers, instantiate)
+from .net import FC, NetworkSpec, ParameterStore, instantiate
 
 LR_DECAY_FACTOR = 0.1
 PLATEAU_PATIENCE = 3           # stale epochs before a decay
@@ -97,12 +96,10 @@ def multi_size_schedule(config: TrainConfig):
             yield int(rng.integers(lo, hi + 1))
 
 
-def sgd_step(params: ParameterStore, lr: float, momentum: float,
-             names=None):
-    """Classic momentum update of the named slots (all when `names` is None);
-    clears their gradients. Aborts on non-finite grads."""
-    for name in params.names() if names is None else names:
-        slot = params[name]
+def sgd_step(params: ParameterStore, lr: float, momentum: float):
+    """Classic momentum update of every slot; clears their gradients. Aborts
+    on a non-finite gradient, naming its slot, before that slot changes."""
+    for name, slot in params.items():
         if not np.isfinite(slot.grad).all():
             raise TrainingDivergedError(
                 f"non-finite gradient in slot {name!r}; aborting")
@@ -271,96 +268,3 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig, eval_set=None,
             on_epoch_end(reports[-1], params)
     return params, reports
 
-
-# ---------------------------------------------------------------------------
-# fc-only fine-tuning on pooled region features
-# ---------------------------------------------------------------------------
-
-FINETUNE_HEAD = "fc_det"           # name of the fresh output layer
-FINETUNE_POSITIVE_FRACTION = 0.25  # positives per mini-batch
-FINETUNE_LATE_FRACTION = 0.2       # tail of steps run at lr_late
-FINETUNE_MOMENTUM = 0.9
-
-
-@dataclass
-class FinetuneConfig:
-    n_classes: int                     # detection classes + background
-    steps: int = 400
-    batch_size: int = 32
-    lr_initial: float = 1e-4
-    lr_late: float = 1e-5
-    sigma: float = 0.01                # init of the new output layer
-    seed: int = 0
-
-
-def _finetune_head(spec: NetworkSpec, params: ParameterStore,
-                   config: FinetuneConfig):
-    """The fc stack after the pyramid layer, with the final classifier layer
-    replaced by a freshly initialized FINETUNE_HEAD layer (label 0 is
-    background); returns (layers, name -> (weight, bias) slot map)."""
-    head = [l for l in spec.head_layers() if not isinstance(l, Softmax)]
-    fc_layers = [l for l in head if isinstance(l, FC)]
-    if not fc_layers:
-        raise GraphError("network head has no fc layer to fine-tune")
-    for layer in fc_layers:
-        if f"{layer.name}.weight" not in params:
-            raise GraphError(f"slot {layer.name}.weight missing; fine-tune "
-                             f"after pre-training")
-    last_fc = fc_layers[-1]
-    layers = head[:head.index(last_fc)]
-    slots = {l.name: (params[f"{l.name}.weight"], params[f"{l.name}.bias"])
-             for l in layers if isinstance(l, FC)}
-    in_features = params[f"{last_fc.name}.weight"].value.shape[1]
-    slots[FINETUNE_HEAD] = (
-        params.reinit_slot(f"{FINETUNE_HEAD}.weight",
-                           (config.n_classes, in_features), config.sigma),
-        params.reinit_slot(f"{FINETUNE_HEAD}.bias", (config.n_classes,),
-                           init="zeros"))
-    layers.append(FC(config.n_classes, name=FINETUNE_HEAD))
-    return layers, slots
-
-
-def finetune_fc(params: ParameterStore, spec: NetworkSpec,
-                features: np.ndarray, labels: np.ndarray,
-                config: FinetuneConfig, on_batch=None):
-    """Fine-tune the fc layers on fixed-length pooled region features.
-
-    Labels: 0 = background, 1..n-1 = object classes. Each mini-batch holds
-    FINETUNE_POSITIVE_FRACTION positives (label > 0). Conv slots are untouched and
-    verified bit-identical before/after. Returns the fine-tuned head's
-    scoring function: pooled (N, k*M) features -> eval-mode (N, n_classes)
-    logits.
-    """
-    labels = np.asarray(labels)
-    pos_idx = np.flatnonzero(labels > 0)
-    neg_idx = np.flatnonzero(labels == 0)
-    if len(pos_idx) == 0 or len(neg_idx) == 0:
-        raise ValueError("need at least one positive and one negative sample")
-
-    conv_before = {name: slot.value.copy() for name, slot in params.items()
-                   if name.startswith("conv")}
-    layers, slots = _finetune_head(spec, params, config)
-    fc_names = [f"{name}.{suffix}" for name in slots
-                for suffix in ("weight", "bias")]
-    rng = np.random.default_rng(config.seed)
-    n_pos = max(1, int(round(config.batch_size * FINETUNE_POSITIVE_FRACTION)))
-    switch = int(config.steps * (1.0 - FINETUNE_LATE_FRACTION))
-    for step in range(config.steps):
-        lr = config.lr_initial if step < switch else config.lr_late
-        pick_pos = rng.choice(pos_idx, size=n_pos, replace=True)
-        pick_neg = rng.choice(neg_idx, size=config.batch_size - n_pos,
-                              replace=True)
-        idx = np.concatenate([pick_pos, pick_neg])
-        rng.shuffle(idx)
-        xb = features[idx].astype(np.float32)
-        yb = labels[idx]
-        logits, caches = forward_layers(layers, xb, slots, True, rng)
-        loss, grad = tensor.softmax_cross_entropy(logits, yb)
-        backward_layers(layers, caches, slots, grad)
-        sgd_step(params, lr, FINETUNE_MOMENTUM, names=fc_names)
-        if on_batch is not None:
-            on_batch(step, yb, loss)
-    for name, before in conv_before.items():
-        if not np.array_equal(params[name].value, before):
-            raise GraphError(f"conv slot {name!r} changed during fine-tuning")
-    return lambda pooled: forward_layers(layers, pooled, slots)[0]

@@ -465,6 +465,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{cut}: truncated NetPBM payload" in err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--mode", "single"], ["eval", "--mode", "10view"],
+        ["eval", "--mode", "96view"], ["extract"], ["detect"]],
+        ids=["single", "10view", "96view", "extract", "detect"])
+    def test_wrong_channel_count_named(self, corpus, checkpoint, tmp_path,
+                                       capsys, command):
+        # a 3-channel image first in the manifest of a 1-channel network:
+        # exit 1 before any trunk pass, naming the image
+        root, det_paths = corpus
+        colour = tmp_path / "colour.ppm"
+        rng = np.random.default_rng(0)
+        dataio.save_image(colour, dataio.Image(
+            rng.integers(0, 256, (3, 32, 32)).astype(np.float32)))
+        paths = [p for p, _ in dataio.load_manifest(root / "cls" / "test.txt")]
+        manifest = tmp_path / "manifest.txt"
+        out = tmp_path / "out.txt"
+        argv = command + ["--checkpoint", str(checkpoint), "--out", str(out)]
+        if command[0] == "detect":
+            manifest.write_text(f"bad,{colour}\n")
+            argv += ["--train-images", det_paths["manifest"],
+                     "--train-proposals", det_paths["proposals"],
+                     "--train-gt", det_paths["gt"],
+                     "--images", str(manifest),
+                     "--proposals", det_paths["proposals"],
+                     "--scales", "48", "--view-size", "32"]
+        else:
+            manifest.write_text(f"{colour},0\n{paths[0]},0\n")
+            argv += ["--test-manifest" if command[0] == "eval"
+                     else "--manifest", str(manifest)]
+        passes = net.stats.trunk_passes
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert net.stats.trunk_passes == passes
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {colour}: image has 3 channel(s)")
+        assert not out.exists()
+
     def test_spec_mismatch(self, corpus, checkpoint):
         root, _ = corpus
         rc = cli.main(["eval", "--checkpoint", str(checkpoint),
@@ -640,6 +676,24 @@ class TestCheckpointSlots:
         assert self._eval(corpus, path) == cli.EXIT_SPEC_MISMATCH
         err = capsys.readouterr().err
         assert "lacks" in err and "fc2.weight" in err
+
+    @pytest.mark.parametrize("mode", ["single", "10view"])
+    def test_non_finite_slot_named(self, corpus, checkpoint, tmp_path,
+                                   capsys, mode):
+        # fc2.weight comes before fc2.bias in the file: the first is named
+        def poison(values):
+            values["fc2.weight"][...] = np.nan
+            values["fc2.bias"][0] = np.inf
+        path = self._rewrite(checkpoint, tmp_path, poison)
+        out = tmp_path / "report.txt"
+        rc = cli.main(["eval", "--checkpoint", str(path), "--mode", mode,
+                       "--test-manifest", str(corpus[0] / "cls" / "test.txt"),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_BAD_CHECKPOINT
+        err = capsys.readouterr().err
+        assert str(path) in err and "'fc2.weight'" in err
+        assert "fc2.bias" not in err
+        assert not out.exists()
 
     def test_unknown_slot(self, corpus, checkpoint, tmp_path, capsys):
         def add(values):

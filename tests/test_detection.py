@@ -122,10 +122,6 @@ class TestTrainSvm:
          "lr must be finite and positive"),
         (lambda x, y, kw: kw.update(lr=-0.5), "lr must be finite and positive"),
         (lambda x, y, kw: kw.update(epochs=-1), "epochs must be >= 0"),
-        (lambda x, y, kw: kw.update(hard_negative_rounds=-1),
-         "hard_negative_rounds must be >= 0"),
-        (lambda x, y, kw: kw.update(initial_negatives=-2),
-         "initial_negatives must be >= 0"),
     ])
     def test_bad_input_rejected_before_any_fit(self, change, message,
                                                monkeypatch):
@@ -139,30 +135,21 @@ class TestTrainSvm:
         with pytest.raises(ShapeError, match=message):
             det.train_svm(x, y, **kwargs)
 
-    def test_hard_mining_grows_training_set_and_keeps_positives(self):
-        x, y = self._separable(n=60)
-        capped = det.train_svm(x, y, initial_negatives=3, epochs=600)
-        assert capped.hard_negatives_added >= 0
-        # all positives still classified as such after mining
-        assert (capped.scores(x[y > 0]) > 0).all()
-        uncapped = det.train_svm(x, y, epochs=600)
-        assert uncapped.hard_negatives_added == 0  # pool already fully used
-
-    def test_mining_improves_over_capped_initial_fit(self):
-        rng = np.random.default_rng(53)
-        # negatives in two clusters; the initial cap only sees the first
-        pos = rng.normal(loc=(3.0, 0.0), scale=0.2, size=(30, 2))
-        neg_a = rng.normal(loc=(-3.0, 0.0), scale=0.2, size=(10, 2))
-        neg_b = rng.normal(loc=(1.2, 0.0), scale=0.1, size=(30, 2))
-        x = np.vstack([pos, neg_a, neg_b])
-        y = np.concatenate([np.ones(30), -np.ones(40)])
-        mined = det.train_svm(x, y, initial_negatives=10, epochs=800,
-                              hard_negative_rounds=1)
-        unmined = det.train_svm(x, y, initial_negatives=10, epochs=800,
-                                hard_negative_rounds=0)
-        acc_mined = ((mined.scores(x) > 0) == (y > 0)).mean()
-        acc_unmined = ((unmined.scores(x) > 0) == (y > 0)).mean()
-        assert acc_mined >= acc_unmined
+    def test_one_fit_positives_then_negatives(self):
+        # the fit's row order is part of its bytes: all positives, then all
+        # negatives, each in input order; input order rounds differently
+        rng = np.random.default_rng(55)
+        x = rng.normal(size=(60, 24))
+        y = np.where(np.arange(60) % 3 == 0, 1.0, -1.0)
+        x[y > 0] += 0.5
+        idx = np.concatenate([np.flatnonzero(y > 0), np.flatnonzero(y < 0)])
+        w, b = det._fit_hinge(x[idx], y[idx], 1.0, 200, 0.5)
+        w_in, _ = det._fit_hinge(x, y, 1.0, 200, 0.5)
+        assert w_in.tobytes() != w.tobytes()
+        model = det.train_svm(x, y, epochs=200)
+        assert model.weight.tobytes() == w.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
+        assert model.hard_negatives_added == 0
 
 
 U = np.finfo(np.float64).eps / 2
@@ -266,20 +253,6 @@ class TestScreenedFit:
     def test_equals_oracle_on_random_problems(self, seed):
         for args in _fit_problems(900 + seed).values():
             self._assert_same_fit(args)
-
-    def test_capped_then_mined_fit_equals_oracle(self, monkeypatch):
-        rng = np.random.default_rng(54)
-        pos = rng.normal(loc=(3.0, 0.0), scale=0.2, size=(30, 2))
-        neg_a = rng.normal(loc=(-3.0, 0.0), scale=0.2, size=(10, 2))
-        neg_b = rng.normal(loc=(1.2, 0.0), scale=0.1, size=(30, 2))
-        x = np.vstack([pos, neg_a, neg_b])
-        y = np.concatenate([np.ones(30), -np.ones(40)])
-        got = det.train_svm(x, y, initial_negatives=10, epochs=300)
-        monkeypatch.setattr(det, "_fit_hinge", oracle_fit_hinge)
-        ref = det.train_svm(x, y, initial_negatives=10, epochs=300)
-        assert got.hard_negatives_added == ref.hard_negatives_added > 0
-        assert got.weight.tobytes() == ref.weight.tobytes()
-        assert np.float64(got.bias).tobytes() == np.float64(ref.bias).tobytes()
 
     @staticmethod
     def _balanced(b):
@@ -417,11 +390,6 @@ class TestTieRules:
         assert len(pairs) == 1
         np.testing.assert_array_equal(
             pairs[0][1], det.bbox_targets(self.MIDDLE, self.G2))
-
-    def test_finetune_label_takes_first_of_equal_boxes(self):
-        gt = [(0, self.G1), (1, self.G2)]
-        assert det.assign_finetune_labels([self.MIDDLE], gt) == [1]
-        assert det.assign_finetune_labels([self.MIDDLE], gt[::-1]) == [2]
 
     def test_nms_equal_scores_keep_input_order(self):
         a = det.Detection("i", self.G1, 0, 0.5)

@@ -1,4 +1,4 @@
-"""Optimizer, size schedules, the training loop, and fc-only fine-tuning."""
+"""Optimizer, size schedules and the training loop."""
 
 import dataclasses
 import math
@@ -7,9 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from pyrapool import dataio, detection, inference, net, training
+from pyrapool import dataio, inference, net, training
 from pyrapool.errors import ShapeError, TrainingDivergedError
-from pyrapool.geometry import WindowRect
 from _oracles import oracle_train
 
 
@@ -52,25 +51,6 @@ class TestSgdStep:
             training.sgd_step(params, lr=0.1, momentum=0.5)
         # v1 = -0.1; v2 = 0.5*(-0.1) - 0.1 = -0.15; w = -0.25
         assert np.isclose(slot.value[0], -0.25)
-
-    def test_unnamed_slots_untouched(self):
-        params = net.ParameterStore(seed=2)
-        for name in ("a", "b", "c"):
-            slot = params.slot(name, (2, 3))
-            slot.grad[:] = 1.5
-            slot.momentum[:] = -0.25
-        before = {n: (s.value.copy(), s.momentum.copy(), s.grad.copy())
-                  for n, s in params.items()}
-        training.sgd_step(params, lr=0.1, momentum=0.9, names=["b"])
-        for name in ("a", "c"):
-            for arr, old in zip((params[name].value, params[name].momentum,
-                                 params[name].grad), before[name]):
-                np.testing.assert_array_equal(arr, old)
-        b = params["b"]
-        np.testing.assert_allclose(b.momentum, 0.9 * -0.25 - 0.1 * 1.5,
-                                   rtol=1e-6)
-        np.testing.assert_array_equal(b.value, before["b"][0] + b.momentum)
-        assert not b.grad.any()
 
     def test_nan_gradient_aborts_with_slot_name(self):
         params = net.ParameterStore()
@@ -385,89 +365,3 @@ class TestTrainLoop:
         assert checks == [True] * 4
         assert [r.size for r in reports] == [32, 24, 32, 24]
 
-
-class TestFinetune:
-    def _pretrained(self):
-        rng = np.random.default_rng(74)
-        data = toy_data(rng, n=48)
-        spec = net.toy_shape_net(n_classes=4)
-        cfg = training.TrainConfig(lr=0.01, epochs=1, batch_size=16,
-                                   schedule="single", sizes=(24,), seed=1)
-        params, _ = training.train(spec, data, cfg)
-        return spec, params
-
-    def _region_features(self, rng, n=200, dim=16 * 14, classes=3):
-        feats = rng.normal(size=(n, dim)).astype(np.float32)
-        labels = rng.integers(0, classes + 1, size=n)
-        # give each class a recognizable direction
-        for i in range(n):
-            if labels[i] > 0:
-                feats[i, labels[i] * 7] += 4.0
-        return feats, labels
-
-    def test_conv_slots_bit_identical(self):
-        spec, params = self._pretrained()
-        rng = np.random.default_rng(75)
-        feats, labels = self._region_features(rng)
-        before = {n: s.value.copy() for n, s in params.items()
-                  if n.startswith("conv")}
-        cfg = training.FinetuneConfig(n_classes=4, steps=40, seed=2)
-        scores = training.finetune_fc(params, spec, feats, labels, cfg)
-        for name, value in before.items():
-            np.testing.assert_array_equal(params[name].value, value)
-        assert scores(feats[:5]).shape == (5, 4)
-
-    def test_minibatches_are_quarter_positive(self):
-        spec, params = self._pretrained()
-        rng = np.random.default_rng(76)
-        feats, labels = self._region_features(rng)
-        fractions = []
-        cfg = training.FinetuneConfig(n_classes=4, steps=25, batch_size=32,
-                                      seed=3)
-        training.finetune_fc(params, spec, feats, labels, cfg,
-                             on_batch=lambda step, yb, loss:
-                             fractions.append((yb > 0).mean()))
-        assert fractions == [0.25] * 25
-
-    def test_new_head_initialized_small(self):
-        spec, params = self._pretrained()
-        rng = np.random.default_rng(77)
-        feats, labels = self._region_features(rng)
-        cfg = training.FinetuneConfig(n_classes=4, steps=0, sigma=0.01,
-                                      seed=4)
-        training.finetune_fc(params, spec, feats, labels, cfg)
-        w = params["fc_det.weight"].value
-        assert abs(float(w.std()) - 0.01) < 0.003
-        assert not params["fc_det.bias"].value.any()
-
-    def test_needs_both_sample_kinds(self):
-        spec, params = self._pretrained()
-        feats = np.zeros((4, 16 * 14), np.float32)
-        cfg = training.FinetuneConfig(n_classes=4, steps=1)
-        with pytest.raises(ValueError, match="positive"):
-            training.finetune_fc(params, spec, feats, np.zeros(4, int), cfg)
-
-    def test_head_learns_separable_features(self):
-        spec, params = self._pretrained()
-        rng = np.random.default_rng(78)
-        feats, labels = self._region_features(rng, n=400)
-        cfg = training.FinetuneConfig(n_classes=4, steps=300, seed=5,
-                                      lr_initial=0.01, lr_late=0.001)
-        scores = training.finetune_fc(params, spec, feats, labels, cfg)
-        pred = scores(feats).argmax(axis=1)
-        assert (pred == labels).mean() > 0.8
-
-
-class TestFinetuneLabelAssignment:
-    def test_iou_bands(self):
-        gt = [(2, WindowRect(0, 0, 100, 100))]
-        proposals = [
-            WindowRect(0, 0, 100, 100),   # IoU 1.0 -> class 3 (=1+2)
-            WindowRect(0, 0, 100, 50),    # IoU 0.5 -> positive
-            WindowRect(0, 0, 100, 49),    # IoU 0.49 -> background
-            WindowRect(0, 0, 100, 10),    # IoU 0.10 -> background
-            WindowRect(0, 0, 100, 9),     # IoU 0.09 -> discarded
-            WindowRect(200, 200, 300, 300),  # IoU 0 -> discarded
-        ]
-        labels = detection.assign_finetune_labels(proposals, gt)
-        assert labels == [3, 3, 0, 0, None, None]
