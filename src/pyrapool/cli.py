@@ -5,9 +5,9 @@ underscores); command-line flags override file values. Config, manifest,
 proposal and ground-truth files are read by `dataio.read_records`, so a
 malformed line exits 1 naming `path:line`. Output files are written atomically
 (temp file + rename) and every run is reproducible from its seed: same config
-+ seed gives identical output bytes, timing values excepted. PYRAPOOL_THREADS
-caps internal parallelism (0 = auto). A bad flag or PYRAPOOL_THREADS value
-exits 1 naming it, before any work.
++ seed gives identical output bytes, timing values excepted, for any
+PYRAPOOL_THREADS (`parallel.thread_count`). A bad flag or PYRAPOOL_THREADS
+value exits 1 naming it, before any work.
 """
 
 from __future__ import annotations
@@ -15,30 +15,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import dataio, detection, inference, net, training
 from .dataio import atomic_write
 from .errors import CheckpointError, ShapeError, SpecMismatchError
+from .parallel import map_threads, thread_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CHECKPOINT = 3
 EXIT_SPEC_MISMATCH = 4
-
-
-def thread_count() -> int:
-    raw = os.environ.get("PYRAPOOL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ShapeError(f"PYRAPOOL_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ShapeError(f"PYRAPOOL_THREADS must be >= 0, got {raw!r}")
-    return n or os.cpu_count() or 1
 
 
 def _config_entry(line: str):
@@ -299,8 +288,7 @@ def cmd_detect(args) -> int:
 
     detections = _detect_parallel(
         spec, params, model, images, proposals, scales, pyramid, view,
-        args.nms_threshold, apply_bbox=not args.no_bbox,
-        threads=thread_count())
+        args.nms_threshold, apply_bbox=not args.no_bbox)
     atomic_write(args.out, detection.format_detections(detections))
     print(f"wrote {len(detections)} detections to {args.out}")
     if gt is not None:
@@ -315,10 +303,11 @@ def cmd_detect(args) -> int:
 
 
 def _detect_parallel(spec, params, model, images, proposals, scales, pyramid,
-                     view, nms_t, apply_bbox, threads):
-    """Per-image pipelines are independent; each worker owns its extractor
-    (and so its feature-map cache)."""
-    image_ids = sorted(images)
+                     view, nms_t, apply_bbox):
+    """Per-image pipelines are independent; each owns its extractor (and so
+    its feature-map cache). With several images they share the threads
+    `map_threads` grants, and each image's scales run serially inside; one
+    image gets the threads for its scales."""
 
     def run_one(image_id):
         extractor = detection.RegionFeatureExtractor(
@@ -327,11 +316,7 @@ def _detect_parallel(spec, params, model, images, proposals, scales, pyramid,
             extractor, model, {image_id: images[image_id]}, proposals,
             nms_threshold=nms_t, apply_bbox=apply_bbox)
 
-    if threads <= 1 or len(image_ids) <= 1:
-        results = [run_one(i) for i in image_ids]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, image_ids))
+    results = map_threads(run_one, sorted(images))
     return [d for dets in results for d in dets]
 
 

@@ -19,6 +19,14 @@ The first epoch, and any epoch in which a recomputed margin lies within that
 slack of 1, runs the full product. So each epoch updates from the violator
 set that one full product per epoch gives, and the weights are its bytes.
 
+Detection runs on the threads `parallel.thread_count` grants. An image's
+scale trunks run through `parallel.map_threads`, and `fit_detector` solves
+each class's ridge system beside the SVM fit (`parallel.beside`). Each call
+is the call one thread makes, on the same bytes, so results do not depend
+on the count. Memory: the fit holds one class's float64 SVM rows, uncopied,
+with one ridge system formed in place on the calling thread and the
+solver's copy of it on the worker.
+
 Every overlap decision reads a `geometry.iou_matrix` through one of two
 rules. Greedy keep (`_greedy_keep`): walk the windows in a fixed order and
 keep each one that overlaps no kept window by more than a threshold; NMS
@@ -42,6 +50,7 @@ from .geometry import (WindowRect, iou_matrix, project_windows, resize_to,
                        window_array)
 from .inference import network_input
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
+from .parallel import beside, map_threads
 from .spp import PyramidSpec, pool_rects, spp_forward
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
@@ -55,6 +64,7 @@ MAP_MATCH_IOU = 0.5     # a detection matches a ground-truth box from here up
 BBOX_MIN_IOU = 0.5      # a proposal regresses onto a box from here up
 
 SVM_REG = 1e-4          # weight of 0.5*|w|^2 in the SVM objective
+RIDGE_LAMBDA = 1.0      # bbox ridge penalty on every weight but the bias's
 _U = np.finfo(np.float64).eps / 2  # unit roundoff of float64
 
 
@@ -102,18 +112,25 @@ class RegionFeatureExtractor:
 
     def prepare(self, image_id: str, pixels: np.ndarray):
         """The per-scale feature maps of one image: the held ones if both
-        `image_id` and the `pixels` object are the held image's, else new."""
+        `image_id` and the `pixels` object are the held image's, else new.
+        The scales' trunk passes run through `parallel.map_threads`, the
+        largest first on a worker."""
         if (self._held is not None and self._held[0] == image_id
                 and self._held[1] is pixels):
             return self._held[2]
         self._held = None
-        entry = {"size": (pixels.shape[2], pixels.shape[1]), "maps": {}}
-        for s in self.scales:
+
+        def scale_map(s):
             inst, x = network_input(self.spec, self.params, pixels, s,
                                     (False,))
             rh, rw = inst.input_size
-            entry["maps"][s] = (inst.conv_features(x)[0], (rw, rh))
-            self.conv_passes += 1
+            return inst.conv_features(x)[0], (rw, rh)
+
+        by_size = sorted(self.scales)
+        maps = dict(zip(by_size, map_threads(scale_map, by_size)))
+        self.conv_passes += len(by_size)
+        entry = {"size": (pixels.shape[2], pixels.shape[1]),
+                 "maps": {s: maps[s] for s in self.scales}}
         self._held = (image_id, pixels, entry)
         return entry
 
@@ -241,7 +258,7 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
             reach = (x_norm * (path_w + slack_w - seen_w)
                      + (path_b + slack_b - seen_b))
             rows = np.flatnonzero(excess <= reach)
-            near = y64[rows] * (x64[rows] @ w + b) - 1.0
+            near = y64[rows] * (_take_rows(x64, rows) @ w + b) - 1.0
             full = bool((np.abs(near) <= x_norm[rows] * slack_w
                          + slack_b).any())
             if not full:
@@ -259,7 +276,7 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
         gw = SVM_REG * w
         gb = 0.0
         if len(viol):
-            gw = gw - c * (y64[viol] @ x64[viol]) / n
+            gw = gw - c * (y64[viol] @ _take_rows(x64, viol)) / n
             gb = -c * y64[viol].sum() / n
         w_next = w - step * gw
         b_next = b - step * gb
@@ -268,6 +285,15 @@ def _fit_hinge(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
         path_b = np.nextafter(path_b + abs(b_next - b) * up, np.inf)
         w, b = w_next, b_next
     return w, b
+
+
+def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`x[rows]` for ascending unique `rows`; `x` itself when that is every
+    row of a C-contiguous `x`, which is the gather's bytes and layout
+    without its copy."""
+    if len(rows) == len(x) and x.flags.c_contiguous:
+        return x
+    return x[rows]
 
 
 def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
@@ -279,8 +305,10 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     the fixed point of hard-negative mining, which adds only negatives not
     yet in the fit. Non-finite features, labels other than +1/-1, a `c` or
     `lr` that is not finite and positive and a negative epoch count raise
-    ShapeError before any fit. Rows are checked and gathered in the caller's
-    dtype; `_fit_hinge` makes the one float64 copy of the rows it fits.
+    ShapeError before any fit. Rows are checked in the caller's dtype and
+    gathered into that order only when the positives are not first already.
+    `_fit_hinge` fits C-contiguous float64 rows as given, and makes the one
+    float64 copy of any others.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.float64)
@@ -304,8 +332,10 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     neg = np.flatnonzero(labels < 0)
     if len(pos) == 0 or len(neg) == 0:
         raise ShapeError("SVM training needs both classes present")
-    idx = np.concatenate([pos, neg])
-    w, b = _fit_hinge(features[idx], labels[idx], c, epochs, lr)
+    if pos[-1] != len(pos) - 1:  # positives are not all first
+        idx = np.concatenate([pos, neg])
+        features, labels = features[idx], labels[idx]
+    w, b = _fit_hinge(np.ascontiguousarray(features), labels, c, epochs, lr)
     return SvmModel(w, float(b))
 
 
@@ -437,17 +467,17 @@ class BBoxRegressor:
         """(N,4) int64 regressed windows, clamped into the image, of (N,D)
         features and (N,4) windows; the windows unchanged when disabled.
 
-        Each row's offsets are its own `aug @ weights` product: a batched
-        product may round differently. The box arithmetic after it is
-        elementwise float64, and `np.round` rounds half to even, as `round`
-        does. Regressed corners that are not finite raise ShapeError.
+        Each row's offsets are its own (1, D+1) @ (D+1, 4) product, one
+        gemv per row in a stacked matmul: one (N, D+1) @ (D+1, 4) product
+        may round differently. The box arithmetic after it is elementwise
+        float64, and `np.round` rounds half to even, as `round` does.
+        Regressed corners that are not finite raise ShapeError.
         """
         if not self.enabled:
             return windows
         aug = np.concatenate([features.astype(np.float64),
                               np.ones((len(features), 1))], axis=1)
-        tx, ty, tw, th = np.array([row @ self.weights for row in aug]
-                                  ).reshape(-1, 4).T
+        tx, ty, tw, th = (aug[:, None, :] @ self.weights).reshape(-1, 4).T
         width, height = (windows[:, 2] - windows[:, 0],
                          windows[:, 3] - windows[:, 1])
         gx = windows[:, 0] + width / 2.0 + width * tx
@@ -474,19 +504,38 @@ class BBoxRegressor:
 
 
 def bbox_regress_train(features: np.ndarray, targets: np.ndarray,
-                       ridge_lambda: float = 1.0) -> BBoxRegressor:
+                       ridge_lambda: float = RIDGE_LAMBDA) -> BBoxRegressor:
     """Ridge fit of offsets given pooled features; the bias column is not
-    penalized. Returns a disabled regressor when no pairs are given."""
+    penalized. Returns a disabled regressor when no pairs are given; a
+    `ridge_lambda` that is not finite and non-negative raises ShapeError."""
+    return _ridge_solve(_ridge_system(features, targets, ridge_lambda))
+
+
+def _ridge_system(features, targets, ridge_lambda: float):
+    """The normal equations (a, rhs) of `bbox_regress_train`, None when no
+    pairs are given.
+
+    `a` is formed in place. Adding 0.0 to every entry, then lambda to the
+    diagonal but the bias's, gives the bytes of adding the penalty matrix
+    diag(lambda, ..., lambda, 0): an entry plus 0.0 is the entry, except
+    that -0.0 becomes 0.0, as it does plus a zero of the penalty."""
+    if not (np.isfinite(ridge_lambda) and ridge_lambda >= 0):
+        raise ShapeError(
+            f"ridge lambda must be finite and non-negative, got {ridge_lambda}")
     if len(features) == 0:
-        return BBoxRegressor(None)
+        return None
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     aug = np.concatenate([x, np.ones((len(x), 1))], axis=1)
-    d = aug.shape[1]
-    penalty = ridge_lambda * np.eye(d)
-    penalty[-1, -1] = 0.0
-    weights = np.linalg.solve(aug.T @ aug + penalty, aug.T @ t)
-    return BBoxRegressor(weights)
+    a = aug.T @ aug
+    a += 0.0
+    diag = np.arange(aug.shape[1] - 1)
+    a[diag, diag] += ridge_lambda
+    return a, aug.T @ t
+
+
+def _ridge_solve(system) -> BBoxRegressor:
+    return BBoxRegressor(None if system is None else np.linalg.solve(*system))
 
 
 def collect_bbox_pairs(proposals, gt_windows):
@@ -508,6 +557,14 @@ class DetectorModel:
     regressors: dict[int, BBoxRegressor] = field(default_factory=dict)
 
 
+def _svm_rows(pos_rows, neg_rows, d: int):
+    """(n, d) float64 features, positives first, and their +1/-1 labels."""
+    features = np.empty((len(pos_rows) + len(neg_rows), d))
+    if len(features):
+        np.stack(pos_rows + neg_rows, out=features)
+    return features, np.repeat([1.0, -1.0], [len(pos_rows), len(neg_rows)])
+
+
 def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                  proposals: dict, ground_truth: dict, classes,
                  svm_c: float = 1.0,
@@ -515,7 +572,15 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
     """Train per-class SVMs (positives = ground-truth windows, mined
     negatives = low-overlap proposals) and optional bbox regressors from one
     shared feature extractor. Images are visited one at a time and each
-    window is pooled once; the extractor then holds the last image's maps."""
+    window is pooled once; the extractor then holds the last image's maps.
+
+    A class's SVM rows are built once, float64 with all positives first, so
+    `train_svm` fits them uncopied. The calling thread forms each class's
+    ridge system, then fits its SVM while `parallel.beside` solves the
+    system on a worker; serially the solve follows the SVM. Forming the
+    system on the calling thread keeps its 8*(D+1)^2 bytes in that thread's
+    allocator, where the SVM's freed rows can reuse them: formed on the
+    worker, they raised detect's peak RSS by about 6 MB."""
     samples = {cls: ([], [], [], []) for cls in classes}
     for image_id, pixels in images.items():
         gt = ground_truth.get(image_id, [])
@@ -524,25 +589,31 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
             [*props, *(w for c, w in gt if c in samples)]))
         pooled = dict(zip(windows, extractor.extract_many(image_id, pixels,
                                                           windows)))
-        for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
+        for cls, (pos_rows, neg_rows, reg_feats, reg_targets) in \
+                samples.items():
             gt_cls = [w for c, w in gt if c == cls]
             pos, neg = mine_svm_samples(props, gt_cls)
-            feats.extend(pooled[win] for win in pos + neg)
-            labels.extend([1.0] * len(pos) + [-1.0] * len(neg))
+            pos_rows.extend(pooled[win] for win in pos)
+            neg_rows.extend(pooled[win] for win in neg)
             if with_bbox and gt_cls:
                 for win, target in collect_bbox_pairs(props, gt_cls):
                     reg_feats.append(pooled[win])
                     reg_targets.append(target)
     svms, regressors = {}, {}
-    for cls, (feats, labels, reg_feats, reg_targets) in samples.items():
-        feats = np.array(feats).reshape(len(feats), extractor.feature_length)
-        try:
-            svms[cls] = train_svm(feats, np.array(labels), c=svm_c)
-        except ShapeError as e:
-            raise ShapeError(f"class {cls}: {e}") from e
-        if with_bbox:
-            regressors[cls] = bbox_regress_train(np.array(reg_feats),
-                                                 np.array(reg_targets))
+    with beside() as start:
+        for cls, (pos_rows, neg_rows, reg_feats, reg_targets) in \
+                samples.items():
+            if with_bbox:
+                ridge = start(_ridge_solve, _ridge_system(
+                    np.array(reg_feats), np.array(reg_targets), RIDGE_LAMBDA))
+            try:
+                svms[cls] = train_svm(
+                    *_svm_rows(pos_rows, neg_rows, extractor.feature_length),
+                    c=svm_c)
+            except ShapeError as e:
+                raise ShapeError(f"class {cls}: {e}") from e
+            if with_bbox:
+                regressors[cls] = ridge()
     return DetectorModel(svms, regressors)
 
 

@@ -196,6 +196,10 @@ class Slot:
         self.momentum = np.zeros_like(value)
 
 
+# one lock serves every store: a lookup is brief and a creation rare
+_SLOT_LOCK = threading.Lock()
+
+
 class ParameterStore:
     """Named parameter slots with gradient and momentum buffers.
 
@@ -211,6 +215,13 @@ class ParameterStore:
         self._slots: dict[str, Slot] = {}
 
     def slot(self, name: str, shape, init: str = "gauss") -> Slot:
+        """The slot `name`, created if missing. Threads that instantiate at
+        once each walk the slots in layer order, and a slot is looked up
+        and created under `_SLOT_LOCK`, so the draws come in that order."""
+        with _SLOT_LOCK:
+            return self._slot(name, shape, init)
+
+    def _slot(self, name: str, shape, init: str) -> Slot:
         existing = self._slots.get(name)
         if existing is not None:
             if existing.value.shape != tuple(shape):

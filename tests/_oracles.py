@@ -449,6 +449,51 @@ def oracle_bbox_apply(regressor, feature, window, image_size):
     return WindowRect(x0, y0, x1, y1).clamped(img_w, img_h)
 
 
+def oracle_apply_rows(regressor, features, windows, image_size):
+    """`BBoxRegressor.apply_rows` as it was with one `row @ weights` product
+    per row in a list, with `self` named `regressor`."""
+    from pyrapool.errors import ShapeError
+    from pyrapool.geometry import WindowRect
+    if not regressor.enabled:
+        return windows
+    aug = np.concatenate([features.astype(np.float64),
+                          np.ones((len(features), 1))], axis=1)
+    tx, ty, tw, th = np.array([row @ regressor.weights for row in aug]
+                              ).reshape(-1, 4).T
+    width, height = (windows[:, 2] - windows[:, 0],
+                     windows[:, 3] - windows[:, 1])
+    gx = windows[:, 0] + width / 2.0 + width * tx
+    gy = windows[:, 1] + height / 2.0 + height * ty
+    gw = width * np.exp(tw)
+    gh = height * np.exp(th)
+    corners = np.stack([gx - gw / 2.0, gy - gh / 2.0,
+                        gx + gw / 2.0, gy + gh / 2.0], axis=1)
+    bad = ~np.isfinite(corners).all(axis=1)
+    if bad.any():
+        win = WindowRect(*windows[bad.argmax()].tolist())
+        raise ShapeError(f"bbox regression of {win} is not finite")
+    img_w, img_h = image_size
+    x0, y0, x1, y1 = np.round(np.clip(
+        corners, 0, (img_w, img_h, img_w, img_h))).astype(np.int64).T
+    x1 = np.maximum(x0 + 1, x1)
+    y1 = np.maximum(y0 + 1, y1)
+    return np.stack([np.maximum(0, np.minimum(x0, img_w - 1)),
+                     np.maximum(0, np.minimum(y0, img_h - 1)),
+                     np.maximum(1, np.minimum(x1, img_w)),
+                     np.maximum(1, np.minimum(y1, img_h))], axis=1)
+
+
+def oracle_ridge_system(features, targets, ridge_lambda=1.0):
+    """The ridge normal equations as `bbox_regress_train` formed them: the
+    Gram matrix plus a penalty matrix built from `np.eye`."""
+    x = np.asarray(features, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    aug = np.concatenate([x, np.ones((len(x), 1))], axis=1)
+    penalty = ridge_lambda * np.eye(aug.shape[1])
+    penalty[-1, -1] = 0.0
+    return aug.T @ aug + penalty, aug.T @ t
+
+
 def oracle_nms(detections, threshold=0.3):
     """The parent's `nms`, with its `_greedy_keep` inlined."""
     from pyrapool.geometry import iou_matrix

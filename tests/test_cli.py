@@ -1,6 +1,7 @@
 """Command-line behavior: config merging, reproducible outputs, exit codes."""
 
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,53 @@ class TestDetect:
             assert rc == 0
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+    def test_two_threads_finish_within_the_count(self, corpus, checkpoint,
+                                                 tmp_path, monkeypatch):
+        # the image workers reach `prepare`, which starts threaded work of
+        # its own: each run must end, with at most 2 trunk passes at once
+        # and the serial bytes, at 1 and 2 threads over 6 images
+        root, det_paths = corpus
+        assert len(dataio.load_detection_manifest(det_paths["manifest"])) >= 3
+        busy = {"now": 0, "most": 0}
+        lock = threading.Lock()
+        conv_features = net.NetworkInstance.conv_features
+
+        def counted(self, x):
+            with lock:
+                busy["now"] += 1
+                busy["most"] = max(busy["most"], busy["now"])
+            try:
+                return conv_features(self, x)
+            finally:
+                with lock:
+                    busy["now"] -= 1
+
+        monkeypatch.setattr(net.NetworkInstance, "conv_features", counted)
+        texts = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PYRAPOOL_THREADS", threads)
+            out = tmp_path / threads / "dets.txt"
+            os.makedirs(out.parent)
+            codes = []
+            run = threading.Thread(target=lambda: codes.append(cli.main([
+                "detect", "--checkpoint", str(checkpoint),
+                "--train-images", det_paths["manifest"],
+                "--train-proposals", det_paths["proposals"],
+                "--train-gt", det_paths["gt"],
+                "--images", det_paths["manifest"],
+                "--proposals", det_paths["proposals"],
+                "--scales", "48,64,96", "--view-size", "32",
+                "--out", str(out),
+            ])), daemon=True)
+            run.start()
+            run.join(timeout=120)
+            assert not run.is_alive(), f"detect hung at {threads} threads"
+            assert codes == [0]
+            texts.append(out.read_bytes())
+        assert busy["most"] <= 2
+        assert texts[0] and texts[0] == texts[1]
 
 
 class TestExtract:

@@ -10,9 +10,10 @@ from pyrapool import dataio, net, spp
 from pyrapool import detection as det
 from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect, map_window, window_array
-from _oracles import (brute_force_iou, oracle_bbox_apply,
+from _oracles import (brute_force_iou, oracle_apply_rows, oracle_bbox_apply,
                       oracle_extract_many, oracle_fit_hinge, oracle_nms,
-                      oracle_run_detector, reference_iou)
+                      oracle_ridge_system, oracle_run_detector,
+                      reference_iou)
 
 W = WindowRect
 
@@ -150,6 +151,31 @@ class TestTrainSvm:
         assert model.weight.tobytes() == w.tobytes()
         assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
         assert model.hard_negatives_added == 0
+
+    @pytest.mark.parametrize("layout", ["float64", "float32", "fortran",
+                                        "strided"])
+    def test_positives_first_rows_equal_the_gathered_fit(self, layout,
+                                                         monkeypatch):
+        # rows already positives-first are not gathered: the fit is the
+        # bytes of the gathered (C-contiguous) copy, and C-contiguous rows
+        # reach `_fit_hinge` as the caller's array
+        rng = np.random.default_rng(57)
+        x = rng.normal(size=(60, 24))
+        y = np.where(np.arange(60) < 20, 1.0, -1.0)
+        x[y > 0] += 0.5
+        rows = {"float64": x, "float32": x.astype(np.float32),
+                "fortran": np.asfortranarray(x),
+                "strided": np.repeat(x, 2, axis=1)[:, ::2]}[layout]
+        gathered = rows[np.arange(60)]
+        w, b = oracle_fit_hinge(gathered, y, 1.0, 200, 0.5)
+        seen = []
+        fit = det._fit_hinge
+        monkeypatch.setattr(det, "_fit_hinge",
+                            lambda x, *a: seen.append(x) or fit(x, *a))
+        model = det.train_svm(rows, y, epochs=200)
+        assert model.weight.tobytes() == w.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
+        assert (seen[0] is rows) == rows.flags.c_contiguous
 
 
 U = np.finfo(np.float64).eps / 2
@@ -452,6 +478,32 @@ class TestBBoxRegression:
         prop = W(28, 20, 68, 60)
         fixed = reg.apply(np.array([1.0]), prop, (200, 200))
         assert fixed == W(20, 20, 60, 60)
+
+    @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-6, 1.0, 3.5])
+    def test_ridge_system_is_the_eye_form(self, ridge_lambda):
+        # formed in place: the bytes of Gram + lambda*eye with the bias
+        # unpenalized, on ReLU-like, signed and -0.0 features
+        rng = np.random.default_rng(58)
+        for n, d in ((1, 3), (7, 40), (33, 800)):
+            x = np.maximum(rng.normal(size=(n, d)), 0).astype(np.float32)
+            x[:, 0] = -0.0
+            x[:, 1] = rng.normal(size=n)
+            t = rng.normal(size=(n, 4))
+            a, rhs = det._ridge_system(x, t, ridge_lambda)
+            a_ref, rhs_ref = oracle_ridge_system(x, t, ridge_lambda)
+            assert a.tobytes() == a_ref.tobytes()
+            assert rhs.tobytes() == rhs_ref.tobytes()
+            if ridge_lambda > 0:  # a zero column makes lambda = 0 singular
+                reg = det.bbox_regress_train(x, t, ridge_lambda=ridge_lambda)
+                assert reg.weights.tobytes() == np.linalg.solve(
+                    a_ref, rhs_ref).tobytes()
+
+    @pytest.mark.parametrize("ridge_lambda", [-1.0, np.nan, np.inf])
+    def test_bad_ridge_lambda_rejected(self, ridge_lambda):
+        with pytest.raises(ShapeError, match="ridge lambda must be finite "
+                                             "and non-negative"):
+            det.bbox_regress_train(np.ones((2, 3)), np.zeros((2, 4)),
+                                   ridge_lambda=ridge_lambda)
 
     def test_apply_clamps_to_image(self):
         reg = det.bbox_regress_train(np.array([[1.0]]),
@@ -904,6 +956,48 @@ class TestWindowArrays:
             assert [W(*r) for r in got.tolist()] == expect
             assert [reg.apply(f, w, img) for f, w in zip(feats, windows)] \
                 == expect
+
+    def test_apply_rows_matches_per_row_loop(self):
+        # one stacked matmul gives each row's own gemv product: offsets and
+        # boxes byte-equal to the per-row loop, feature lengths up to 800
+        rng = np.random.default_rng(75)
+        for trial in range(300):
+            n = int(rng.integers(1, 140))
+            d = int(rng.choice([1, 7, 50, 256, 800]))
+            img = tuple(int(v) for v in rng.integers(200, 2000, 2))
+            weights = rng.normal(size=(d + 1, 4)) * rng.choice([1e-3, 0.05])
+            reg = det.BBoxRegressor(weights)
+            feats = np.maximum(rng.normal(size=(n, d)), 0).astype(np.float32)
+            windows = window_array(_random_windows(rng, n, *img)[:n])
+            aug = np.concatenate([feats.astype(np.float64),
+                                  np.ones((n, 1))], axis=1)
+            stacked = (aug[:, None, :] @ weights).reshape(-1, 4)
+            looped = np.array([row @ weights for row in aug])
+            assert stacked.tobytes() == looped.tobytes()
+            got = reg.apply_rows(feats, windows, img)
+            assert got.tobytes() == oracle_apply_rows(reg, feats, windows,
+                                                      img).tobytes()
+
+    def test_apply_rows_makes_one_product_per_row(self):
+        # the bytes above hold for products of one row each; one (N, D+1)
+        # product may round differently and rarely moves a rounded corner
+        logged = []
+
+        class Logged(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [np.asarray(a) for a in inputs]
+                if ufunc is np.matmul:
+                    logged.append(plain[0].shape)
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        rng = np.random.default_rng(76)
+        weights = (rng.normal(size=(9, 4)) * 0.05).view(Logged)
+        feats = rng.random((5, 8)).astype(np.float32)
+        windows = window_array(_random_windows(rng, 5, 90, 70)[:5])
+        det.BBoxRegressor(weights).apply_rows(feats, windows, (90, 70))
+        # each left operand is one row: (9,) in a loop, (5, 1, 9) stacked
+        assert logged and all(shape == (9,) or shape[-2:] == (1, 9)
+                              for shape in logged)
 
     def test_half_pixel_regressed_corners_match_oracle(self):
         # bias-only offsets (tx, ty) = (1/8, 3/8) on 4-pixel-wide windows
