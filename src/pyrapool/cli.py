@@ -88,10 +88,12 @@ POSITIVE_FLAGS = ("classes", "levels", "channels", "in_channels", "fc_width",
                   "epochs", "batch_size", "sizes", "eval_size", "scale",
                   "scales", "view", "pyramid", "view_size", "n_proposals",
                   "repeats", "window_size")
+EVAL_MODES = ("single", "10view", "10view-pixels", "96view")
 
 
 def check_args(args):
     """Reject a missing required option, a non-positive count or size, an
+    unknown eval mode, an eval view larger than the scales it is cut at, an
     NMS threshold outside [0, 1], a non-positive or non-finite SVM C, or a
     bad PYRAPOOL_THREADS, naming the flag or the variable."""
     for dest in args.required:
@@ -106,6 +108,16 @@ def check_args(args):
             raise ShapeError(
                 f"{_flag(dest)} must be positive, got "
                 f"{','.join(map(str, values)) or 'nothing'}")
+    mode = getattr(args, "mode", None)
+    if mode is not None and mode not in EVAL_MODES:
+        raise ShapeError(f"--mode must be one of {', '.join(EVAL_MODES)}, "
+                         f"got {mode!r}")
+    if mode in ("10view", "10view-pixels") and args.view > args.scale:
+        raise ShapeError(
+            f"--view {args.view} is larger than --scale {args.scale}")
+    if mode == "96view" and args.view > min(args.scales):
+        raise ShapeError(f"--view {args.view} is larger than the smallest "
+                         f"of --scales, {min(args.scales)}")
     nms_threshold = getattr(args, "nms_threshold", None)
     if nms_threshold is not None and not 0.0 <= nms_threshold <= 1.0:
         raise ShapeError(
@@ -208,29 +220,20 @@ def cmd_eval(args) -> int:
     correct = 0
     for path, label in dataset:
         pixels = _load_pixels(path, spec)
+        size = (pixels.shape[2], pixels.shape[1])
         if mode == "single":
-            vec = inference.full_image_representation(
+            scores = inference.full_image_representation(
                 spec, params, pixels, scale, layer=spec.layers[-1].name)
-            pred = int(np.argmax(vec))
-        elif mode == "10view":
-            views = inference.ten_view_windows(
-                (pixels.shape[2], pixels.shape[1]), s=scale, view=view)
-            pred = int(np.argmax(inference.predict_views(
-                spec, params, pixels, views)))
-        elif mode == "10view-pixels":
-            views = inference.ten_view_windows(
-                (pixels.shape[2], pixels.shape[1]), s=scale, view=view)
-            pred = int(np.argmax(inference.predict_crops(
-                spec, params, pixels, views)))
         elif mode == "96view":
-            views = inference.multi_view_windows(
-                (pixels.shape[2], pixels.shape[1]),
-                scales=args.scales, view=view)
-            pred = int(np.argmax(inference.predict_views(
-                spec, params, pixels, views)))
-        else:
-            raise ShapeError(f"unknown eval mode {mode!r}")
-        correct += int(pred == label)
+            scores = inference.predict_views(
+                spec, params, pixels, inference.multi_view_windows(
+                    size, scales=args.scales, view=view))
+        else:  # the ten views, pooled from maps or run on pixel crops
+            predict = (inference.predict_crops if mode == "10view-pixels"
+                       else inference.predict_views)
+            scores = predict(spec, params, pixels, inference.ten_view_windows(
+                size, s=scale, view=view))
+        correct += int(int(np.argmax(scores)) == label)
     accuracy = correct / len(dataset)
     report = (f"mode,{mode}\nimages,{len(dataset)}\ncorrect,{correct}\n"
               f"accuracy,{accuracy:.6f}\n")
@@ -307,7 +310,7 @@ def _detect_parallel(spec, params, model, images, proposals, scales, pyramid,
     """Per-image pipelines are independent; each owns its extractor (and so
     its feature-map cache). With several images they share the threads
     `map_threads` grants, and each image's scales run serially inside; one
-    image gets the threads for its scales."""
+    image's scales get the threads as `inference.image_maps` decides."""
 
     def run_one(image_id):
         extractor = detection.RegionFeatureExtractor(
@@ -328,7 +331,7 @@ def cmd_bench(args) -> int:
         params = net.ParameterStore(seed=args.seed)
         net.instantiate(spec, (args.window_size,) * 2, params)
     if args.image:
-        pixels = dataio.load_image(_existing(args.image, "--image")).pixels
+        pixels = _load_pixels(_existing(args.image, "--image"), spec)
     else:
         rng = np.random.default_rng(args.seed)
         pixels = rng.uniform(0, 255, size=(spec.in_channels, 96, 128)) \
@@ -414,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--test-manifest", default=None)
     p.add_argument("--mode", default="single",
-                   help="single | 10view | 10view-pixels | 96view")
+                   help=" | ".join(EVAL_MODES))
     p.add_argument("--scale", type=int, default=32)
     p.add_argument("--scales", type=_int_tuple,
                    default=inference.MULTI_VIEW_SCALES)

@@ -19,13 +19,13 @@ The first epoch, and any epoch in which a recomputed margin lies within that
 slack of 1, runs the full product. So each epoch updates from the violator
 set that one full product per epoch gives, and the weights are its bytes.
 
-Detection runs on the threads `parallel.thread_count` grants. An image's
-scale trunks run through `parallel.map_threads`, and `fit_detector` solves
-each class's ridge system beside the SVM fit (`parallel.beside`). Each call
-is the call one thread makes, on the same bytes, so results do not depend
-on the count. Memory: the fit holds one class's float64 SVM rows, uncopied,
-with one ridge system formed in place on the calling thread and the
-solver's copy of it on the worker.
+Detection runs on the threads `parallel.thread_count` grants: an image's
+scale trunks as `inference.image_maps` decides from their size, and
+`fit_detector` solves each class's ridge system beside the SVM fit
+(`parallel.beside`). Each call is the call one thread makes, on the same
+bytes, so results do not depend on the count. Memory: the fit holds one
+class's float64 SVM rows, uncopied, with one ridge system formed in place
+on the calling thread and the solver's copy of it on the worker.
 
 Every overlap decision reads a `geometry.iou_matrix` through one of two
 rules. Greedy keep (`_greedy_keep`): walk the windows in a fixed order and
@@ -48,9 +48,9 @@ from . import dataio
 from .errors import ShapeError
 from .geometry import (WindowRect, iou_matrix, project_windows, resize_to,
                        window_array)
-from .inference import network_input
+from .inference import image_maps
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
-from .parallel import beside, map_threads
+from .parallel import beside
 from .spp import PyramidSpec, pool_rects, spp_forward
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
@@ -112,26 +112,19 @@ class RegionFeatureExtractor:
 
     def prepare(self, image_id: str, pixels: np.ndarray):
         """The per-scale feature maps of one image: the held ones if both
-        `image_id` and the `pixels` object are the held image's, else new.
-        The scales' trunk passes run through `parallel.map_threads`, the
-        largest first on a worker."""
+        `image_id` and the `pixels` object are the held image's, else new
+        ones from `inference.image_maps`."""
         if (self._held is not None and self._held[0] == image_id
                 and self._held[1] is pixels):
             return self._held[2]
         self._held = None
-
-        def scale_map(s):
-            inst, x = network_input(self.spec, self.params, pixels, s,
-                                    (False,))
-            rh, rw = inst.input_size
-            return inst.conv_features(x)[0], (rw, rh)
-
-        by_size = sorted(self.scales)
-        maps = dict(zip(by_size, map_threads(scale_map, by_size)))
-        self.conv_passes += len(by_size)
+        maps, sizes, _ = image_maps(self.spec, self.params, pixels,
+                                    [(s, False) for s in self.scales])
+        self.conv_passes += len(maps)
         entry = {"size": (pixels.shape[2], pixels.shape[1]),
-                 "maps": {s: maps[s] for s in self.scales}}
-        self._held = (image_id, pixels, entry)
+                 "maps": {s: (featmap, (rw, rh)) for s, featmap, (rw, rh, _, _)
+                          in zip(self.scales, maps, sizes.tolist())}}
+        self._held = (image_id, pixels, entry, maps, sizes)
         return entry
 
     def extract_many(self, image_id: str, pixels: np.ndarray,
@@ -144,14 +137,11 @@ class RegionFeatureExtractor:
         if len(windows) == 0:
             return np.empty((0, self.feature_length), np.float32)
         entry = self.prepare(image_id, pixels)
-        grids = {s: (size, featmap.shape[1:])
-                 for s, (featmap, size) in entry["maps"].items()}
-        chosen, rects = project_windows(windows, entry["size"], grids,
-                                        self.stride, self.view, image_id)
-        scales = np.array(list(grids))
-        maps = (chosen[:, None] == scales).argmax(axis=1)
-        return pool_rects([featmap for featmap, _ in entry["maps"].values()],
-                          np.column_stack([maps, rects]), self.pyramid)
+        _, _, _, maps, sizes = self._held
+        index, rects = project_windows(windows, entry["size"], sizes,
+                                       self.stride, self.view, image_id)
+        return pool_rects(maps, np.column_stack([index, rects]),
+                          self.pyramid)
 
     def extract(self, image_id: str, pixels: np.ndarray,
                 window: WindowRect) -> np.ndarray:

@@ -17,8 +17,8 @@ Layers with other paddings would need per-layer offsets; FeatureGeometry
 refuses them at construction instead.
 
 `map_window` projects one window; `map_windows` is its array form, which
-both runtime paths use: `project_windows` picks a scale for each of many
-(N,4) windows and projects them all, as region detection needs, and
+both runtime paths use: `project_windows` picks an image's map for each of
+many (N,4) windows and projects them all, as region detection needs, and
 `inference.project_views` projects all views of an image.
 
 Window overlap is `iou_matrix`, the package's one IoU: every detection
@@ -60,10 +60,6 @@ class WindowRect:
     def height(self) -> int:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
     def clamped(self, image_w: int, image_h: int) -> "WindowRect":
         return WindowRect(
             max(0, min(self.x0, image_w - 1)),
@@ -71,9 +67,6 @@ class WindowRect:
             max(1, min(self.x1, image_w)),
             max(1, min(self.y1, image_h)),
         )
-
-    def hflipped(self, image_w: int) -> "WindowRect":
-        return WindowRect(image_w - self.x1, self.y0, image_w - self.x0, self.y1)
 
     def scaled(self, f: float) -> "WindowRect":
         x0 = int(round(self.x0 * f))
@@ -225,8 +218,9 @@ def select_scale(win: WindowRect, image_size, scales, view: int = 224) -> int:
     return best[1]
 
 
-def project_windows(windows: np.ndarray, image_size, grids, stride: int,
-                    view: int, image_id) -> tuple[np.ndarray, np.ndarray]:
+def project_windows(windows: np.ndarray, image_size, sizes: np.ndarray,
+                    stride: int, view: int,
+                    image_id) -> tuple[np.ndarray, np.ndarray]:
     """Feature rects of many image-domain windows on per-scale maps.
 
     The array form of the per-window chain: check the window against the
@@ -234,12 +228,13 @@ def project_windows(windows: np.ndarray, image_size, grids, stride: int,
     scale/min_side, clamp into the resized image, then `map_window`'s
     boundary rules, clamp and single-cell fallback, with the same float64
     operations in the same order (`np.round` rounds half to even, as `round`
-    does). `windows` is (N,4) int64; `grids` maps each scale to
-    ((rw, rh), (map_h, map_w)), the resized image size and its map size,
-    with map_w*stride >= rw and map_h*stride >= rh, as the floor(kernel/2)
-    padding that `FeatureGeometry` enforces gives. Returns the (N,) chosen
-    scales and the (N,4) int64 rects in `FeatureRect` field order. A window
-    outside the image raises ShapeError naming it and `image_id`.
+    does). `windows` is (N,4) int64; `sizes` holds `inference.image_maps`'s
+    (K>0,4) rows rw, rh, map_h, map_w, each resized image's min side being
+    its scale, with map_w*stride >= rw and map_h*stride >= rh, as the
+    floor(kernel/2) padding that `FeatureGeometry` enforces gives. Ties go
+    to the smaller scale, then the earlier row. Returns the (N,) chosen rows
+    of `sizes` and the (N,4) int64 rects in `FeatureRect` field order. A
+    window outside the image raises ShapeError naming it and `image_id`.
     """
     img_w, img_h = image_size
     x0, y0, x1, y1 = windows.T
@@ -248,8 +243,6 @@ def project_windows(windows: np.ndarray, image_size, grids, stride: int,
         win = WindowRect(*windows[outside.argmax()].tolist())
         raise ShapeError(f"proposal {win} of image {image_id} "
                          f"lies outside {img_w}x{img_h}")
-    if not grids:
-        raise ShapeError("scale list is empty")
     min_side = min(img_w, img_h)
     if min_side <= 0:
         raise ShapeError(f"degenerate image size {image_size}")
@@ -257,15 +250,14 @@ def project_windows(windows: np.ndarray, image_size, grids, stride: int,
     y0 = np.maximum(0, np.minimum(y0, img_h - 1))
     x1 = np.maximum(1, np.minimum(x1, img_w))
     y1 = np.maximum(1, np.minimum(y1, img_h))
-    scales = sorted(grids)
-    factors = [s / min_side for s in scales]
-    target = float(view * view)
+    scales = sizes[:, :2].min(axis=1)
+    by_scale = np.argsort(scales, kind="stable")
+    f = (scales[by_scale] / min_side)[:, None]
     w, h = x1 - x0, y1 - y0
-    pick = np.array([np.abs(w * f * h * f - target)
-                     for f in factors]).argmin(axis=0)  # first minimum
-    f = np.array(factors)[pick]
-    rw, rh, map_h, map_w = np.array(
-        [(*grids[s][0], *grids[s][1]) for s in scales], dtype=np.int64)[pick].T
+    err = np.abs(w * f * h * f - float(view * view))
+    rows = by_scale[err.argmin(axis=0)]  # first minimum
+    f = scales[rows] / min_side
+    rw, rh, map_h, map_w = sizes[rows].T
     sx0 = np.round(x0 * f).astype(np.int64)
     sy0 = np.round(y0 * f).astype(np.int64)
     sx1 = np.maximum(sx0 + 1, np.round(x1 * f).astype(np.int64))
@@ -275,7 +267,7 @@ def project_windows(windows: np.ndarray, image_size, grids, stride: int,
     sx1 = np.maximum(1, np.minimum(sx1, rw))
     sy1 = np.maximum(1, np.minimum(sy1, rh))
     rects = map_windows(sx0, sy0, sx1, sy1, stride, map_h, map_w)
-    return np.array(scales)[pick], np.stack(rects, axis=1)
+    return rows, np.stack(rects, axis=1)
 
 
 def map_windows(x0, y0, x1, y1, stride: int, map_h, map_w):

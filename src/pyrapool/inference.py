@@ -2,32 +2,40 @@
 crop scheme, and multi-view testing pooled directly from feature maps.
 
 Views are (scale, window, flip) triples on the min-side-resized image; a
-view must lie inside the image at its scale. The feature-map path resizes
-the image once per scale and runs the conv trunk once per scale on a batch
-of the unflipped and mirrored inputs its views need. All views of the image
-are then projected as one int64 array (`project_views`), one `pool_rects`
-call pools every window from all the (scale, flip) maps, and the fc head
-runs once over all the pooled rows. Windows are projected with the boundary
-formulas; on any side where a view touches the resized-image border, the
-mapped rect is snapped to the map border so that a full-image view pools
-exactly the full map (the raw left-boundary formula would drop row/column
-0).
+view must lie inside the image at its scale. `image_maps`, the one path
+from an image to its per-scale maps (detection's too), gives every (scale,
+flip) map, on threads if the work is large enough; all views are then
+projected as one int64 array (`project_views`), pooled by one `pool_rects`
+call and run through the fc head once. Views are projected with the
+boundary formulas; on any side where a view touches the resized-image
+border, the mapped rect is snapped to the map border so that a full-image
+view pools exactly the full map (the raw left-boundary formula would drop
+row/column 0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio
 from .errors import ShapeError
-from .geometry import WindowRect, map_windows, resize_image, resized_dims
+from .geometry import (WindowRect, map_windows, resize_image, resized_dims,
+                       window_array)
 from .net import NetworkSpec, ParameterStore, instantiate
+from .parallel import map_threads
 from .spp import pool_rects
 from .tensor import softmax
 
 MULTI_VIEW_SCALES = (224, 256, 300, 360, 448, 560)
+
+# Input pixels in an image's largest pass from which `image_maps` threads
+# its scales: between the benchmark's classify (6,272) and detect (16,384+)
+# images. Toy net, 2 threads: 0.60-0.65x serial time for a 96-view image at
+# scales 224-560; 0.64-1.17x, varying by process, at the benchmark's sizes.
+THREADED_PASS_PIXELS = 12_000
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,38 @@ def network_input(spec: NetworkSpec, params: ParameterStore,
     return inst, dataio.preprocess(batch)
 
 
+def image_maps(spec: NetworkSpec, params: ParameterStore,
+               pixels: np.ndarray, keys):
+    """An image's conv maps for (scale, flip) `keys`: per scale, one
+    `network_input` call and one trunk pass over that scale's flips. The
+    scales run in rising order, through `parallel.map_threads` when the
+    largest pass holds `THREADED_PASS_PIXELS` input pixels, else serially.
+    Returns the (K, h, w) maps in key order, their (len(keys), 4) int64
+    rows rw, rh, map_h, map_w (resized image and map sizes), and an
+    instance that runs the shared head."""
+    if not keys:
+        raise ShapeError("scale list is empty")
+    flips_of: dict[int, list] = {}
+    for s, flip in keys:
+        flips_of.setdefault(s, []).append(flip)
+    scales = sorted(flips_of)
+
+    def scale_maps(s):
+        inst, x = network_input(spec, params, pixels, s, flips_of[s])
+        featmaps = inst.conv_features(x)
+        rh, rw = inst.input_size
+        return inst, featmaps, (rw, rh, *featmaps.shape[2:])
+
+    largest = max(len(flips_of[s]) * math.prod(
+        resized_dims(pixels.shape[2], pixels.shape[1], s)) for s in scales)
+    threaded = largest >= THREADED_PASS_PIXELS
+    passes = dict(zip(scales, map_threads(scale_maps, scales) if threaded
+                      else map(scale_maps, scales)))
+    maps = [passes[s][1][flips_of[s].index(flip)] for s, flip in keys]
+    sizes = np.array([passes[s][2] for s, _ in keys], dtype=np.int64)
+    return maps, sizes, passes[scales[-1]][0]
+
+
 def _check_views_inside(pixels: np.ndarray, views):
     """Reject a view whose window leaves its scale's resized image: pooling
     would clamp it to a region the view does not describe."""
@@ -127,42 +167,25 @@ def _check_views_inside(pixels: np.ndarray, views):
 
 def predict_views(spec: NetworkSpec, params: ParameterStore,
                   pixels: np.ndarray, views) -> np.ndarray:
-    """Average the softmax scores of all views, pooling each window from the
-    feature map of its (scale, flip) group. Per scale, one resize and one
-    trunk pass over the stacked unflipped and mirrored inputs it needs give
-    the group maps. All views are then projected as one array, pooled from
-    all the maps in one `pool_rects` call, and run through the head in one
-    call. Rows are summed group by group in order of first appearance, each
-    group's in view order, so the result does not depend on how the groups
-    share trunk passes or head calls."""
+    """Average the softmax scores of all views, each pooled from the map of
+    its (scale, flip) group (`image_maps`): one projection, one `pool_rects`
+    call and one head call for all views. Rows are summed group by group in
+    order of first appearance, each group's in view order, so the result
+    does not depend on how the groups share trunk passes or head calls."""
     if not views:
         raise ShapeError("view list is empty")
     _check_views_inside(pixels, views)
     groups: dict[tuple, list] = {}
     for view in views:
-        groups.setdefault((view.scale, view.flip), []).append(view)
-    flips_of: dict[int, list] = {}
-    for s, flip in groups:
-        flips_of.setdefault(s, []).append(flip)
-
-    maps, index, sizes = [], {}, {}
-    for s, flips in flips_of.items():
-        inst, x = network_input(spec, params, pixels, s, flips)
-        featmaps = inst.conv_features(x)
-        for flip, featmap in zip(flips, featmaps):
-            index[s, flip] = len(maps)
-            maps.append(featmap)
-        rh, rw = inst.input_size
-        sizes[s] = (rw, rh, *featmaps.shape[2:])
-    # one row per view, group by group: map, flip, sizes, window
-    table = np.array([(index[s, flip], flip, *sizes[s], view.window.x0,
-                       view.window.y0, view.window.x1, view.window.y1)
-                      for (s, flip), members in groups.items()
-                      for view in members], dtype=np.int64)
-    rects = project_views(table[:, 6:], table[:, 1] != 0, table[:, 2:6],
+        groups.setdefault((view.scale, view.flip), []).append(view.window)
+    maps, sizes, inst = image_maps(spec, params, pixels, list(groups))
+    # one row per view, group by group
+    index = np.repeat(np.arange(len(groups)), list(map(len, groups.values())))
+    flips = np.array([flip for _, flip in groups])[index]
+    windows = window_array([w for group in groups.values() for w in group])
+    rects = project_views(windows, flips, sizes[index],
                           spec.trunk_geometry().stride)
-    pooled = pool_rects(maps, np.column_stack([table[:, 0], rects]),
-                        spec.pyramid())
+    pooled = pool_rects(maps, np.column_stack([index, rects]), spec.pyramid())
     # any scale's instance runs the one shared head; accumulate adds the
     # float64 rows one after another, in view order, as the per-view sum does
     probs = softmax(inst.head_forward(pooled)).astype(np.float64)

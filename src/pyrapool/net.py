@@ -254,10 +254,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._slots
 
-    def zero_grads(self):
-        for slot in self._slots.values():
-            slot.grad[...] = 0.0
-
     def load_values(self, values: dict[str, np.ndarray]):
         """Install checkpointed arrays; fresh grad/momentum buffers."""
         for name, arr in values.items():
@@ -320,7 +316,6 @@ class NetworkInstance:
         self.input_size = tuple(input_size)
         self.params = params
         self.shapes = compute_shapes(spec, input_size)
-        self._shape_by_name = dict(self.shapes)
         self._bind_slots()
 
     def _bind_slots(self):
@@ -348,12 +343,6 @@ class NetworkInstance:
     @property
     def output_length(self) -> int:
         return int(np.prod(self.shapes[-1][1]))
-
-    def shape_at(self, layer_name: str):
-        try:
-            return self._shape_by_name[layer_name]
-        except KeyError:
-            raise GraphError(f"no layer named {layer_name!r}")
 
     # -- execution ---------------------------------------------------------
 

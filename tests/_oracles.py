@@ -65,7 +65,7 @@ def reference_iou(a, b):
     inter = iw * ih
     if inter == 0:
         return 0.0
-    return inter / (a.area + b.area - inter)
+    return inter / (a.width * a.height + b.width * b.height - inter)
 
 
 def brute_force_iou(a, b):
@@ -544,6 +544,13 @@ def oracle_run_detector(extractor, model, images, proposals,
 # same rects and probabilities byte for byte.
 # ---------------------------------------------------------------------------
 
+def hflipped(window, image_w):
+    """`window` mirrored left to right in an image `image_w` pixels wide."""
+    from pyrapool.geometry import WindowRect
+    return WindowRect(image_w - window.x1, window.y0, image_w - window.x0,
+                      window.y1)
+
+
 def view_to_feature_rect(window, resized_size, stride, map_size):
     """The scalar view projection `inference.project_views` replaced:
     `map_window` plus border snapping for edge-flush view windows."""
@@ -580,7 +587,7 @@ def oracle_predict_views(spec, params, pixels, views):
         featmap = inst.conv_features(x)[0]
         rects = []
         for view in members:
-            win = view.window.hflipped(rw) if flip else view.window
+            win = hflipped(view.window, rw) if flip else view.window
             r = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
             rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
         probs = softmax(inst.head_forward(pool_rects(featmap, rects, pyramid)))

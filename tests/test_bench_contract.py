@@ -113,3 +113,43 @@ class TestRunTimeReads:
             assert featmap.ndim == 3 and min(rw, rh) == s
         assert callable(extractor.extract)
         assert isinstance(net.stats.trunk_passes, int)
+
+
+class TestThreadRule:
+    """At the bench's sizes, `inference.image_maps` keeps each classify
+    image's scales on the calling thread and gives each detect image's
+    scales to `parallel.map_threads`: the choice follows the largest pass,
+    whichever caller asks."""
+
+    def _threaded(self, monkeypatch, pixels, keys) -> bool:
+        calls = []
+        map_threads = inference.map_threads
+
+        def counted(fn, items):
+            calls.append(items)
+            return map_threads(fn, items)
+
+        monkeypatch.setenv("PYRAPOOL_THREADS", "2")
+        monkeypatch.setattr(inference, "map_threads", counted)
+        spec = net.toy_shape_net()
+        inference.image_maps(spec, net.ParameterStore(seed=0), pixels, keys)
+        return bool(calls)
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
+    def test_classify_images_stay_serial(self, workloads, monkeypatch, end):
+        p = workloads.PARAMS
+        side = p["shapes"]["size_range"][end]  # the shape images are square
+        views = inference.multi_view_windows(
+            (side, side), scales=p["classify"]["scales"],
+            view=p["classify"]["view"])
+        keys = list(dict.fromkeys((v.scale, v.flip) for v in views))
+        pixels = np.full((1, side, side), 100.0, np.float32)
+        assert not self._threaded(monkeypatch, pixels, keys)
+
+    @pytest.mark.parametrize("ends", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_detect_images_run_threaded(self, workloads, monkeypatch, ends):
+        p = workloads.PARAMS["detect"]
+        h, w = (p["canvas_range"][end] for end in ends)
+        pixels = np.full((1, h, w), 100.0, np.float32)
+        keys = [(s, False) for s in p["scales"]]
+        assert self._threaded(monkeypatch, pixels, keys)

@@ -413,6 +413,27 @@ class TestBench:
         assert lines[2].startswith("per_window,5,")
 
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_image_channels_checked(self, checkpoint, tmp_path, capsys,
+                                    channels):
+        # before: a 3-channel image failed in the trunk, naming no file
+        image = tmp_path / ("colour.ppm" if channels == 3 else "grey.pgm")
+        dataio.save_image(image, dataio.Image(np.random.default_rng(0)
+                          .integers(0, 256, (channels, 64, 85))
+                          .astype(np.float32)))
+        rc = cli.main(["bench", "--checkpoint", str(checkpoint),
+                       "--image", str(image), "--n-proposals", "2",
+                       "--repeats", "1", "--scales", "64",
+                       "--window-size", "48"])
+        err = capsys.readouterr().err
+        if channels == 1:
+            assert rc == cli.EXIT_OK and err == ""
+        else:
+            assert rc == cli.EXIT_ERROR
+            assert err == (f"error: {image}: image has 3 channel(s), the "
+                           f"network expects 1\n")
+
+
 class TestExitCodes:
     def test_missing_input(self, corpus):
         root, _ = corpus
@@ -626,6 +647,41 @@ class TestFlagValues:
                        "--mode", "10view", *flags])
         assert rc == cli.EXIT_ERROR
         assert f"{flags[0]} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "bogus"], "--mode must be one of single, 10view, "
+                              "10view-pixels, 96view, got 'bogus'"),
+        (["--mode", "10view", "--view", "48", "--scale", "32"],
+         "--view 48 is larger than --scale 32"),
+        (["--mode", "10view-pixels", "--view", "33"],
+         "--view 33 is larger than --scale 32"),
+        (["--mode", "96view", "--view", "33", "--scales", "48,32,40"],
+         "--view 33 is larger than the smallest of --scales, 32"),
+    ], ids=["mode", "10view", "10view-pixels", "96view"])
+    def test_eval_mode_and_view_checked_before_work(self, corpus, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    flags, message):
+        # before: checked only once the checkpoint and the first image were
+        # loaded, so a missing checkpoint exited 2
+        root, _ = corpus
+        monkeypatch.setattr(cli, "build_network",
+                            lambda args: pytest.fail("built"))
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"),
+                       "--test-manifest", str(root / "cls" / "test.txt"),
+                       *flags])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "10view", "--view", "32", "--scale", "32"],
+        ["--mode", "10view-pixels", "--view", "32", "--scale", "32"],
+        ["--mode", "96view", "--view", "28", "--scales", "36,28"],
+        ["--mode", "single", "--view", "64", "--scale", "32"]])
+    def test_eval_view_up_to_the_scale_accepted(self, flags):
+        args = cli.build_parser().parse_args(
+            ["eval", "--checkpoint", "model.ckpt", "--test-manifest",
+             "test.txt", *flags])
+        cli.check_args(args)
 
     def test_config_value_checked_like_a_flag(self, corpus, checkpoint,
                                               tmp_path, capsys):

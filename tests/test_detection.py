@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pyrapool import dataio, net, spp
+from pyrapool import dataio, inference, net, spp
 from pyrapool import detection as det
 from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect, map_window, window_array
@@ -650,14 +650,14 @@ class TestRegionFeatures:
         images = {f"img{i}": rng.uniform(0, 255, (1, 40, 48)).astype(
             np.float32) for i in range(21)}
         first = weakref.ref(ex.prepare("img0", images["img0"])["maps"][48][0])
-        network_input = det.network_input
+        network_input = inference.network_input
         released = []
 
         def checked(*args, **kwargs):  # the old maps go before new ones come
             released.append(first() is None)
             return network_input(*args, **kwargs)
 
-        monkeypatch.setattr(det, "network_input", checked)
+        monkeypatch.setattr(inference, "network_input", checked)
         for image_id, pixels in list(images.items())[1:]:
             ex.extract(image_id, pixels, W(2, 2, 30, 30))
         assert len(released) == 20 * len(scales) and all(released)

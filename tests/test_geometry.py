@@ -274,37 +274,51 @@ class TestIouMatrix:
             assert geo.iou_matrix(x, y).tobytes() == m.tobytes()
 
 
-def _scalar_projection(win, image_size, grids, stride, view):
-    """The per-window chain that `project_windows` vectorises."""
+def _scalar_projection(win, image_size, sizes, stride, view):
+    """The per-window chain that `project_windows` vectorises: the row of
+    `sizes` the window pools from, and its rect."""
     img_w, img_h = image_size
     win = win.clamped(img_w, img_h)
-    s = geo.select_scale(win, image_size, tuple(grids), view)
-    (rw, rh), map_size = grids[s]
+    scales = [min(rw, rh) for rw, rh, _, _ in sizes.tolist()]
+    s = geo.select_scale(win, image_size, tuple(scales), view)
+    row = scales.index(s)
+    rw, rh, map_h, map_w = sizes[row].tolist()
     scaled = win.scaled(s / min(img_w, img_h)).clamped(rw, rh)
-    r = geo.map_window(scaled, stride, map_size)
-    return s, (r.fx0, r.fy0, r.fx1, r.fy1)
+    r = geo.map_window(scaled, stride, (map_h, map_w))
+    return row, (r.fx0, r.fy0, r.fx1, r.fy1)
 
 
-def _grids(image_size, scales, stride, extra=0):
-    """Resized sizes and map sizes of a floor(kernel/2)-padded trunk: at
-    least ceil(side/stride) cells, `extra` more for an even pool kernel."""
-    out = {}
+def _sizes(image_size, scales, stride, extra=0):
+    """`inference.image_maps`'s size table for a floor(kernel/2)-padded
+    trunk: per scale, the resized size and at least ceil(side/stride)
+    cells, `extra` more for an even pool kernel."""
+    rows = []
     for s in scales:
         rw, rh = geo.resized_dims(*image_size, s)
-        out[s] = ((rw, rh),
-                  (-(-rh // stride) + extra, -(-rw // stride) + extra))
-    return out
+        rows.append((rw, rh, -(-rh // stride) + extra,
+                     -(-rw // stride) + extra))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 class TestProjectWindows:
-    def _check(self, windows, image_size, grids, stride, view):
+    def _check(self, windows, image_size, sizes, stride, view):
         arr = geo.window_array(windows)
-        chosen, rects = geo.project_windows(arr, image_size, grids, stride,
+        chosen, rects = geo.project_windows(arr, image_size, sizes, stride,
                                             view, "img")
         assert rects.dtype == np.int64 and rects.shape == (len(windows), 4)
-        for win, s, rect in zip(windows, chosen.tolist(), rects.tolist()):
-            assert (s, tuple(rect)) == _scalar_projection(
-                win, image_size, grids, stride, view)
+        for win, row, rect in zip(windows, chosen.tolist(), rects.tolist()):
+            assert (row, tuple(rect)) == _scalar_projection(
+                win, image_size, sizes, stride, view)
+
+    def _random_windows(self, rng, iw, ih):
+        windows = []
+        for _ in range(int(rng.integers(1, 40))):
+            x0 = int(rng.integers(-20, iw))
+            y0 = int(rng.integers(-20, ih))
+            x1 = max(x0 + 1, 1) + int(rng.integers(0, iw + 20))
+            y1 = max(y0 + 1, 1) + int(rng.integers(0, ih + 20))
+            windows.append(W(x0, y0, x1, y1))
+        return windows
 
     def test_matches_scalar_chain_on_random_windows(self):
         rng = np.random.default_rng(28)
@@ -313,53 +327,68 @@ class TestProjectWindows:
             stride = int(rng.choice([1, 2, 3, 4, 12, 16]))
             view = int(rng.choice([8, 16, 32, 224]))
             scales = sorted({int(v) for v in rng.integers(8, 260, 4)})
-            grids = _grids((iw, ih), scales, stride, int(rng.integers(0, 2)))
-            windows = []
-            for _ in range(int(rng.integers(1, 40))):
-                x0 = int(rng.integers(-20, iw))
-                y0 = int(rng.integers(-20, ih))
-                x1 = max(x0 + 1, 1) + int(rng.integers(0, iw + 20))
-                y1 = max(y0 + 1, 1) + int(rng.integers(0, ih + 20))
-                windows.append(W(x0, y0, x1, y1))
-            self._check(windows, (iw, ih), grids, stride, view)
+            sizes = _sizes((iw, ih), scales, stride, int(rng.integers(0, 2)))
+            self._check(self._random_windows(rng, iw, ih), (iw, ih), sizes,
+                        stride, view)
+
+    def test_rows_in_any_order_and_repeated(self):
+        # the table comes in key order, which need not be rising, and a
+        # repeated scale pools from its first row
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            iw, ih = (int(v) for v in rng.integers(8, 200, 2))
+            stride = int(rng.choice([1, 2, 4, 16]))
+            view = int(rng.choice([8, 16, 32]))
+            scales = [int(v) for v in rng.integers(8, 260, 5)]
+            scales.append(scales[int(rng.integers(0, 5))])
+            sizes = _sizes((iw, ih), scales, stride)
+            windows = self._random_windows(rng, iw, ih)
+            self._check(windows, (iw, ih), sizes, stride, view)
+            chosen, rects = geo.project_windows(
+                geo.window_array(windows), (iw, ih), sizes[::-1], stride,
+                view, "img")
+            _, in_order = geo.project_windows(
+                geo.window_array(windows), (iw, ih), sizes, stride, view,
+                "img")
+            assert rects.tolist() == in_order.tolist()
 
     def test_half_pixel_corners_round_to_even(self):
         # min side 64 at scale 32 halves every coordinate: odd corners land
         # on k + 0.5, and 1.5 -> 2, 2.5 -> 2, 4.5 -> 4, 5.5 -> 6 (half up
         # would give [3, 4, 4, 5] and [3, 4, 5, 4] at stride 1)
-        grids = _grids((96, 64), (32,), 2)
+        sizes = _sizes((96, 64), (32,), 2)
         windows = [W(3, 5, 9, 11), W(5, 3, 11, 9), W(1, 1, 3, 3),
                    W(0, 0, 96, 64), W(95, 63, 96, 64)]
-        self._check(windows, (96, 64), grids, 2, 16)
+        self._check(windows, (96, 64), sizes, 2, 16)
         _, rects = geo.project_windows(geo.window_array(windows[:2]),
-                                       (96, 64), grids, 1, 16, "img")
+                                       (96, 64), sizes, 1, 16, "img")
         assert rects.tolist() == [[3, 3, 3, 5], [3, 3, 5, 3]]
 
     def test_flush_and_narrow_windows(self):
         iw, ih, stride = 80, 64, 4
-        grids = _grids((iw, ih), (48, 64, 96), stride)
+        sizes = _sizes((iw, ih), (48, 64, 96), stride)
         windows = [W(0, 0, iw, ih), W(0, 0, 1, 1), W(iw - 1, ih - 1, iw, ih),
                    W(0, 10, 2, 12), W(40, 0, 43, ih), W(10, 10, 11, 60)]
         windows += [W(x, x, x + 3, x + 2) for x in range(0, 60, 7)]
         for view in (4, 32, 64):
-            self._check(windows, (iw, ih), grids, stride, view)
+            self._check(windows, (iw, ih), sizes, stride, view)
 
     def test_ties_go_to_the_smaller_scale(self):
         # f = s / 100: 16x20 at scale 50 gives 80 pixels, at 150 gives 720;
         # both are exactly 320 from view 20's 400
-        grids = _grids((100, 100), (150, 50), 2)
+        sizes = _sizes((100, 100), (150, 50), 2)
         win = W(0, 0, 16, 20)
         chosen, _ = geo.project_windows(geo.window_array([win]), (100, 100),
-                                        grids, 2, 20, "img")
-        assert chosen.tolist() == [50]
-        self._check([win], (100, 100), grids, 2, 20)
+                                        sizes, 2, 20, "img")
+        assert chosen.tolist() == [1]  # the row of scale 50
+        self._check([win], (100, 100), sizes, 2, 20)
 
     def test_outside_window_names_it_and_the_image(self):
-        grids = _grids((80, 64), (64,), 4)
+        sizes = _sizes((80, 64), (64,), 4)
         windows = geo.window_array([W(-5, -5, 10, 10), W(80, 0, 90, 10),
                                     W(0, 64, 10, 70)])
         with pytest.raises(ShapeError) as e:
-            geo.project_windows(windows, (80, 64), grids, 4, 32, "img7")
+            geo.project_windows(windows, (80, 64), sizes, 4, 32, "img7")
         assert str(e.value) == (f"proposal {W(80, 0, 90, 10)} of image img7 "
                                 f"lies outside 80x64")
 

@@ -9,7 +9,7 @@ from pyrapool.errors import ShapeError
 from pyrapool.geometry import WindowRect, resized_dims
 from pyrapool.tensor import softmax
 
-from _oracles import oracle_predict_views, view_to_feature_rect
+from _oracles import hflipped, oracle_predict_views, view_to_feature_rect
 
 
 class TestTenViews:
@@ -156,7 +156,7 @@ class TestPredictViews:
                                               (view.flip,))
             rh, rw = inst.input_size
             featmap = inst.conv_features(x)[0]
-            win = view.window.hflipped(rw) if view.flip else view.window
+            win = hflipped(view.window, rw) if view.flip else view.window
             r = view_to_feature_rect(win, (rw, rh), stride,
                                      featmap.shape[1:])
             vec, _ = spp_mod.spp_forward(
@@ -257,6 +257,104 @@ class TestPredictViews:
         assert got.tobytes() != (backward / len(views)).tobytes()
 
 
+class TestImageMaps:
+    """`image_maps`: one trunk pass per scale over that scale's flips, the
+    maps and size rows in key order, threads chosen by the largest pass."""
+
+    def setup_method(self):
+        self.spec = net.toy_shape_net()
+        self.params = net.ParameterStore(seed=44, sigma=0.05)
+        rng = np.random.default_rng(45)
+        self.pixels = rng.uniform(0, 255, (1, 50, 64)).astype(np.float32)
+        # not in rising order, one scale with both flips, one scale repeated
+        self.keys = [(96, True), (40, False), (96, False), (64, False),
+                     (40, True), (64, False)]
+
+    def _calls(self, monkeypatch):
+        """Record each `network_input` scale and each `map_threads` list."""
+        network_input, map_threads = (inference.network_input,
+                                      inference.map_threads)
+        calls = {"scales": [], "threaded": []}
+
+        def counted_input(spec, params, pixels, s, flips):
+            calls["scales"].append(s)
+            return network_input(spec, params, pixels, s, flips)
+
+        def counted_map(fn, items):
+            calls["threaded"].append(list(items))
+            return map_threads(fn, items)
+
+        monkeypatch.setattr(inference, "network_input", counted_input)
+        monkeypatch.setattr(inference, "map_threads", counted_map)
+        return calls
+
+    def test_maps_and_sizes_equal_one_pass_per_key(self, monkeypatch):
+        calls = self._calls(monkeypatch)
+        passes = net.stats.trunk_passes
+        maps, sizes, inst = inference.image_maps(self.spec, self.params,
+                                                 self.pixels, self.keys)
+        assert net.stats.trunk_passes - passes == len(self.keys)
+        assert sorted(calls["scales"]) == [40, 64, 96]
+        assert sizes.dtype == np.int64 and sizes.shape == (len(self.keys), 4)
+        for (s, flip), featmap, row in zip(self.keys, maps, sizes.tolist()):
+            single, x = inference.network_input(self.spec, self.params,
+                                                self.pixels, s, (flip,))
+            expect = single.conv_features(x)[0]
+            assert featmap.tobytes() == expect.tobytes()
+            rh, rw = single.input_size
+            assert row == [rw, rh, *expect.shape[1:]]
+        pooled = np.ones((2, self.spec.pyramid().output_length(16)),
+                         np.float32)
+        assert inst.head_forward(pooled).tobytes() == \
+            single.head_forward(pooled).tobytes()
+
+    @pytest.mark.parametrize("threshold", [1, 10**9],
+                             ids=["threaded", "serial"])
+    def test_scales_run_in_rising_order(self, monkeypatch, threshold):
+        monkeypatch.setenv("PYRAPOOL_THREADS", "1")
+        monkeypatch.setattr(inference, "THREADED_PASS_PIXELS", threshold)
+        calls = self._calls(monkeypatch)
+        inference.image_maps(self.spec, self.params, self.pixels, self.keys)
+        assert calls["scales"] == [40, 64, 96]
+        assert calls["threaded"] == ([[40, 64, 96]] if threshold == 1
+                                     else [])
+
+    def test_threads_from_the_largest_pass(self, monkeypatch):
+        # the largest pass is scale 96's two flips of the 123 x 96 image
+        # (64 * 96 / 50 = 122.88); scale 64's is 2 x 82 x 64
+        largest = 2 * 123 * 96
+        calls = self._calls(monkeypatch)
+        for threshold, threaded in ((largest, 1), (largest + 1, 0)):
+            monkeypatch.setattr(inference, "THREADED_PASS_PIXELS", threshold)
+            calls["threaded"].clear()
+            inference.image_maps(self.spec, self.params, self.pixels,
+                                 self.keys)
+            assert len(calls["threaded"]) == threaded, threshold
+
+    def test_no_keys_rejected(self):
+        with pytest.raises(ShapeError, match="^scale list is empty$"):
+            inference.image_maps(self.spec, self.params, self.pixels, [])
+
+    @pytest.mark.parametrize("keys, threaded", [
+        ([(96, True), (40, False), (96, False), (64, False), (40, True)],
+         True),
+        ([(24, False), (28, True), (32, False), (28, False)], False)],
+        ids=["above", "below"])
+    def test_same_bytes_for_any_thread_count(self, monkeypatch, keys,
+                                             threaded):
+        calls = self._calls(monkeypatch)
+        monkeypatch.delenv("PYRAPOOL_THREADS", raising=False)
+        maps, sizes, _ = inference.image_maps(self.spec, self.params,
+                                              self.pixels, keys)
+        assert bool(calls["threaded"]) == threaded
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PYRAPOOL_THREADS", threads)
+            got, got_sizes, _ = inference.image_maps(
+                self.spec, self.params, self.pixels, keys)
+            assert got_sizes.tobytes() == sizes.tobytes()
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in maps]
+
+
 class TestProjectViews:
     """`project_views` against the scalar projection it replaced
     (`_oracles.view_to_feature_rect`), byte for byte."""
@@ -267,7 +365,7 @@ class TestProjectViews:
         for (x0, y0, x1, y1), flip, (rw, rh, map_h, map_w) in zip(
                 windows.tolist(), flips, sizes.tolist()):
             win = WindowRect(x0, y0, x1, y1)
-            win = win.hflipped(rw) if flip else win
+            win = hflipped(win, rw) if flip else win
             r = view_to_feature_rect(win, (rw, rh), stride, (map_h, map_w))
             rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
         return np.array(rects, dtype=np.int64).reshape(-1, 4)

@@ -358,7 +358,7 @@ class TestTrainLoop:
             b = net.instantiate(spec, (24, 24), params)
             same_storage = all(a.slots[n][0] is b.slots[n][0]
                                for n in a.slots)
-            assert a.shape_at("spp1") == b.shape_at("spp1")
+            assert dict(a.shapes)["spp1"] == dict(b.shapes)["spp1"]
             checks.append(same_storage)
 
         _, reports = training.train(spec, data, cfg, on_epoch_end=on_epoch)
