@@ -21,7 +21,7 @@ import numpy as np
 from . import dataio, detection, inference, net, training
 from .dataio import atomic_write
 from .errors import CheckpointError, ShapeError, SpecMismatchError
-from .parallel import map_threads, thread_count
+from .parallel import thread_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -92,10 +92,11 @@ EVAL_MODES = ("single", "10view", "10view-pixels", "96view")
 
 
 def check_args(args):
-    """Reject a missing required option, a non-positive count or size, an
-    unknown eval mode, an eval view larger than the scales it is cut at, an
-    NMS threshold outside [0, 1], a non-positive or non-finite SVM C, or a
-    bad PYRAPOOL_THREADS, naming the flag or the variable."""
+    """Reject a missing required option, a non-positive count or size, a
+    repeated scale, an unknown eval mode, an eval view larger than the
+    scales it is cut at, an NMS threshold outside [0, 1], a non-positive or
+    non-finite SVM C, or a bad PYRAPOOL_THREADS, naming the flag or the
+    variable."""
     for dest in args.required:
         if getattr(args, dest) is None:
             raise ShapeError(f"missing required option: {_flag(dest)}")
@@ -108,6 +109,11 @@ def check_args(args):
             raise ShapeError(
                 f"{_flag(dest)} must be positive, got "
                 f"{','.join(map(str, values)) or 'nothing'}")
+    scales = getattr(args, "scales", None) or ()
+    repeated = [s for s in scales if scales.count(s) > 1]
+    if repeated:
+        raise ShapeError(f"--scales repeats {repeated[0]}, got "
+                         f"{','.join(map(str, scales))}")
     mode = getattr(args, "mode", None)
     if mode is not None and mode not in EVAL_MODES:
         raise ShapeError(f"--mode must be one of {', '.join(EVAL_MODES)}, "
@@ -245,9 +251,11 @@ def cmd_eval(args) -> int:
 
 def cmd_extract(args) -> int:
     manifest = _existing(args.manifest, "--manifest")
+    entries = dataio.load_manifest(manifest)
+    if not entries:
+        raise FileNotFoundError(f"manifest {manifest} lists no images")
     spec = build_network(args)
     params = load_store(args, spec)
-    entries = dataio.load_manifest(manifest)
     lines = []
     base = os.path.dirname(os.path.abspath(manifest))
     for path, _ in entries:
@@ -261,22 +269,25 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_images(manifest_path, spec: net.NetworkSpec):
-    by_id = dataio.load_detection_manifest(manifest_path)
+def _load_images(manifest_path, flag: str, spec: net.NetworkSpec):
+    """The pixels of every image a detection manifest lists, by image id; a
+    missing or empty manifest raises FileNotFoundError naming it."""
+    by_id = dataio.load_detection_manifest(_existing(manifest_path, flag))
+    if not by_id:
+        raise FileNotFoundError(
+            f"{flag} manifest {manifest_path} lists no images")
     return {image_id: _load_pixels(p, spec) for image_id, p in by_id.items()}
 
 
 def cmd_detect(args) -> int:
     spec = build_network(args)
     params = load_store(args, spec)
-    scales, pyramid, view = args.scales, args.pyramid, args.view_size
-    train_images = _load_images(
-        _existing(args.train_images, "--train-images"), spec)
+    train_images = _load_images(args.train_images, "--train-images", spec)
     train_props = detection.read_proposals(
         _existing(args.train_proposals, "--train-proposals"))
     train_gt = detection.read_ground_truth(
         _existing(args.train_gt, "--train-gt"))
-    images = _load_images(_existing(args.images, "--images"), spec)
+    images = _load_images(args.images, "--images", spec)
     proposals = detection.read_proposals(
         _existing(args.proposals, "--proposals"))
     gt = (detection.read_ground_truth(_existing(args.gt, "--gt"))
@@ -284,14 +295,14 @@ def cmd_detect(args) -> int:
     classes = sorted({c for entries in train_gt.values()
                       for c, _ in entries})
     extractor = detection.RegionFeatureExtractor(
-        spec, params, scales=scales, pyramid=pyramid, view=view)
+        spec, params, scales=args.scales, pyramid=args.pyramid,
+        view=args.view_size)
     model = detection.fit_detector(
         extractor, train_images, train_props, train_gt, classes,
         svm_c=args.svm_c, with_bbox=not args.no_bbox)
-
-    detections = _detect_parallel(
-        spec, params, model, images, proposals, scales, pyramid, view,
-        args.nms_threshold, apply_bbox=not args.no_bbox)
+    detections = detection.run_detector(
+        extractor, model, images, proposals,
+        nms_threshold=args.nms_threshold, apply_bbox=not args.no_bbox)
     atomic_write(args.out, detection.format_detections(detections))
     print(f"wrote {len(detections)} detections to {args.out}")
     if gt is not None:
@@ -303,24 +314,6 @@ def cmd_detect(args) -> int:
             atomic_write(args.map_report, report)
         print(report, end="")
     return EXIT_OK
-
-
-def _detect_parallel(spec, params, model, images, proposals, scales, pyramid,
-                     view, nms_t, apply_bbox):
-    """Per-image pipelines are independent; each owns its extractor (and so
-    its feature-map cache). With several images they share the threads
-    `map_threads` grants, and each image's scales run serially inside; one
-    image's scales get the threads as `inference.image_maps` decides."""
-
-    def run_one(image_id):
-        extractor = detection.RegionFeatureExtractor(
-            spec, params, scales=scales, pyramid=pyramid, view=view)
-        return detection.run_detector(
-            extractor, model, {image_id: images[image_id]}, proposals,
-            nms_threshold=nms_t, apply_bbox=apply_bbox)
-
-    results = map_threads(run_one, sorted(images))
-    return [d for dets in results for d in dets]
 
 
 def cmd_bench(args) -> int:
@@ -336,9 +329,12 @@ def cmd_bench(args) -> int:
         rng = np.random.default_rng(args.seed)
         pixels = rng.uniform(0, 255, size=(spec.in_channels, 96, 128)) \
                     .astype(np.float32)
+    img_h, img_w = pixels.shape[1], pixels.shape[2]
+    if min(img_h, img_w) < 18:  # proposal sides are drawn from [8, side // 2)
+        raise ShapeError(f"{args.image}: image is {img_w}x{img_h}, bench "
+                         f"needs at least 18 px on each side")
     n = args.n_proposals
     rng = np.random.default_rng(args.seed + 1)
-    img_h, img_w = pixels.shape[1], pixels.shape[2]
     proposals = []
     for _ in range(n):
         w = int(rng.integers(8, img_w // 2))

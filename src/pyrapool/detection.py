@@ -19,13 +19,16 @@ The first epoch, and any epoch in which a recomputed margin lies within that
 slack of 1, runs the full product. So each epoch updates from the violator
 set that one full product per epoch gives, and the weights are its bytes.
 
-Detection runs on the threads `parallel.thread_count` grants: an image's
-scale trunks as `inference.image_maps` decides from their size, and
-`fit_detector` solves each class's ridge system beside the SVM fit
-(`parallel.beside`). Each call is the call one thread makes, on the same
-bytes, so results do not depend on the count. Memory: the fit holds one
-class's float64 SVM rows, uncopied, with one ridge system formed in place
-on the calling thread and the solver's copy of it on the worker.
+Detection runs on the threads `parallel.thread_count` grants, all through
+`parallel.map_threads`: `run_detector` maps its images over them, one
+image's scale trunks use them as `inference.image_maps` decides from their
+size, and `fit_detector` solves each class's ridge system on a worker while
+the calling thread fits that class's SVM. Each call is the call one thread
+makes, on the same bytes, so results do not depend on the count. Memory:
+with T threads `run_detector` holds at most T images' maps plus the one its
+extractor holds; the fit holds one class's float64 SVM rows, uncopied, with
+one ridge system formed in place on the calling thread and the solver's
+copy of it on the worker.
 
 Every overlap decision reads a `geometry.iou_matrix` through one of two
 rules. Greedy keep (`_greedy_keep`): walk the windows in a fixed order and
@@ -39,8 +42,10 @@ highest IoU, the last one on a tie (`_last_best`) for mAP matching at
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .geometry import (WindowRect, iou_matrix, project_windows, resize_to,
                        window_array)
 from .inference import image_maps
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
-from .parallel import beside
+from .parallel import map_threads
 from .spp import PyramidSpec, pool_rects, spp_forward
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
@@ -89,7 +94,12 @@ class RegionFeatureExtractor:
 
     It holds one image's maps, keyed by image id and pixels object, and
     releases them before it computes another image's; `conv_passes` counts
-    actual trunk runs.
+    actual trunk runs, one per scale of each image computed. A repeated
+    scale raises ShapeError.
+
+    One extractor may serve several threads at once: each call reads the
+    held image once and works on the maps it read or computed, so with T
+    threads at most T images' maps are alive beside the held one.
     """
 
     def __init__(self, spec: NetworkSpec, params: ParameterStore,
@@ -98,10 +108,15 @@ class RegionFeatureExtractor:
         self.spec = spec
         self.params = params
         self.scales = tuple(scales)
+        repeated = [s for s in self.scales if self.scales.count(s) > 1]
+        if repeated:
+            raise ShapeError(f"scale {repeated[0]} is repeated in "
+                             f"{self.scales}")
         self.pyramid = PyramidSpec(pyramid)
         self.view = view
         self.stride = spec.trunk_geometry().stride
         self.conv_passes = 0
+        self._count_lock = threading.Lock()
         self._held = None  # (image_id, pixels, entry) of the prepared image
 
     @property
@@ -114,17 +129,18 @@ class RegionFeatureExtractor:
         """The per-scale feature maps of one image: the held ones if both
         `image_id` and the `pixels` object are the held image's, else new
         ones from `inference.image_maps`."""
-        if (self._held is not None and self._held[0] == image_id
-                and self._held[1] is pixels):
-            return self._held[2]
-        self._held = None
+        held = self._held
+        if held is not None and held[0] == image_id and held[1] is pixels:
+            return held[2]
+        held = self._held = None  # the old maps go before new ones come
         maps, sizes, _ = image_maps(self.spec, self.params, pixels,
                                     [(s, False) for s in self.scales])
-        self.conv_passes += len(maps)
+        with self._count_lock:
+            self.conv_passes += len(maps)
         entry = {"size": (pixels.shape[2], pixels.shape[1]),
                  "maps": {s: (featmap, (rw, rh)) for s, featmap, (rw, rh, _, _)
                           in zip(self.scales, maps, sizes.tolist())}}
-        self._held = (image_id, pixels, entry, maps, sizes)
+        self._held = (image_id, pixels, entry)
         return entry
 
     def extract_many(self, image_id: str, pixels: np.ndarray,
@@ -132,12 +148,14 @@ class RegionFeatureExtractor:
         """(len(windows), feature_length) features of one image's candidate
         windows, a WindowRect sequence or an (N,4) array, row i for
         windows[i]; one `project_windows` call, and one `pool_rects` call
-        over all the image's scale maps."""
+        over all the image's scale maps, read from `prepare`'s entry only."""
         windows = window_array(windows)
         if len(windows) == 0:
             return np.empty((0, self.feature_length), np.float32)
         entry = self.prepare(image_id, pixels)
-        _, _, _, maps, sizes = self._held
+        maps = [featmap for featmap, _ in entry["maps"].values()]
+        sizes = np.array([(rw, rh, *featmap.shape[1:]) for featmap, (rw, rh)
+                          in entry["maps"].values()], dtype=np.int64)
         index, rects = project_windows(windows, entry["size"], sizes,
                                        self.stride, self.view, image_id)
         return pool_rects(maps, np.column_stack([index, rects]),
@@ -566,11 +584,12 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
 
     A class's SVM rows are built once, float64 with all positives first, so
     `train_svm` fits them uncopied. The calling thread forms each class's
-    ridge system, then fits its SVM while `parallel.beside` solves the
-    system on a worker; serially the solve follows the SVM. Forming the
-    system on the calling thread keeps its 8*(D+1)^2 bytes in that thread's
-    allocator, where the SVM's freed rows can reuse them: formed on the
-    worker, they raised detect's peak RSS by about 6 MB."""
+    ridge system, then `parallel.map_threads` runs [fit the SVM, solve the
+    system]: the calling thread fits, a worker solves; serially the solve
+    follows the SVM. Forming the system on the calling thread keeps its
+    8*(D+1)^2 bytes in that thread's allocator, where the SVM's freed rows
+    can reuse them: formed on the worker, they raised detect's peak RSS by
+    about 6 MB."""
     samples = {cls: ([], [], [], []) for cls in classes}
     for image_id, pixels in images.items():
         gt = ground_truth.get(image_id, [])
@@ -590,21 +609,26 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                     reg_feats.append(pooled[win])
                     reg_targets.append(target)
     svms, regressors = {}, {}
-    with beside() as start:
-        for cls, (pos_rows, neg_rows, reg_feats, reg_targets) in \
-                samples.items():
-            if with_bbox:
-                ridge = start(_ridge_solve, _ridge_system(
-                    np.array(reg_feats), np.array(reg_targets), RIDGE_LAMBDA))
-            try:
-                svms[cls] = train_svm(
-                    *_svm_rows(pos_rows, neg_rows, extractor.feature_length),
-                    c=svm_c)
-            except ShapeError as e:
-                raise ShapeError(f"class {cls}: {e}") from e
-            if with_bbox:
-                regressors[cls] = ridge()
+    for cls, (pos_rows, neg_rows, reg_feats, reg_targets) in samples.items():
+        # the last class's system is dropped before this one's is formed
+        tasks = [partial(_class_svm, cls, pos_rows, neg_rows,
+                         extractor.feature_length, svm_c)]
+        if with_bbox:
+            tasks.append(partial(_ridge_solve, _ridge_system(
+                np.array(reg_feats), np.array(reg_targets), RIDGE_LAMBDA)))
+        fitted = map_threads(lambda task: task(), tasks)
+        svms[cls] = fitted[0]
+        if with_bbox:
+            regressors[cls] = fitted[1]
     return DetectorModel(svms, regressors)
+
+
+def _class_svm(cls, pos_rows, neg_rows, d: int, svm_c: float) -> SvmModel:
+    """`train_svm` of one class's rows; its errors name the class."""
+    try:
+        return train_svm(*_svm_rows(pos_rows, neg_rows, d), c=svm_c)
+    except ShapeError as e:
+        raise ShapeError(f"class {cls}: {e}") from e
 
 
 def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
@@ -616,14 +640,17 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
     class, the survivors of each class in descending score order.
 
     Each image's proposals become one window array; NMS and the regression
-    run on rows of it, and only survivors become `Detection` objects."""
-    out = []
-    for image_id in sorted(images):
+    run on rows of it, and only survivors become `Detection` objects. The
+    images share the threads `parallel.map_threads` grants, all pooled by
+    the one `extractor`; a single image keeps them for its scales."""
+
+    def detect_image(image_id):
         pixels = images[image_id]
         windows = window_array(proposals.get(image_id, []))
         feats = extractor.extract_many(image_id, pixels, windows)
         overlaps = iou_matrix(windows, windows) > nms_threshold
         image_size = (pixels.shape[2], pixels.shape[1])
+        out = []
         for cls, svm in sorted(model.svms.items()):
             scores = svm.scores(feats)
             if not np.isfinite(scores).all():
@@ -637,7 +664,10 @@ def run_detector(extractor: RegionFeatureExtractor, model: DetectorModel,
             out.extend(Detection(image_id, WindowRect(*box), cls, score)
                        for box, score in zip(boxes.tolist(),
                                              scores[kept].tolist()))
-    return out
+        return out
+
+    return [d for dets in map_threads(detect_image, sorted(images))
+            for d in dets]
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,17 @@ def network_input(spec: NetworkSpec, params: ParameterStore,
 def image_maps(spec: NetworkSpec, params: ParameterStore,
                pixels: np.ndarray, keys):
     """An image's conv maps for (scale, flip) `keys`: per scale, one
-    `network_input` call and one trunk pass over that scale's flips. The
-    scales run in rising order, through `parallel.map_threads` when the
-    largest pass holds `THREADED_PASS_PIXELS` input pixels, else serially.
+    `network_input` call and one trunk pass over that scale's distinct
+    flips, so a repeated key shares its map. The scales run in rising
+    order, through `parallel.map_threads` when the largest pass holds
+    `THREADED_PASS_PIXELS` input pixels, else serially.
     Returns the (K, h, w) maps in key order, their (len(keys), 4) int64
     rows rw, rh, map_h, map_w (resized image and map sizes), and an
     instance that runs the shared head."""
     if not keys:
         raise ShapeError("scale list is empty")
     flips_of: dict[int, list] = {}
-    for s, flip in keys:
+    for s, flip in dict.fromkeys(keys):
         flips_of.setdefault(s, []).append(flip)
     scales = sorted(flips_of)
 

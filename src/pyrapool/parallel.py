@@ -1,16 +1,15 @@
-"""How many threads the package may use, and the two ways it uses them.
+"""How many threads the package may use, and the one way it uses them.
 
 `PYRAPOOL_THREADS` grants the threads: unset means 1, 0 means every CPU the
 process may run on. `map_threads` runs a list of independent calls on the
-calling thread plus up to that many minus one workers; `beside` starts calls
-on the workers while the calling thread does other work. Threads change only
+calling thread plus up to that many minus one workers. Threads change only
 which core runs a call: each call is the same call on the same bytes, so
 results do not depend on the count.
 
-A call made from inside either one (from a worker, or from the calling
-thread while it runs them) gets no workers of its own and runs serially. So
-the busy threads never exceed the count, and no task ever waits on a task
-queued behind it in the same pool.
+A call made from inside it (from a worker, or from the calling thread while
+it runs the list) gets no workers of its own and runs serially. So the busy
+threads never exceed the count, and no task ever waits on a task queued
+behind it in the same pool.
 
 The workers are started on first use and kept for the life of the process,
 one pool per worker count. With a pool made and shut down per call, an
@@ -23,8 +22,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
-from functools import partial
 
 from .errors import ShapeError
 
@@ -55,22 +52,6 @@ def _usable_cpus() -> int:
 
 def _mark_nested():
     _local.nested = True
-
-
-@contextmanager
-def _nested():
-    """The calling thread counts as nested inside the block."""
-    outer = getattr(_local, "nested", False)
-    _local.nested = True
-    try:
-        yield
-    finally:
-        _local.nested = outer
-
-
-def _spare() -> int:
-    """Workers a call may start beside the calling thread."""
-    return 0 if getattr(_local, "nested", False) else thread_count() - 1
 
 
 def _forget_pools():
@@ -106,7 +87,8 @@ def map_threads(fn, items) -> list:
     them in order. If a call raises, no further item starts, and the error
     is raised once every started call has returned."""
     items = list(items)
-    spare = _spare()
+    # workers this call may start beside the calling thread
+    spare = 0 if getattr(_local, "nested", False) else thread_count() - 1
     helpers = min(spare, len(items) - 1)
     if helpers < 1:
         return [fn(item) for item in items]
@@ -134,40 +116,14 @@ def map_threads(fn, items) -> list:
 
     from concurrent.futures import wait
     pool = _pool(spare)
-    with _nested():
+    _local.nested = True  # it was not, or no worker would be spare
+    futures = []
+    try:
         futures = [pool.submit(drain, False) for _ in range(helpers)]
-        try:
-            drain(True)
-        finally:
-            wait(futures)
+        drain(True)
+    finally:
+        wait(futures)
+        _local.nested = False
     for future in futures:
         future.result()
     return results
-
-
-@contextmanager
-def beside():
-    """Yields `start(fn, *args)`, which returns a no-argument callable that
-    gives `fn(*args)`. With workers granted, `fn` starts at once on one of
-    them; serially it runs on the calling thread when that callable is
-    called. Call each one inside the block: on leaving it, calls not
-    started yet are cancelled and started ones waited for."""
-    spare = _spare()
-    if spare < 1:
-        yield partial
-        return
-    from concurrent.futures import wait
-    pool = _pool(spare)
-    futures = []
-
-    def start(fn, *args):
-        futures.append(pool.submit(fn, *args))
-        return futures[-1].result
-
-    with _nested():
-        try:
-            yield start
-        finally:
-            for future in futures:
-                future.cancel()
-            wait(futures)

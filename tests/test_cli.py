@@ -433,6 +433,31 @@ class TestBench:
             assert err == (f"error: {image}: image has 3 channel(s), the "
                            f"network expects 1\n")
 
+    @pytest.mark.parametrize("height, width", [(17, 40), (40, 17), (18, 18)])
+    def test_small_image_rejected_before_timing(self, checkpoint, tmp_path,
+                                                capsys, monkeypatch, height,
+                                                width):
+        # proposal sides are drawn from [8, side // 2): before, a side under
+        # 18 px failed in the sampler with `low >= high`, naming no file
+        image = tmp_path / "small.pgm"
+        dataio.save_image(image, dataio.Image(
+            np.full((1, height, width), 128.0, np.float32)))
+        timed, speed_bench = [], cli.detection.speed_bench
+        monkeypatch.setattr(cli.detection, "speed_bench", lambda *a, **k: (
+            timed.append(a[4]), speed_bench(*a, **k))[1])
+        rc = cli.main(["bench", "--checkpoint", str(checkpoint),
+                       "--image", str(image), "--n-proposals", "2",
+                       "--repeats", "1", "--scales", "64",
+                       "--window-size", "48"])
+        err = capsys.readouterr().err
+        if min(height, width) < 18:
+            assert rc == cli.EXIT_ERROR and timed == []
+            assert err == (f"error: {image}: image is {width}x{height}, "
+                           f"bench needs at least 18 px on each side\n")
+        else:
+            assert rc == cli.EXIT_OK and err == ""
+            assert timed == ["shared", "per_window"]
+
 
 class TestExitCodes:
     def test_missing_input(self, corpus):
@@ -448,6 +473,37 @@ class TestExitCodes:
                        "--test-manifest", str(empty)])
         assert rc == cli.EXIT_MISSING_INPUT
         assert str(empty) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--manifest", "--train-images",
+                                      "--images"])
+    def test_empty_manifest_named(self, corpus, checkpoint, tmp_path, capsys,
+                                  monkeypatch, flag):
+        # before: extract wrote "\n", detect an empty detections file or,
+        # for --train-images, an SVM error that named no file
+        root, det_paths = corpus
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "out.txt"
+        monkeypatch.setattr(cli.detection, "fit_detector",
+                            lambda *a, **k: pytest.fail("fitted"))
+        if flag == "--manifest":
+            argv = ["extract", "--manifest", str(empty), "--scale", "28"]
+            name = "manifest"
+        else:
+            manifests = {"--train-images": det_paths["manifest"],
+                         "--images": det_paths["manifest"], flag: str(empty)}
+            argv = ["detect", "--train-proposals", det_paths["proposals"],
+                    "--train-gt", det_paths["gt"],
+                    "--proposals", det_paths["proposals"],
+                    "--scales", "48", "--view-size", "32",
+                    *(v for item in manifests.items() for v in item)]
+            name = f"{flag} manifest"
+        rc = cli.main([*argv, "--checkpoint", str(checkpoint),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_MISSING_INPUT
+        assert capsys.readouterr().err == \
+            f"error: {name} {empty} lists no images\n"
+        assert not out.exists()
 
     def test_eval_label_out_of_range(self, corpus, checkpoint, tmp_path,
                                      capsys, monkeypatch):
@@ -737,6 +793,32 @@ class TestFlagValues:
         assert rc == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert f"error: {flags[0]} " in err and " must " in err
+
+    @pytest.mark.parametrize("command", ["detect", "eval", "bench"])
+    def test_repeated_scale_rejected_before_work(self, corpus, checkpoint,
+                                                 tmp_path, capsys,
+                                                 monkeypatch, command):
+        # before: each repeat ran its trunk pass again (detect, bench) or
+        # was dropped as a duplicate view (eval 96view)
+        root, _ = corpus
+        for module, name in ((net, "load_checkpoint"),
+                             (cli.detection, "speed_bench")):
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: pytest.fail("worked"))
+        if command == "detect":
+            rc = self._detect_without_work(corpus, checkpoint, tmp_path,
+                                           monkeypatch,
+                                           ["--scales", "48,64,48"])
+        else:
+            rc = cli.main({
+                "eval": ["eval", "--checkpoint", str(checkpoint),
+                         "--test-manifest", str(root / "cls" / "test.txt"),
+                         "--mode", "96view", "--view", "32",
+                         "--scales", "48,64,48"],
+                "bench": ["bench", "--scales", "48,64,48"]}[command])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: --scales repeats 48, got 48,64,48\n"
 
     def test_negative_threads_rejected_before_work(self, corpus, checkpoint,
                                                    tmp_path, capsys,

@@ -1,6 +1,9 @@
 """Detection pipeline pieces: IoU, sample mining, SVM, NMS, bbox regression,
 model combination, AP scoring, region features, and file formats."""
 
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -665,6 +668,57 @@ class TestRegionFeatures:
         ex.prepare("img0", images["img0"])
         assert ex.conv_passes == (len(images) + 1) * len(scales)
 
+    def test_repeated_scale_rejected(self):
+        with pytest.raises(ShapeError, match=r"^scale 48 is repeated in "
+                                             r"\(48, 64, 48\)$"):
+            det.RegionFeatureExtractor(self.spec, self.params,
+                                       scales=(48, 64, 48), view=32)
+
+    def test_one_extractor_shared_by_threads(self):
+        # each call pools its own image's maps, whichever image the others
+        # hold by the time `prepare` returns, and every trunk pass is counted
+        scales, n_threads, per_thread = (24, 32), 4, 6
+        rng = np.random.default_rng(68)
+        images = [[rng.uniform(0, 255, (1, 24, 30)).astype(np.float32)
+                   for _ in range(per_thread)] for _ in range(n_threads)]
+        windows = [W(0, 0, 30, 24), W(3, 2, 20, 18)]
+        fresh = det.RegionFeatureExtractor(self.spec, self.params,
+                                           scales=scales, view=16)
+        expect = [[fresh.extract_many(f"{t}-{i}", pixels, windows).tobytes()
+                   for i, pixels in enumerate(row)]
+                  for t, row in enumerate(images)]
+        shared = det.RegionFeatureExtractor(self.spec, self.params,
+                                            scales=scales, view=16)
+        prepare = shared.prepare
+
+        def slow_prepare(image_id, pixels):
+            entry = prepare(image_id, pixels)
+            time.sleep(0.002)  # the other threads prepare their images
+            return entry
+
+        shared.prepare = slow_prepare
+        got = [[None] * per_thread for _ in range(n_threads)]
+
+        def work(t):
+            for i, pixels in enumerate(images[t]):
+                got[t][i] = shared.extract_many(f"{t}-{i}", pixels,
+                                                windows).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expect
+        assert shared.conv_passes == n_threads * per_thread * len(scales)
+
     def test_reused_id_with_new_pixels_gets_fresh_maps(self):
         other = np.random.default_rng(67).uniform(
             0, 255, self.pixels.shape).astype(np.float32)
@@ -779,6 +833,37 @@ class TestPoolOnce:
             np.testing.assert_array_equal(model.regressors[cls].weights,
                                           regressors[cls].weights)
 
+    def test_fit_solves_beside_the_svm(self, monkeypatch):
+        # at 2 threads each class's SVM fit and ridge solve run at once, on
+        # two threads; serially the solve follows the SVM on the caller
+        train_svm, ridge_solve = det.train_svm, det._ridge_solve
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PYRAPOOL_THREADS", threads)
+            both = threading.Barrier(2, timeout=10)
+            seen = []
+
+            def task(name, fn, *args, **kwargs):
+                seen.append((name, threading.get_ident()))
+                if threads == "2":
+                    both.wait()
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(det, "train_svm", lambda *a, **k: task(
+                "svm", train_svm, *a, **k))
+            monkeypatch.setattr(det, "_ridge_solve", lambda *a: task(
+                "solve", ridge_solve, *a))
+            self._fit(self._extractor())
+            assert len(seen) == 4
+            if threads == "1":
+                assert [name for name, _ in seen] == ["svm", "solve"] * 2
+                assert {ident for _, ident in seen} == \
+                    {threading.get_ident()}
+            else:
+                svm = {ident for name, ident in seen if name == "svm"}
+                assert svm == {threading.get_ident()}
+                assert all(ident not in svm for name, ident in seen
+                           if name == "solve")
+
     def test_run_with_bbox_pools_each_proposal_once(self):
         model = self._fit(self._extractor())
         ex = self._extractor()
@@ -788,19 +873,24 @@ class TestPoolOnce:
         assert dets
         assert len(calls) == sum(len(p) for p in self.proposals.values())
 
-    def test_class_without_negatives_is_named(self):
+    def test_class_without_negatives_is_named(self, monkeypatch):
         # every proposal of image b overlaps its class-0 box: class 0 gets
-        # positives and no negatives, class 1 has no box in this split
+        # positives and no negatives, class 1 has no box in this split; at
+        # 2 threads the SVM fails on the calling thread beside a solve
         images = {"b": self.images["b"]}
         proposals = {"b": self.proposals["b"][:4]}
-        with pytest.raises(ShapeError, match="^class 0: SVM training needs "
-                                             "both classes present$"):
-            det.fit_detector(self._extractor(), images, proposals,
-                             {"b": self.gt["b"]}, classes=(0,))
-        with pytest.raises(ShapeError, match="^class 1: SVM training needs "
-                                             "both classes present$"):
-            det.fit_detector(self._extractor(), images, self.proposals,
-                             {"b": self.gt["b"]}, classes=(0, 1))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PYRAPOOL_THREADS", threads)
+            with pytest.raises(ShapeError, match="^class 0: SVM training "
+                                                 "needs both classes "
+                                                 "present$"):
+                det.fit_detector(self._extractor(), images, proposals,
+                                 {"b": self.gt["b"]}, classes=(0,))
+            with pytest.raises(ShapeError, match="^class 1: SVM training "
+                                                 "needs both classes "
+                                                 "present$"):
+                det.fit_detector(self._extractor(), images, self.proposals,
+                                 {"b": self.gt["b"]}, classes=(0, 1))
 
     def test_training_proposal_outside_image_rejected(self):
         # the second proposal lies wholly right of the 80-px image and

@@ -293,7 +293,8 @@ class TestImageMaps:
         passes = net.stats.trunk_passes
         maps, sizes, inst = inference.image_maps(self.spec, self.params,
                                                  self.pixels, self.keys)
-        assert net.stats.trunk_passes - passes == len(self.keys)
+        # (64, False) is asked for twice and computed once
+        assert net.stats.trunk_passes - passes == len(set(self.keys)) == 5
         assert sorted(calls["scales"]) == [40, 64, 96]
         assert sizes.dtype == np.int64 and sizes.shape == (len(self.keys), 4)
         for (s, flip), featmap, row in zip(self.keys, maps, sizes.tolist()):
@@ -321,7 +322,7 @@ class TestImageMaps:
 
     def test_threads_from_the_largest_pass(self, monkeypatch):
         # the largest pass is scale 96's two flips of the 123 x 96 image
-        # (64 * 96 / 50 = 122.88); scale 64's is 2 x 82 x 64
+        # (64 * 96 / 50 = 122.88); scale 64's is 1 x 82 x 64
         largest = 2 * 123 * 96
         calls = self._calls(monkeypatch)
         for threshold, threaded in ((largest, 1), (largest + 1, 0)):

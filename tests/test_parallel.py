@@ -1,5 +1,5 @@
-"""The threads PYRAPOOL_THREADS grants: the count, `map_threads`, `beside`,
-and detection output that does not depend on the count."""
+"""The threads PYRAPOOL_THREADS grants: the count, `map_threads`, and
+detection output that does not depend on the count."""
 
 import os
 import subprocess
@@ -180,59 +180,6 @@ class TestMapThreads:
             sys.setswitchinterval(interval)
 
 
-class TestBeside:
-    def test_serial_runs_when_called(self, monkeypatch):
-        _set_threads(monkeypatch, "1")
-        seen = []
-        with parallel.beside() as start:
-            result = start(lambda a, b: seen.append(threading.get_ident())
-                           or a + b, 2, 3)
-            assert seen == []
-            assert result() == 5
-        assert seen == [threading.get_ident()]
-
-    def test_worker_runs_at_once(self, monkeypatch):
-        _set_threads(monkeypatch, "2")
-        ran, where = threading.Event(), []
-
-        def task():
-            where.append(threading.get_ident())
-            ran.set()
-            return "done"
-
-        with parallel.beside() as start:
-            result = start(task)
-            assert ran.wait(10)
-            assert result() == "done"
-        assert where != [threading.get_ident()]
-
-    def test_task_error_raised_when_called(self, monkeypatch):
-        _set_threads(monkeypatch, "2")
-
-        def fail():
-            raise KeyError("ridge")
-
-        with parallel.beside() as start:
-            result = start(fail)
-            with pytest.raises(KeyError, match="ridge"):
-                result()
-
-    def test_leaving_on_error_waits_for_started_tasks(self, monkeypatch):
-        _set_threads(monkeypatch, "2")
-        busy = _Busy()
-
-        def slow():
-            with busy:
-                time.sleep(0.05)
-
-        with pytest.raises(RuntimeError, match="caller"):
-            with parallel.beside() as start:
-                start(slow)
-                start(slow)
-                raise RuntimeError("caller")
-        assert busy.now == 0
-
-
 class TestParameterStoreUnderThreads:
     def test_concurrent_first_use_draws_in_layer_order(self):
         # threads instantiating one fresh store at once create each slot
@@ -278,9 +225,10 @@ def det_splits(tmp_path_factory):
 class TestDetectionThreadInvariance:
     SCALES = (48, 64, 96)
 
-    def _detect(self, splits):
+    def _detect(self, splits, shared=False):
         """Fit and run from a fresh parameter store, so the slots are drawn
-        while the scales' trunk passes run."""
+        while the scales' trunk passes run; with `shared`, detection runs
+        through the fit's extractor, as `pyrapool detect` does."""
         (images, proposals, gt), (test_images, test_proposals, _) = splits
         params = net.ParameterStore(seed=7, sigma=0.05)
         classes = sorted({c for boxes in gt.values() for c, _ in boxes})
@@ -288,8 +236,9 @@ class TestDetectionThreadInvariance:
         fit_ex = det.RegionFeatureExtractor(net.toy_shape_net(), params,
                                             scales=self.SCALES, view=32)
         model = det.fit_detector(fit_ex, images, proposals, gt, classes)
-        run_ex = det.RegionFeatureExtractor(net.toy_shape_net(), params,
-                                            scales=self.SCALES, view=32)
+        fit_passes = fit_ex.conv_passes
+        run_ex = fit_ex if shared else det.RegionFeatureExtractor(
+            net.toy_shape_net(), params, scales=self.SCALES, view=32)
         text = det.format_detections(det.run_detector(
             run_ex, model, test_images, test_proposals, apply_bbox=True))
         return {
@@ -298,7 +247,7 @@ class TestDetectionThreadInvariance:
             "regressors": [(cls, r.weights.tobytes())
                            for cls, r in sorted(model.regressors.items())],
             "text": text,
-            "conv_passes": (fit_ex.conv_passes, run_ex.conv_passes),
+            "conv_passes": (fit_passes, run_ex.conv_passes),
             "trunk_passes": net.stats.trunk_passes - before,
         }
 
@@ -316,6 +265,51 @@ class TestDetectionThreadInvariance:
         assert first["trunk_passes"] == (n_train + n_test) * len(self.SCALES)
         for value, result in zip(THREAD_SETTINGS[1:], results[1:]):
             assert result == first, f"PYRAPOOL_THREADS={value}"
+
+    def test_images_share_the_threads(self, det_splits, monkeypatch):
+        # at 2 threads the first two images are pooled at once, by the
+        # calling thread and a worker, through the one extractor
+        (images, proposals, gt), (test_images, test_proposals, _) = det_splits
+        assert len(test_images) >= 2
+        _set_threads(monkeypatch, None)
+        params = net.ParameterStore(seed=7, sigma=0.05)
+        ex = det.RegionFeatureExtractor(net.toy_shape_net(), params,
+                                        scales=self.SCALES, view=32)
+        model = det.fit_detector(ex, images, proposals, gt, sorted(
+            {c for boxes in gt.values() for c, _ in boxes}))
+        serial = det.run_detector(ex, model, test_images, test_proposals)
+        _set_threads(monkeypatch, "2")
+        both, lock = threading.Barrier(2, timeout=10), threading.Lock()
+        where = []
+        extract_many = ex.extract_many
+
+        def paired(*args):
+            with lock:
+                where.append(threading.get_ident())
+                first_two = len(where) <= 2
+            if first_two:
+                both.wait()
+            return extract_many(*args)
+
+        ex.extract_many = paired
+        assert det.run_detector(ex, model, test_images,
+                                test_proposals) == serial
+        assert len(where) == len(test_images)
+        assert len(set(where[:2])) == 2
+
+    def test_fit_extractor_detects_with_the_same_bytes(self, det_splits,
+                                                        monkeypatch):
+        _set_threads(monkeypatch, None)
+        fresh = self._detect(det_splits)
+        n_train, n_test = len(det_splits[0][0]), len(det_splits[1][0])
+        for value in THREAD_SETTINGS:
+            _set_threads(monkeypatch, value)
+            result = self._detect(det_splits, shared=True)
+            assert result["conv_passes"] == (
+                n_train * len(self.SCALES),
+                (n_train + n_test) * len(self.SCALES)), value
+            for key in ("svms", "regressors", "text", "trunk_passes"):
+                assert result[key] == fresh[key], (key, value)
 
 
 def test_forked_child_gets_its_own_workers(tmp_path):
