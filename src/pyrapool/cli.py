@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataio, detection, inference, net, training
 from .dataio import atomic_write
-from .errors import CheckpointError, ShapeError, SpecMismatchError
+from .errors import CheckpointError, GraphError, ShapeError, SpecMismatchError
 from .parallel import thread_count
 
 EXIT_OK = 0
@@ -28,6 +28,11 @@ EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CHECKPOINT = 3
 EXIT_SPEC_MISMATCH = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error: `main` reports it, exit 1
+        raise ShapeError(message)
 
 
 def _config_entry(line: str):
@@ -95,8 +100,8 @@ def check_args(args):
     """Reject a missing required option, a non-positive count or size, a
     repeated scale, an unknown eval mode, an eval view larger than the
     scales it is cut at, an NMS threshold outside [0, 1], a non-positive or
-    non-finite SVM C, or a bad PYRAPOOL_THREADS, naming the flag or the
-    variable."""
+    non-finite SVM C, a --net that cannot map the windows a command pools,
+    or a bad PYRAPOOL_THREADS, naming the flag or the variable."""
     for dest in args.required:
         if getattr(args, dest) is None:
             raise ShapeError(f"missing required option: {_flag(dest)}")
@@ -131,6 +136,14 @@ def check_args(args):
     svm_c = getattr(args, "svm_c", None)
     if svm_c is not None and not (np.isfinite(svm_c) and svm_c > 0):
         raise ShapeError(f"--svm-c must be positive and finite, got {svm_c}")
+    if args.command in ("detect", "bench") or mode in ("10view", "96view"):
+        spec = build_network(args)
+        try:
+            spec.trunk_geometry()
+        except GraphError as e:
+            what = args.command if mode is None else f"eval --mode {mode}"
+            raise ShapeError(f"--net {args.net} cannot map windows onto its "
+                             f"feature maps, which {what} needs: {e}") from None
     thread_count()
 
 
@@ -384,7 +397,7 @@ def _add_net_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pyrapool",
         description="pyramid-pooled network toolkit: train, evaluate, "
                     "extract features, detect, benchmark")
@@ -471,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             config = read_config_file(args.config)
             sub = next(a for a in parser._actions

@@ -56,7 +56,7 @@ from .geometry import (WindowRect, iou_matrix, project_windows, resize_to,
 from .inference import image_maps
 from .net import Conv, NetworkSpec, ParameterStore, instantiate
 from .parallel import map_threads
-from .spp import PyramidSpec, pool_rects, spp_forward
+from .spp import PyramidSpec, pool_maps, pool_rects
 
 DETECTION_SCALES = (480, 576, 688, 864, 1200)
 DETECTION_PYRAMID = (6, 3, 2, 1)
@@ -128,7 +128,7 @@ class RegionFeatureExtractor:
     def prepare(self, image_id: str, pixels: np.ndarray):
         """The per-scale feature maps of one image: the held ones if both
         `image_id` and the `pixels` object are the held image's, else new
-        ones from `inference.image_maps`."""
+        ones from `inference.image_maps`, with its table as "sizes"."""
         held = self._held
         if held is not None and held[0] == image_id and held[1] is pixels:
             return held[2]
@@ -137,7 +137,7 @@ class RegionFeatureExtractor:
                                     [(s, False) for s in self.scales])
         with self._count_lock:
             self.conv_passes += len(maps)
-        entry = {"size": (pixels.shape[2], pixels.shape[1]),
+        entry = {"size": (pixels.shape[2], pixels.shape[1]), "sizes": sizes,
                  "maps": {s: (featmap, (rw, rh)) for s, featmap, (rw, rh, _, _)
                           in zip(self.scales, maps, sizes.tolist())}}
         self._held = (image_id, pixels, entry)
@@ -153,13 +153,10 @@ class RegionFeatureExtractor:
         if len(windows) == 0:
             return np.empty((0, self.feature_length), np.float32)
         entry = self.prepare(image_id, pixels)
+        rows = project_windows(windows, entry["size"], entry["sizes"],
+                               self.stride, self.view, image_id)
         maps = [featmap for featmap, _ in entry["maps"].values()]
-        sizes = np.array([(rw, rh, *featmap.shape[1:]) for featmap, (rw, rh)
-                          in entry["maps"].values()], dtype=np.int64)
-        index, rects = project_windows(windows, entry["size"], sizes,
-                                       self.stride, self.view, image_id)
-        return pool_rects(maps, np.column_stack([index, rects]),
-                          self.pyramid)
+        return pool_rects(maps, rows, self.pyramid)
 
     def extract(self, image_id: str, pixels: np.ndarray,
                 window: WindowRect) -> np.ndarray:
@@ -742,10 +739,11 @@ def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
                 window_size: int = 224) -> BenchReport:
     """Time the conv / pool / fc stages of region feature extraction.
 
-    shared: conv trunk once per scale on the full image, then per-window
-    pyramid pooling off the cached maps. per_window: crop each proposal from
-    pixels, warp to window_size**2, and run the trunk per window (the
-    recompute-everything baseline).
+    shared: conv trunk once per scale on the full image, then one
+    `pool_rects` call for all windows off the cached maps. per_window: crop
+    each proposal from pixels, warp to window_size**2, run the trunk per
+    window (the recompute-everything baseline) and pool its map alone with
+    `pool_maps`: the same kernel, one window at a time.
     """
     if not proposals:
         raise ShapeError("benchmark needs at least one proposal")
@@ -781,7 +779,7 @@ def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
         x = dataio.preprocess(warped)
         featmap = inst.conv_features(x[None])[0]
         t1 = clock()
-        vec, _ = spp_forward(featmap, extractor.pyramid)
+        vec = pool_maps(featmap[None], extractor.pyramid)[0]
         t2 = clock()
         conv_t += t1 - t0
         pool_t += t2 - t1

@@ -17,9 +17,10 @@ Layers with other paddings would need per-layer offsets; FeatureGeometry
 refuses them at construction instead.
 
 `map_window` projects one window; `map_windows` is its array form, which
-both runtime paths use: `project_windows` picks an image's map for each of
-many (N,4) windows and projects them all, as region detection needs, and
-`inference.project_views` projects all views of an image.
+both runtime paths use, each returning `spp.pool_rects` rows:
+`project_windows` picks an image's map for each of many (N,4) windows and
+projects them all, as region detection needs, and `inference.project_views`
+projects all views of an image.
 
 Window overlap is `iou_matrix`, the package's one IoU: every detection
 decision (negative mining, NMS, mAP matching, bbox pairs) and the toy
@@ -219,9 +220,8 @@ def select_scale(win: WindowRect, image_size, scales, view: int = 224) -> int:
 
 
 def project_windows(windows: np.ndarray, image_size, sizes: np.ndarray,
-                    stride: int, view: int,
-                    image_id) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rects of many image-domain windows on per-scale maps.
+                    stride: int, view: int, image_id) -> np.ndarray:
+    """`spp.pool_rects` rows of many image-domain windows on per-scale maps.
 
     The array form of the per-window chain: check the window against the
     image, clamp it into the image, `select_scale`, `WindowRect.scaled` by
@@ -232,9 +232,9 @@ def project_windows(windows: np.ndarray, image_size, sizes: np.ndarray,
     (K>0,4) rows rw, rh, map_h, map_w, each resized image's min side being
     its scale, with map_w*stride >= rw and map_h*stride >= rh, as the
     floor(kernel/2) padding that `FeatureGeometry` enforces gives. Ties go
-    to the smaller scale, then the earlier row. Returns the (N,) chosen rows
-    of `sizes` and the (N,4) int64 rects in `FeatureRect` field order. A
-    window outside the image raises ShapeError naming it and `image_id`.
+    to the smaller scale, then the earlier row. Returns (N,5) int64 rows:
+    the chosen row of `sizes`, then the rect in `FeatureRect` field order.
+    A window outside the image raises ShapeError naming it and `image_id`.
     """
     img_w, img_h = image_size
     x0, y0, x1, y1 = windows.T
@@ -267,7 +267,7 @@ def project_windows(windows: np.ndarray, image_size, sizes: np.ndarray,
     sx1 = np.maximum(1, np.minimum(sx1, rw))
     sy1 = np.maximum(1, np.minimum(sy1, rh))
     rects = map_windows(sx0, sy0, sx1, sy1, stride, map_h, map_w)
-    return rows, np.stack(rects, axis=1)
+    return np.stack([rows, *rects], axis=1)
 
 
 def map_windows(x0, y0, x1, y1, stride: int, map_h, map_w):

@@ -86,17 +86,17 @@ def multi_view_windows(image_size, scales=MULTI_VIEW_SCALES, view: int = 224):
     return views
 
 
-def project_views(windows: np.ndarray, flips: np.ndarray,
+def project_views(windows: np.ndarray, flips: np.ndarray, index: np.ndarray,
                   sizes: np.ndarray, stride: int) -> np.ndarray:
-    """Feature rects of many views, each on its own map: `map_windows` plus
-    border snapping. `windows` is (N,4) int64 x0, y0, x1, y1 on the resized
-    image, inside it as `predict_views` checks, row i mirrored first when
-    flips[i], and `sizes` is (N,4) int64 rows rw, rh, map_h, map_w, the
-    resized image and map sizes. On a side where a window touches the
-    resized-image border, its rect is snapped to the map border; that only
-    widens a rect, so it stays non-empty. Returns (N,4) int64 rects in
-    `FeatureRect` field order."""
-    rw, rh, map_h, map_w = sizes.T
+    """`pool_rects` rows of many views, each on its own map: `map_windows`
+    plus border snapping. `windows` is (N,4) int64 x0, y0, x1, y1 on the
+    resized image, inside it as `predict_views` checks, row i mirrored first
+    when flips[i] and lying on map index[i]; `sizes` is `image_maps`'s table
+    of rw, rh, map_h, map_w rows, the resized image and map sizes. On a side
+    where a window touches the resized-image border, its rect is snapped to
+    the map border; that only widens a rect, so it stays non-empty. Returns
+    (N,5) int64 rows (index, fx0, fy0, fx1, fy1)."""
+    rw, rh, map_h, map_w = sizes[index].T
     x0, y0, x1, y1 = windows.T
     x0, x1 = np.where(flips, rw - x1, x0), np.where(flips, rw - x0, x1)
     fx0, fy0, fx1, fy1 = map_windows(x0, y0, x1, y1, stride, map_h, map_w)
@@ -104,7 +104,7 @@ def project_views(windows: np.ndarray, flips: np.ndarray,
     fy0 = np.where(y0 <= 0, 0, fy0)
     fx1 = np.where(x1 >= rw, map_w - 1, fx1)
     fy1 = np.where(y1 >= rh, map_h - 1, fy1)
-    return np.stack([fx0, fy0, fx1, fy1], axis=1)
+    return np.stack([index, fx0, fy0, fx1, fy1], axis=1)
 
 
 def network_input(spec: NetworkSpec, params: ParameterStore,
@@ -184,9 +184,9 @@ def predict_views(spec: NetworkSpec, params: ParameterStore,
     index = np.repeat(np.arange(len(groups)), list(map(len, groups.values())))
     flips = np.array([flip for _, flip in groups])[index]
     windows = window_array([w for group in groups.values() for w in group])
-    rects = project_views(windows, flips, sizes[index],
-                          spec.trunk_geometry().stride)
-    pooled = pool_rects(maps, np.column_stack([index, rects]), spec.pyramid())
+    rows = project_views(windows, flips, index, sizes,
+                         spec.trunk_geometry().stride)
+    pooled = pool_rects(maps, rows, spec.pyramid())
     # any scale's instance runs the one shared head; accumulate adds the
     # float64 rows one after another, in view order, as the per-view sum does
     probs = softmax(inst.head_forward(pooled)).astype(np.float64)

@@ -251,9 +251,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Slot:
         return self._slots[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._slots
-
     def load_values(self, values: dict[str, np.ndarray]):
         """Install checkpointed arrays; fresh grad/momentum buffers."""
         for name, arr in values.items():

@@ -17,17 +17,16 @@ Two bin geometries are provided:
   divides the map side and exists mainly for that agreement check.
 
 Two kernels pool the fractional bins. Evaluation is max-only: `pool_rects`
-pools any number of regions of a sequence of same-channel maps of any sizes
-(a (B,K,H,W) stack is B maps of one size, a single map the sequence of one)
-from a range-max sparse table, four gathers per bin, in memory bounded by a
-few copies of the maps laid out as one table (see its docstring). Multi-view
-testing pools all of an image's (scale, flip) maps in one call, region
-detection all of its scale maps, and `pool_maps` pools whole maps through
-it. `spp_forward_batch`
-(and `spp_forward`, its one-map form) also returns the per-bin argmax that
-`spp_backward_batch` routes gradients through; the argmax exists only for
-that backward pass, so only training calls it. Max is exact, so the two
-kernels give the same values bit for bit.
+takes one form, a sequence of same-channel (K,H_b,W_b) maps of any sizes and
+(N,5) int64 rows (b, fx0, fy0, fx1, fy1), and pools every row's region of
+map b from a range-max sparse table, four gathers per bin, in memory bounded
+by a few copies of the maps laid out as one table (see its docstring).
+Multi-view testing pools all of an image's (scale, flip) maps in one call,
+region detection all of its scale maps, and `pool_maps` pools whole maps
+through it. `spp_forward_batch` (and `spp_forward`, its one-map form) also
+returns the per-bin argmax that `spp_backward_batch` routes gradients
+through; the argmax exists only for that backward pass, so only training
+calls it. Max is exact, so the two kernels give the same values bit for bit.
 
 Output ordering is fixed: level-major, then bins in row-major order, then
 channels. Downstream fully-connected weights depend on this order.
@@ -152,27 +151,16 @@ def _bin_grid(levels: tuple[int, ...]) -> np.ndarray:
     return grid
 
 
-def _rect_bins(rects: np.ndarray, pyr: PyramidSpec):
-    """Half-open cell bounds r0, r1, c0, c1 of every bin of every
-    (fx0, fy0, fx1, fy1) rect, each (N, M), ordered level-major then bins
-    row-major like `spp_forward`."""
-    n, j, i = _bin_grid(pyr.levels)
-    fx0, fy0, fx1, fy1 = rects.T[:, :, None]
-    r0, r1 = _bounds(j, n, fy1 - fy0 + 1)
-    c0, c1 = _bounds(i, n, fx1 - fx0 + 1)
-    return fy0 + r0, fy0 + r1, fx0 + c0, fx0 + c1
-
-
 def pool_rects(featmaps, rects, pyr: PyramidSpec) -> np.ndarray:
     """Eval-only pyramid pooling of many regions of many same-channel maps.
 
     `featmaps` is a sequence of (K,H_b,W_b) maps of any sizes, and `rects`
-    is (N,5) rows (b, fx0, fy0, fx1, fy1): the index of the map a rect lies
-    in, then its inclusive cell bounds in `FeatureRect` field order, which
-    must lie inside map b. A (B,K,H,W) array is B maps of one size, and a
-    single (K,H,W) map is the sequence of one, with (N,4) `rects` rows
-    without the index. Row i of the (N, K*M) result equals `spp_forward` of
-    the crop rects[i] bit for bit; no argmax is computed.
+    is (N,5) integer rows (b, fx0, fy0, fx1, fy1): the index of the map a
+    rect lies in, then its inclusive cell bounds in `FeatureRect` field
+    order, which must lie inside map b. This is the only form: a bare map
+    or rows without the index raise ShapeError. Row i of the (N, K*M) result
+    equals `spp_forward` of map rects[i, 0] cropped to rects[i, 1:], bit for
+    bit; no argmax is computed.
 
     Range-max by sparse table (Bender & Farach-Colton 2000): a bin of
     2^a <= height < 2^(a+1) rows and 2^b <= width < 2^(b+1) columns is the
@@ -189,16 +177,8 @@ def pool_rects(featmaps, rects, pyr: PyramidSpec) -> np.ndarray:
     K, 65536) values, and 120 bytes of indices per bin.
     """
     rects = np.asarray(rects, dtype=np.int64)
-    if isinstance(featmaps, np.ndarray) and featmaps.ndim == 3:
-        if rects.ndim != 2 or rects.shape[1] != 4:
-            raise ShapeError(f"expected (N,4) rects, got shape {rects.shape}")
-        featmaps = featmaps[None]
-        rects = np.concatenate([np.zeros((len(rects), 1), np.int64), rects], 1)
-    elif isinstance(featmaps, np.ndarray) and featmaps.ndim != 4:
-        raise ShapeError(f"expected a (K,H,W) feature map or a (B,K,H,W) "
-                         f"stack, got {featmaps.shape}")
-    elif rects.ndim != 2 or rects.shape[1] != 5:
-        raise ShapeError(f"expected (N,5) rects (b, fx0, fy0, fx1, fy1), "
+    if rects.ndim != 2 or rects.shape[1] != 5:
+        raise ShapeError(f"expected (N,5) rows (b, fx0, fy0, fx1, fy1), "
                          f"got shape {rects.shape}")
     shapes = [np.shape(m) for m in featmaps]
     if not shapes or any(len(shape) != 3 or shape[0] != shapes[0][0]
@@ -227,9 +207,14 @@ def pool_rects(featmaps, rects, pyr: PyramidSpec) -> np.ndarray:
         rows[start:start + mh, :mw] = featmap.transpose(1, 2, 0)
         if mw < table_w:
             rows[start:start + mh, mw:] = -np.inf
-    r0, r1, c0, c1 = _rect_bins(rects[:, 1:], pyr)
-    top = top[:, None]
-    r0, r1, c0, c1 = (e.reshape(-1) for e in (r0 + top, r1 + top, c0, c1))
+    # every bin's half-open table rows [r0, r1) and map columns [c0, c1),
+    # rect by rect, each rect's bins in `spp_forward` order
+    n, j, i = _bin_grid(pyr.levels)
+    first_row, first_col = (fy0 + top)[:, None], fx0[:, None]
+    r0, r1 = _bounds(j, n, (fy1 - fy0 + 1)[:, None])
+    c0, c1 = _bounds(i, n, (fx1 - fx0 + 1)[:, None])
+    r0, r1, c0, c1 = (e.reshape(-1) for e in (
+        first_row + r0, first_row + r1, first_col + c0, first_col + c1))
     # floor(log2) of each bin's height and width
     a = np.frexp(r1 - r0)[1] - 1
     b = np.frexp(c1 - c0)[1] - 1
@@ -275,7 +260,8 @@ def pool_maps(x: np.ndarray, pyr: PyramidSpec) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"expected (B,K,H,W) feature maps, got {x.shape}")
     b, k, h, w = x.shape
-    out = pool_rects(x.reshape(b * k, h, w), [(0, 0, w - 1, h - 1)], pyr)
+    out = pool_rects([x.reshape(b * k, h, w)], [(0, 0, 0, w - 1, h - 1)],
+                     pyr)
     return out.reshape(pyr.num_bins, b, k).transpose(1, 0, 2).reshape(b, -1)
 
 

@@ -421,10 +421,11 @@ def oracle_extract_many(extractor, image_id, pixels, windows):
         r = map_window(scaled, extractor.stride, featmap.shape[1:])
         rows, rects = by_scale.setdefault(s, ([], []))
         rows.append(row)
-        rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
+        rects.append((0, r.fx0, r.fy0, r.fx1, r.fy1))
     feats = np.empty((len(windows), extractor.feature_length), np.float32)
     for s, (rows, rects) in by_scale.items():
-        feats[rows] = pool_rects(entry["maps"][s][0], rects, extractor.pyramid)
+        feats[rows] = pool_rects([entry["maps"][s][0]], rects,
+                                 extractor.pyramid)
     return feats
 
 
@@ -589,8 +590,9 @@ def oracle_predict_views(spec, params, pixels, views):
         for view in members:
             win = hflipped(view.window, rw) if flip else view.window
             r = view_to_feature_rect(win, (rw, rh), stride, featmap.shape[1:])
-            rects.append((r.fx0, r.fy0, r.fx1, r.fy1))
-        probs = softmax(inst.head_forward(pool_rects(featmap, rects, pyramid)))
+            rects.append((0, r.fx0, r.fy0, r.fx1, r.fy1))
+        probs = softmax(inst.head_forward(pool_rects([featmap], rects,
+                                                     pyramid)))
         # row by row, in view order: the float64 sum is the per-view one
         for row in probs:
             total = row.astype(np.float64) if total is None else total + row

@@ -830,6 +830,76 @@ class TestFlagValues:
         assert "PYRAPOOL_THREADS must be >= 0, got '-4'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "detect", "eval --mode 10view", "eval --mode 96view", "bench",
+        "bench --checkpoint"])
+    def test_zf5_rejected_where_windows_are_mapped(
+            self, corpus, checkpoint, tmp_path, capsys, monkeypatch,
+            command):
+        # zf5's table padding cannot map windows: before, detect and eval
+        # failed at the first image, after loading the checkpoint, and bench
+        # made every zf5 slot first
+        root, _ = corpus
+        monkeypatch.setattr(cli, "load_store",
+                            lambda *a, **k: pytest.fail("loaded"))
+        monkeypatch.setattr(net, "instantiate",
+                            lambda *a, **k: pytest.fail("instantiated"))
+        if command == "detect":
+            rc = self._detect_without_work(corpus, checkpoint, tmp_path,
+                                           monkeypatch, ["--net", "zf5"])
+        else:
+            argv = command.split() + ["--net", "zf5"]
+            if argv[0] == "eval":
+                argv += ["--checkpoint", str(checkpoint), "--test-manifest",
+                         str(root / "cls" / "test.txt"), "--view", "32"]
+            elif "--checkpoint" in argv:
+                argv.insert(argv.index("--checkpoint") + 1, str(checkpoint))
+            rc = cli.main(argv)
+        assert rc == cli.EXIT_ERROR
+        what = command.replace(" --checkpoint", "")
+        assert capsys.readouterr().err == (
+            f"error: --net zf5 cannot map windows onto its feature maps, "
+            f"which {what} needs: layer 0 pads 1, but window mapping "
+            f"requires floor(7/2) = 3\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train-manifest", "train.txt", "--out", "m.ckpt"],
+        ["extract", "--checkpoint", "m.ckpt", "--manifest", "test.txt",
+         "--out", "f.txt"],
+        ["eval", "--checkpoint", "m.ckpt", "--test-manifest", "test.txt",
+         "--mode", "single"],
+        ["eval", "--checkpoint", "m.ckpt", "--test-manifest", "test.txt",
+         "--mode", "10view-pixels"]],
+        ids=["train", "extract", "eval-single", "eval-10view-pixels"])
+    def test_zf5_accepted_where_no_window_is_mapped(self, argv):
+        cli.check_args(cli.build_parser().parse_args(argv + ["--net", "zf5"]))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--epochs", "abc"],
+         "argument --epochs: invalid int value: 'abc'"),
+        (["eval", "--scales", "48,x"], "argument --scales: invalid "),
+        (["train", "--bogus-flag", "1"],
+         "unrecognized arguments: --bogus-flag 1"),
+        (["detect", "--svm-c"], "argument --svm-c: expected one argument"),
+        (["classify"], "argument command: invalid choice: 'classify'"),
+        ([], "the following arguments are required: command")],
+        ids=["type", "tuple", "unknown-flag", "no-value", "command",
+             "no-command"])
+    def test_usage_error_exits_1_naming_the_argument(self, capsys, argv,
+                                                    message):
+        # before: argparse printed its usage and raised SystemExit(2), the
+        # missing-input code, where the same value in a config file exits 1
+        rc = cli.main(argv)
+        assert rc == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["detect", "--help"])
+        assert exit_.value.code == 0
+        assert "--svm-c" in capsys.readouterr().out
+
     def test_missing_output_fails_before_training(self, corpus, capsys,
                                                   monkeypatch):
         root, _ = corpus

@@ -1252,6 +1252,16 @@ class TestSpeedBench:
         times = self._median_conv("per_window", (5, 40))
         assert times[40] > times[5] * 3
 
+    def test_per_window_never_reaches_the_argmax_kernel(self, monkeypatch):
+        # it pools with `pool_rects`, as shared mode does; before, it pooled
+        # each window with the training kernel, which also computes an argmax
+        def argmax_kernel(*args):
+            raise AssertionError("spp_forward_batch reached")
+
+        for module in (spp, net):
+            monkeypatch.setattr(module, "spp_forward_batch", argmax_kernel)
+        assert self._bench("per_window", 5).n_proposals == 5
+
     def test_empty_proposals_rejected(self):
         with pytest.raises(ShapeError, match="at least one"):
             self._bench("shared", 0)

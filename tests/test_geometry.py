@@ -303,10 +303,10 @@ def _sizes(image_size, scales, stride, extra=0):
 class TestProjectWindows:
     def _check(self, windows, image_size, sizes, stride, view):
         arr = geo.window_array(windows)
-        chosen, rects = geo.project_windows(arr, image_size, sizes, stride,
-                                            view, "img")
-        assert rects.dtype == np.int64 and rects.shape == (len(windows), 4)
-        for win, row, rect in zip(windows, chosen.tolist(), rects.tolist()):
+        rows = geo.project_windows(arr, image_size, sizes, stride, view,
+                                   "img")
+        assert rows.dtype == np.int64 and rows.shape == (len(windows), 5)
+        for win, (row, *rect) in zip(windows, rows.tolist()):
             assert (row, tuple(rect)) == _scalar_projection(
                 win, image_size, sizes, stride, view)
 
@@ -344,13 +344,13 @@ class TestProjectWindows:
             sizes = _sizes((iw, ih), scales, stride)
             windows = self._random_windows(rng, iw, ih)
             self._check(windows, (iw, ih), sizes, stride, view)
-            chosen, rects = geo.project_windows(
+            reversed_rows = geo.project_windows(
                 geo.window_array(windows), (iw, ih), sizes[::-1], stride,
                 view, "img")
-            _, in_order = geo.project_windows(
+            in_order = geo.project_windows(
                 geo.window_array(windows), (iw, ih), sizes, stride, view,
                 "img")
-            assert rects.tolist() == in_order.tolist()
+            assert reversed_rows[:, 1:].tolist() == in_order[:, 1:].tolist()
 
     def test_half_pixel_corners_round_to_even(self):
         # min side 64 at scale 32 halves every coordinate: odd corners land
@@ -360,9 +360,9 @@ class TestProjectWindows:
         windows = [W(3, 5, 9, 11), W(5, 3, 11, 9), W(1, 1, 3, 3),
                    W(0, 0, 96, 64), W(95, 63, 96, 64)]
         self._check(windows, (96, 64), sizes, 2, 16)
-        _, rects = geo.project_windows(geo.window_array(windows[:2]),
-                                       (96, 64), sizes, 1, 16, "img")
-        assert rects.tolist() == [[3, 3, 3, 5], [3, 3, 5, 3]]
+        rows = geo.project_windows(geo.window_array(windows[:2]),
+                                   (96, 64), sizes, 1, 16, "img")
+        assert rows.tolist() == [[0, 3, 3, 3, 5], [0, 3, 3, 5, 3]]
 
     def test_flush_and_narrow_windows(self):
         iw, ih, stride = 80, 64, 4
@@ -378,9 +378,9 @@ class TestProjectWindows:
         # both are exactly 320 from view 20's 400
         sizes = _sizes((100, 100), (150, 50), 2)
         win = W(0, 0, 16, 20)
-        chosen, _ = geo.project_windows(geo.window_array([win]), (100, 100),
-                                        sizes, 2, 20, "img")
-        assert chosen.tolist() == [1]  # the row of scale 50
+        rows = geo.project_windows(geo.window_array([win]), (100, 100),
+                                   sizes, 2, 20, "img")
+        assert rows[:, 0].tolist() == [1]  # the row of scale 50
         self._check([win], (100, 100), sizes, 2, 20)
 
     def test_outside_window_names_it_and_the_image(self):

@@ -383,6 +383,10 @@ class TestProjectViews:
             odd = rng.random((2, n)) < 0.5
             map_w = np.where(odd[0], -(-rw // stride), rw // stride + 1)
             map_h = np.where(odd[1], -(-rh // stride), rh // stride + 1)
+            sizes = np.stack([rw, rh, map_h, map_w], 1)
+            # views share maps, named in any order
+            index = rng.integers(0, n, n)
+            rw, rh = rw[index], rh[index]
             x0 = rng.integers(0, rw)
             y0 = rng.integers(0, rh)
             x1 = rng.integers(x0 + 1, rw + 1)
@@ -395,19 +399,21 @@ class TestProjectViews:
             y1 = np.where((edge == 3) | (edge == 4), rh, y1)
             windows = np.stack([x0, y0, x1, y1], 1)
             flips = rng.random(n) < 0.5
-            sizes = np.stack([rw, rh, map_h, map_w], 1)
-            got = inference.project_views(windows, flips, sizes, stride)
-            expect = self.oracle(windows, flips, sizes, stride)
+            got = inference.project_views(windows, flips, index, sizes,
+                                          stride)
+            expect = self.oracle(windows, flips, sizes[index], stride)
             assert got.dtype == np.int64
-            assert got.tobytes() == expect.tobytes(), trial
+            assert got.tobytes() == np.column_stack(
+                [index, expect]).tobytes(), trial
 
     def test_whole_image_views_take_the_whole_map(self):
         sizes = np.array([(36, 48, 9, 12), (37, 37, 10, 10), (5, 3, 1, 2)])
         windows = np.array([(0, 0, rw, rh) for rw, rh, _, _ in sizes])
         for flip in (False, True):
-            got = inference.project_views(windows, np.full(3, flip), sizes, 4)
-            expect = [(0, 0, map_w - 1, map_h - 1)
-                      for _, _, map_h, map_w in sizes]
+            got = inference.project_views(windows, np.full(3, flip),
+                                          np.arange(3), sizes, 4)
+            expect = [(i, 0, 0, map_w - 1, map_h - 1)
+                      for i, (_, _, map_h, map_w) in enumerate(sizes)]
             np.testing.assert_array_equal(got, expect)
 
 

@@ -130,12 +130,11 @@ class TestMapThreads:
 
     def test_workers_start_on_the_last_items(self, monkeypatch):
         _set_threads(monkeypatch, "2")
-        first, gate = {}, threading.Event()
+        first, both = {}, threading.Barrier(2, timeout=5)
 
         def record(i):
-            first.setdefault(threading.get_ident(), i)
-            gate.wait(5)  # both threads hold an item before either ends
-            gate.set()
+            if first.setdefault(threading.get_ident(), i) == i:
+                both.wait()  # both threads hold an item before either ends
             return i
 
         assert parallel.map_threads(record, range(4)) == list(range(4))

@@ -205,6 +205,12 @@ class TestSppBackward:
         assert rel_error(g, num) < 1e-4
 
 
+def pool_one_map(featmap, rects, pyr):
+    """`pool_rects` of (N,4) rects (fx0, fy0, fx1, fy1), all on `featmap`."""
+    rects = np.asarray(rects, dtype=np.int64).reshape(-1, 4)
+    return spp.pool_rects([featmap], np.insert(rects, 0, 0, axis=1), pyr)
+
+
 class TestPoolRects:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_every_subrect_of_every_map_matches_crop(self, dtype):
@@ -234,7 +240,7 @@ class TestPoolRects:
                 rects = [(x0, y0, x1, y1)
                          for y0 in range(h) for y1 in range(y0, h)
                          for x0 in range(w) for x1 in range(x0, w)]
-                out = spp.pool_rects(featmap, rects, pyr)
+                out = pool_one_map(featmap, rects, pyr)
                 assert out.dtype == dtype
                 expect = np.array([reference[r] for r in rects])
                 np.testing.assert_array_equal(out, expect)
@@ -243,14 +249,15 @@ class TestPoolRects:
         rng = np.random.default_rng(1202)
         x = tied_relu(rng, (4, 9, 13), np.float32)
         pyr = spp.PyramidSpec([6, 3, 2, 1])
-        out = spp.pool_rects(x, [(2, 1, 10, 7)], pyr)
+        out = spp.pool_rects([x], [(0, 2, 1, 10, 7)], pyr)
         expect, _ = spp.spp_forward(x[:, 1:8, 2:11], pyr)
         assert out.shape == (1, 4 * 50)
         np.testing.assert_array_equal(out[0], expect)
 
     def test_no_rects(self):
         x = np.zeros((2, 3, 3), np.float32)
-        out = spp.pool_rects(x, np.zeros((0, 4), int), spp.PyramidSpec([2, 1]))
+        out = spp.pool_rects([x], np.zeros((0, 5), int),
+                             spp.PyramidSpec([2, 1]))
         assert out.shape == (0, 10)
 
     @pytest.mark.parametrize("rect", [
@@ -258,12 +265,21 @@ class TestPoolRects:
     def test_bad_rect_rejected(self, rect):
         x = np.zeros((2, 3, 5), np.float32)
         with pytest.raises(ShapeError, match="outside the 3x5 map"):
-            spp.pool_rects(x, [rect], spp.PyramidSpec([1]))
+            spp.pool_rects([x], [(0, *rect)], spp.PyramidSpec([1]))
 
-    def test_rects_must_be_n_by_4(self):
-        with pytest.raises(ShapeError, match=r"\(N,4\)"):
-            spp.pool_rects(np.zeros((2, 3, 5)), [0, 0, 1, 1],
-                           spp.PyramidSpec([1]))
+    @pytest.mark.parametrize("featmaps, rects, message", [
+        (np.zeros((2, 3, 5)), [(0, 0, 0, 1, 1)], "sequence of (K,H,W) maps"),
+        (np.zeros((2, 3, 5)), [(0, 0, 1, 1)], "(N,5) rows"),
+        ([np.zeros((2, 3, 5))], [(0, 0, 1, 1)], "(N,5) rows"),
+        ([np.zeros((2, 3, 5))], [0, 0, 0, 1, 1], "(N,5) rows")],
+        ids=["bare-map", "bare-map-4-columns", "4-columns", "1-d"])
+    def test_only_map_sequence_and_five_column_rows(self, featmaps, rects,
+                                                    message):
+        # a bare (K,H,W) map and rows without the map index were once
+        # accepted as a one-map form
+        with pytest.raises(ShapeError) as err:
+            spp.pool_rects(featmaps, rects, spp.PyramidSpec([1]))
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stack_equals_per_map_calls(self, dtype):
@@ -284,7 +300,7 @@ class TestPoolRects:
                 assert out.dtype == dtype
                 for b in range(nmaps):
                     rows = maps == b
-                    expect = spp.pool_rects(stack[b], rects[rows, 1:], pyr)
+                    expect = pool_one_map(stack[b], rects[rows, 1:], pyr)
                     np.testing.assert_array_equal(out[rows], expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -308,7 +324,7 @@ class TestPoolRects:
             assert out.shape == (n, 3 * pyr.num_bins)
             for b, featmap in enumerate(maps):
                 rows = which == b
-                expect = spp.pool_rects(featmap, rects[rows, 1:], pyr)
+                expect = pool_one_map(featmap, rects[rows, 1:], pyr)
                 assert out[rows].tobytes() == expect.tobytes(), (trial, b)
 
     @pytest.mark.parametrize("rect", [
@@ -356,26 +372,24 @@ class TestPoolRects:
         import tracemalloc
         k, h, w, n = 256, 75, 100, 2000
         pyr = spp.PyramidSpec([6, 3, 2, 1])
-        for nmaps in (None, 2, "ragged"):
+        for nmaps in (1, 2, "ragged"):
             rng = np.random.default_rng(1203)
             if nmaps == "ragged":
                 sides = [(h, w), (56, 75), (38, 50)]
                 featmap = [np.maximum(rng.normal(size=(k, *hw)), 0).astype(
                     np.float32) for hw in sides]
             else:
-                shape = (k, h, w) if nmaps is None else (nmaps, k, h, w)
-                featmap = np.maximum(rng.normal(size=shape), 0).astype(
-                    np.float32)
-                sides = [(h, w)] * (nmaps or 1)
+                featmap = np.maximum(rng.normal(size=(nmaps, k, h, w)),
+                                     0).astype(np.float32)
+                sides = [(h, w)] * nmaps
             which = rng.integers(0, len(sides), n)
             mh, mw = np.array(sides)[which].T
             x0 = rng.integers(0, mw)
             y0 = rng.integers(0, mh)
             rects = np.stack(
-                [x0, y0, np.minimum(mw - 1, x0 + rng.integers(0, 60, n)),
+                [which, x0, y0,
+                 np.minimum(mw - 1, x0 + rng.integers(0, 60, n)),
                  np.minimum(mh - 1, y0 + rng.integers(0, 45, n))], 1)
-            if nmaps is not None:
-                rects = np.concatenate([which[:, None], rects], 1)
             tracemalloc.start()
             try:
                 out = spp.pool_rects(featmap, rects, pyr)
