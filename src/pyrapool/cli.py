@@ -52,7 +52,12 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _int_tuple(text: str):
-    return tuple(int(v) for v in str(text).split(",") if v != "")
+    try:
+        return tuple(int(v) for v in str(text).split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 48,64, got {text!r}"
+        ) from None
 
 
 def _bool(text: str) -> bool:
@@ -79,7 +84,7 @@ def apply_config_defaults(parser: argparse.ArgumentParser, config, path):
                    else action.type or str)
         try:
             defaults[key] = convert(raw)
-        except ValueError as e:
+        except (ValueError, argparse.ArgumentTypeError) as e:
             raise ShapeError(f"{path}: {key}: {e}") from None
     parser.set_defaults(**defaults)
 
@@ -100,7 +105,8 @@ def check_args(args):
     """Reject a missing required option, a non-positive count or size, a
     repeated scale, an unknown eval mode, an eval view larger than the
     scales it is cut at, an NMS threshold outside [0, 1], a non-positive or
-    non-finite SVM C, a --net that cannot map the windows a command pools,
+    non-finite SVM C, a --net that is unknown, cannot take the given flags
+    or cannot map the windows a command pools, a --layer the network lacks,
     or a bad PYRAPOOL_THREADS, naming the flag or the variable."""
     for dest in args.required:
         if getattr(args, dest) is None:
@@ -136,8 +142,12 @@ def check_args(args):
     svm_c = getattr(args, "svm_c", None)
     if svm_c is not None and not (np.isfinite(svm_c) and svm_c > 0):
         raise ShapeError(f"--svm-c must be positive and finite, got {svm_c}")
+    spec = build_network(args)
+    names = [layer.name for layer in spec.layers]
+    if getattr(args, "layer", None) not in (None, *names):
+        raise ShapeError(f"--layer must be one of {', '.join(names)}, "
+                         f"got {args.layer!r}")
     if args.command in ("detect", "bench") or mode in ("10view", "96view"):
-        spec = build_network(args)
         try:
             spec.trunk_geometry()
         except GraphError as e:
@@ -148,6 +158,9 @@ def check_args(args):
 
 
 def build_network(args) -> net.NetworkSpec:
+    if args.net not in net.NET_REGISTRY:
+        raise ShapeError(f"--net must be one of "
+                         f"{', '.join(net.NET_REGISTRY)}, got {args.net!r}")
     kwargs = {}
     if args.classes is not None:
         kwargs["n_classes"] = args.classes

@@ -19,6 +19,8 @@ DETECT_CLASS_NAMES = CLASS_NAMES[:4]  # blank is background only
 TEST_FRACTION = 0.2           # share of each class in the test split
 SHAPES_PER_IMAGE = (1, 3)     # shapes per detection image, fewest and most
 JITTERS_PER_GT = 4            # jittered proposals per ground-truth box
+INPUT_MEAN = 128.0            # network input is (x - INPUT_MEAN) * INPUT_SCALE
+INPUT_SCALE = 1.0 / 128.0
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,12 @@ def save_image(path, image: Image):
         f.write(encode_netpbm(image))
 
 
-def preprocess(pixels: np.ndarray, mean: float = 128.0,
-               scale: float = 1.0 / 128.0) -> np.ndarray:
-    """Network input conditioning: subtract the constant mean, then scale.
-    The defaults, (x - 128) / 128, are the one normalisation that training,
-    view testing and detection all feed the network."""
-    return ((pixels.astype(np.float32) - np.float32(mean))
-            * np.float32(scale))
+def preprocess(pixels: np.ndarray) -> np.ndarray:
+    """Network input conditioning, (x - 128) / 128 in float32: the one
+    normalisation that training, view testing and detection all feed the
+    network."""
+    return ((pixels.astype(np.float32) - np.float32(INPUT_MEAN))
+            * np.float32(INPUT_SCALE))
 
 
 # ---------------------------------------------------------------------------

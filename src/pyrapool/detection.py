@@ -11,10 +11,11 @@ from projection (`geometry.project_windows`) through pooling, scoring, NMS and
 bbox regression; `Detection` objects are built only for the NMS survivors.
 
 Each class's linear SVM is fit by full-batch subgradient descent on the
-hinge loss, with exact safe screening of the margin product. A row's margin
-moves by at most |x_i|*|dw| + |db| per step, so a row whose last computed
-margin stays above 1 by more than its path since then, plus a slack that
-bounds the rounding of two products, cannot violate and is not recomputed.
+hinge loss, `SVM_EPOCHS` epochs from step size `SVM_LR`, with exact safe
+screening of the margin product. A row's margin moves by at most
+|x_i|*|dw| + |db| per step, so a row whose last computed margin stays above
+1 by more than its path since then, plus a slack that bounds the rounding
+of two products, cannot violate and is not recomputed.
 The first epoch, and any epoch in which a recomputed margin lies within that
 slack of 1, runs the full product. So each epoch updates from the violator
 set that one full product per epoch gives, and the weights are its bytes.
@@ -69,6 +70,8 @@ MAP_MATCH_IOU = 0.5     # a detection matches a ground-truth box from here up
 BBOX_MIN_IOU = 0.5      # a proposal regresses onto a box from here up
 
 SVM_REG = 1e-4          # weight of 0.5*|w|^2 in the SVM objective
+SVM_EPOCHS = 400        # full-batch SVM epochs
+SVM_LR = 0.5            # SVM step size at epoch t: SVM_LR / (1 + 0.02*t)
 RIDGE_LAMBDA = 1.0      # bbox ridge penalty on every weight but the bias's
 _U = np.finfo(np.float64).eps / 2  # unit roundoff of float64
 
@@ -174,7 +177,7 @@ class SvmModel:
 
     weight: np.ndarray
     bias: float
-    hard_negatives_added: int = 0  # always 0, see `train_svm`
+    hard_negatives_added = 0  # always 0, see `train_svm`
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         return features.astype(np.float64) @ self.weight + self.bias
@@ -301,31 +304,27 @@ def _take_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return x[rows]
 
 
-def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
-              epochs: int = 400, lr: float = 0.5) -> SvmModel:
-    """Fit a binary linear SVM (labels +1/-1) by subgradient descent.
+def train_svm(features: np.ndarray, labels: np.ndarray,
+              c: float = 1.0) -> SvmModel:
+    """Fit a binary linear SVM (labels +1/-1) by subgradient descent,
+    `SVM_EPOCHS` epochs from step size `SVM_LR`.
 
     One fit: all positives, then all negatives, each in input order (the
     order sets the rounding). Callers pass every mined negative, so it is
     the fixed point of hard-negative mining, which adds only negatives not
-    yet in the fit. Non-finite features, labels other than +1/-1, a `c` or
-    `lr` that is not finite and positive and a negative epoch count raise
-    ShapeError before any fit. Rows are checked in the caller's dtype and
-    gathered into that order only when the positives are not first already.
-    `_fit_hinge` fits C-contiguous float64 rows as given, and makes the one
-    float64 copy of any others.
+    yet in the fit. Non-finite features, labels other than +1/-1 and a `c`
+    that is not finite and positive raise ShapeError before any fit. Rows
+    are checked in the caller's dtype and gathered into that order only
+    when the positives are not first already. `_fit_hinge` fits C-contiguous
+    float64 rows as given, and makes the one float64 copy of any others.
     """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.ndim != 1 or len(labels) != len(features):
         raise ShapeError(
             f"features {features.shape} vs labels {labels.shape} mismatch")
-    for name, value in (("c", c), ("lr", lr)):
-        if not (np.isfinite(value) and value > 0):
-            raise ShapeError(
-                f"SVM {name} must be finite and positive, got {value}")
-    if epochs < 0:
-        raise ShapeError(f"SVM epochs must be >= 0, got {epochs}")
+    if not (np.isfinite(c) and c > 0):
+        raise ShapeError(f"SVM c must be finite and positive, got {c}")
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
         raise ShapeError(f"SVM feature row {bad[0]} is not finite")
@@ -340,7 +339,8 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
     if pos[-1] != len(pos) - 1:  # positives are not all first
         idx = np.concatenate([pos, neg])
         features, labels = features[idx], labels[idx]
-    w, b = _fit_hinge(np.ascontiguousarray(features), labels, c, epochs, lr)
+    w, b = _fit_hinge(np.ascontiguousarray(features), labels, c, SVM_EPOCHS,
+                      SVM_LR)
     return SvmModel(w, float(b))
 
 
@@ -348,13 +348,13 @@ def train_svm(features: np.ndarray, labels: np.ndarray, c: float = 1.0,
 # NMS / model combination / mAP
 # ---------------------------------------------------------------------------
 
-def nms(detections, threshold: float = NMS_THRESHOLD):
+def nms(detections):
     """Greedy non-maximum suppression over one class: keep by descending
     score (ties in input order), drop anything overlapping a kept window by
-    more than `threshold` IoU. Survivor scores are unchanged."""
+    more than `NMS_THRESHOLD` IoU. Survivor scores are unchanged."""
     windows = [d.window for d in detections]
     scores = np.array([d.score for d in detections], dtype=np.float64)
-    kept = _nms_keep(iou_matrix(windows, windows) > threshold, scores)
+    kept = _nms_keep(iou_matrix(windows, windows) > NMS_THRESHOLD, scores)
     return [detections[i] for i in kept]
 
 
@@ -364,21 +364,15 @@ def _nms_keep(overlaps: np.ndarray, scores: np.ndarray) -> list[int]:
     return _greedy_keep(overlaps, np.argsort(-scores, kind="stable"))
 
 
-def nms_per_class(detections):
-    by_class: dict[int, list] = {}
-    for d in detections:
-        by_class.setdefault(d.class_id, []).append(d)
-    out = []
-    for cls in sorted(by_class):
-        out.extend(nms(by_class[cls]))
-    return out
-
-
 def combine_models(det_sets):
-    """Union the per-model detections (scores kept) and run NMS on the union;
-    a more confident window from one model suppresses the others'."""
-    merged = [d for dets in det_sets for d in dets]
-    return nms_per_class(merged)
+    """Union the per-model detections (scores kept) and run NMS on the union,
+    class by class in ascending class order; a more confident window from
+    one model suppresses the others'."""
+    by_class: dict[int, list] = {}
+    for dets in det_sets:
+        for d in dets:
+            by_class.setdefault(d.class_id, []).append(d)
+    return [d for cls in sorted(by_class) for d in nms(by_class[cls])]
 
 
 def evaluate_map(detections, ground_truth):
@@ -508,25 +502,22 @@ class BBoxRegressor:
                          np.maximum(1, np.minimum(y1, img_h))], axis=1)
 
 
-def bbox_regress_train(features: np.ndarray, targets: np.ndarray,
-                       ridge_lambda: float = RIDGE_LAMBDA) -> BBoxRegressor:
-    """Ridge fit of offsets given pooled features; the bias column is not
-    penalized. Returns a disabled regressor when no pairs are given; a
-    `ridge_lambda` that is not finite and non-negative raises ShapeError."""
-    return _ridge_solve(_ridge_system(features, targets, ridge_lambda))
+def bbox_regress_train(features: np.ndarray,
+                       targets: np.ndarray) -> BBoxRegressor:
+    """Ridge fit of offsets given pooled features, penalty `RIDGE_LAMBDA`;
+    the bias column is not penalized. Returns a disabled regressor when no
+    pairs are given."""
+    return _ridge_solve(_ridge_system(features, targets))
 
 
-def _ridge_system(features, targets, ridge_lambda: float):
+def _ridge_system(features, targets):
     """The normal equations (a, rhs) of `bbox_regress_train`, None when no
     pairs are given.
 
-    `a` is formed in place. Adding 0.0 to every entry, then lambda to the
-    diagonal but the bias's, gives the bytes of adding the penalty matrix
-    diag(lambda, ..., lambda, 0): an entry plus 0.0 is the entry, except
-    that -0.0 becomes 0.0, as it does plus a zero of the penalty."""
-    if not (np.isfinite(ridge_lambda) and ridge_lambda >= 0):
-        raise ShapeError(
-            f"ridge lambda must be finite and non-negative, got {ridge_lambda}")
+    `a` is formed in place. Adding 0.0 to every entry, then `RIDGE_LAMBDA`
+    to the diagonal but the bias's, gives the bytes of adding the penalty
+    matrix diag(lambda, ..., lambda, 0): an entry plus 0.0 is the entry,
+    except that -0.0 becomes 0.0, as it does plus a zero of the penalty."""
     if len(features) == 0:
         return None
     x = np.asarray(features, dtype=np.float64)
@@ -535,7 +526,7 @@ def _ridge_system(features, targets, ridge_lambda: float):
     a = aug.T @ aug
     a += 0.0
     diag = np.arange(aug.shape[1] - 1)
-    a[diag, diag] += ridge_lambda
+    a[diag, diag] += RIDGE_LAMBDA
     return a, aug.T @ t
 
 
@@ -612,7 +603,7 @@ def fit_detector(extractor: RegionFeatureExtractor, images: dict,
                          extractor.feature_length, svm_c)]
         if with_bbox:
             tasks.append(partial(_ridge_solve, _ridge_system(
-                np.array(reg_feats), np.array(reg_targets), RIDGE_LAMBDA)))
+                np.array(reg_feats), np.array(reg_targets))))
         fitted = map_threads(lambda task: task(), tasks)
         svms[cls] = fitted[0]
         if with_bbox:
@@ -729,14 +720,9 @@ class BenchReport:
     pool_time: float
     fc_time: float
 
-    @property
-    def total_time(self) -> float:
-        return self.conv_time + self.pool_time + self.fc_time
-
 
 def speed_bench(spec: NetworkSpec, params: ParameterStore, pixels: np.ndarray,
-                proposals, mode: str, scales=(480,),
-                window_size: int = 224) -> BenchReport:
+                proposals, mode: str, scales, window_size: int) -> BenchReport:
     """Time the conv / pool / fc stages of region feature extraction.
 
     shared: conv trunk once per scale on the full image, then one

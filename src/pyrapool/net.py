@@ -35,9 +35,9 @@ class ForwardStats:
     batch adds B.
 
     Multi-view prediction and region pooling are contractually bounded in
-    trunk passes per image; tests reset and read this counter. Threads that
-    share the process (the parallel `detect` workers) add to it under a
-    lock.
+    trunk passes per image; tests and the bench read how far this counter
+    moves over a call. Threads that share the process (the parallel
+    `detect` workers) add to it under a lock.
     """
 
     def __init__(self):
@@ -47,10 +47,6 @@ class ForwardStats:
     def add(self, images: int):
         with self._lock:
             self.trunk_passes += images
-
-    def reset(self):
-        with self._lock:
-            self.trunk_passes = 0
 
 
 stats = ForwardStats()
@@ -517,8 +513,7 @@ def backward_layers(layers, caches, slots, grad: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def toy_shape_net(n_classes: int = 5, channels=(8, 16), levels=(3, 2, 1),
-                  fc_width: int = 64, in_channels: int = 1,
-                  dropout: float = 0.5) -> NetworkSpec:
+                  fc_width: int = 64, in_channels: int = 1) -> NetworkSpec:
     """Small trunk (stride product 4) for the synthetic shape corpora; every
     layer pads floor(k/2), so it supports window mapping."""
     c1, c2 = channels
@@ -531,7 +526,7 @@ def toy_shape_net(n_classes: int = 5, channels=(8, 16), levels=(3, 2, 1),
         SPP(tuple(levels)),
         FC(fc_width),
         ReLU(),
-        Dropout(dropout),
+        Dropout(0.5),
         FC(n_classes),
         Softmax(),
     ], in_channels=in_channels)

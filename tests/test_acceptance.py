@@ -358,8 +358,8 @@ def test_criterion_9_detection_pipeline(fitted_detector, detection_corpus):
                 "i", WindowRect(x0, y0, x0 + int(rng.integers(2, 20)),
                                 y0 + int(rng.integers(2, 20))),
                 0, float(rng.normal())))
-        kept = detection.nms(dets, 0.3)
-        props_ok &= detection.nms(kept, 0.3) == kept
+        kept = detection.nms(dets)
+        props_ok &= detection.nms(kept) == kept
         props_ok &= all(reference_iou(a.window, b.window) <= 0.3
                         for i, a in enumerate(kept) for b in kept[i + 1:])
         props_ok &= all(k in dets for k in kept)
@@ -412,8 +412,7 @@ def test_criterion_11_model_combination():
             "i", WindowRect(x0, y0, x0 + int(rng.integers(4, 24)),
                             y0 + int(rng.integers(4, 24))),
             0, float(rng.normal())))
-    idempotent = detection.combine_models([dets, dets]) == \
-        detection.nms(dets, 0.3)
+    idempotent = detection.combine_models([dets, dets]) == detection.nms(dets)
 
     m1 = [detection.Detection("i", WindowRect(0, 0, 10, 10), 0, 0.7),
           detection.Detection("i", WindowRect(30, 0, 40, 10), 0, 0.6)]

@@ -94,8 +94,7 @@ class TestRunTimeReads:
 
     def test_counters_bench_reads(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        model = detection.train_svm(x, np.array([1.0, 1.0, -1.0, -1.0]),
-                                    epochs=5)
+        model = detection.train_svm(x, np.array([1.0, 1.0, -1.0, -1.0]))
         assert model.hard_negatives_added == 0
 
         spec = net.toy_shape_net()

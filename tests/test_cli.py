@@ -663,6 +663,48 @@ class TestExitCodes:
 
 
 class TestFlagValues:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--net", "bogus"],
+         "--net must be one of toy, zf5, got 'bogus'"),
+        (["train", "--net", "zf5", "--channels", "4,8"],
+         "--channels applies to --net toy only, not zf5"),
+        (["extract", "--layer", "bogus"],
+         "--layer must be one of conv1, relu1, pool1, conv2, relu2, spp1, "
+         "fc1, relu3, drop1, fc2, softmax1, got 'bogus'")],
+        ids=["unknown-net", "toy-flag-on-zf5", "unknown-layer"])
+    def test_net_and_layer_rejected_before_any_read(
+            self, corpus, checkpoint, tmp_path, capsys, monkeypatch, argv,
+            message):
+        # before: train decoded every training image and extract loaded the
+        # checkpoint and one image, and extract's message named no flag
+        def no_work(*args):
+            raise AssertionError("read before the flags were checked")
+
+        root, _ = corpus
+        manifest = str(root / "cls" / "train.txt")
+        monkeypatch.setattr(dataio, "load_image", no_work)
+        monkeypatch.setattr(net, "load_checkpoint", no_work)
+        inputs = {"train": ["--train-manifest", manifest],
+                  "extract": ["--checkpoint", str(checkpoint),
+                              "--manifest", manifest]}[argv[0]]
+        out = tmp_path / "out"
+        rc = cli.main([*argv, *inputs, "--out", str(out)])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_int_list_named_in_flag_and_config(self, tmp_path, capsys):
+        message = "expected comma-separated integers such as 48,64, got '48,x'"
+        rc = cli.main(["eval", "--scales", "48,x"])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: argument --scales: {message}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scales=48,x\n")
+        rc = cli.main(["eval", "--config", str(cfg)])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {cfg}: scales: {message}\n"
+
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--epochs", "-1"], ["--batch-size", "0"],
         ["--sizes", "32,0"]])
@@ -877,7 +919,8 @@ class TestFlagValues:
     @pytest.mark.parametrize("argv, message", [
         (["train", "--epochs", "abc"],
          "argument --epochs: invalid int value: 'abc'"),
-        (["eval", "--scales", "48,x"], "argument --scales: invalid "),
+        (["eval", "--scales", "48,x"],
+         "argument --scales: expected comma-separated integers"),
         (["train", "--bogus-flag", "1"],
          "unrecognized arguments: --bogus-flag 1"),
         (["detect", "--svm-c"], "argument --svm-c: expected one argument"),

@@ -58,25 +58,28 @@ class TestNetpbm:
 
 
 class TestSubtractMean:
-    """`preprocess` at scale 1 is plain constant-mean subtraction."""
+    """`preprocess` subtracts the constant mean 128, then scales by 1/128, a
+    power of two: exact on 8-bit values, so scaling back recovers them."""
 
     def test_constant_image_zeroes(self):
         px = np.full((1, 3, 3), 128.0, np.float32)
-        assert not dataio.preprocess(px, 128.0, 1.0).any()
+        assert not dataio.preprocess(px).any()
 
     def test_zero_mean_identity(self):
-        px = np.arange(9, dtype=np.float32).reshape(1, 3, 3)
-        np.testing.assert_array_equal(dataio.preprocess(px, 0.0, 1.0), px)
+        px = np.arange(-4, 5, dtype=np.float32).reshape(1, 3, 3)
+        np.testing.assert_array_equal(
+            dataio.preprocess(px + 128.0) * np.float32(128.0), px)
 
     def test_white_minus_mean(self):
         px = np.full((1, 1, 1), 255.0, np.float32)
-        assert dataio.preprocess(px, 128.0, 1.0)[0, 0, 0] == 127.0
+        assert dataio.preprocess(px)[0, 0, 0] == np.float32(127.0 / 128.0)
 
     def test_add_back_recovers(self):
         rng = np.random.default_rng(33)
         planes = rng.integers(0, 256, size=(1, 6, 6)).astype(np.float32)
-        out = dataio.preprocess(planes, 128.0, 1.0)
-        np.testing.assert_array_equal(out + 128.0, planes)
+        out = dataio.preprocess(planes)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out * 128.0 + 128.0, planes)
 
 
 class TestToyDataset:
