@@ -3,11 +3,12 @@
 Configuration is line-based `key=value` (keys match the long flag names with
 underscores); command-line flags override file values. Config, manifest,
 proposal and ground-truth files are read by `dataio.read_records`, so a
-malformed line exits 1 naming `path:line`. Output files are written atomically
-(temp file + rename) and every run is reproducible from its seed: same config
-+ seed gives identical output bytes, timing values excepted, for any
-PYRAPOOL_THREADS (`parallel.thread_count`). A bad flag or PYRAPOOL_THREADS
-value exits 1 naming it, before any work.
+malformed line exits 1 naming `path:line`; a missing input file, or a
+manifest or ground-truth file that lists nothing, exits 2 naming its flag,
+before any image is decoded. Output files are written atomically (temp file +
+rename) and every run is reproducible: same config gives identical output
+bytes, timing values excepted, for any PYRAPOOL_THREADS. A bad flag or
+PYRAPOOL_THREADS value exits 1 naming it, before any work.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_BAD_CHECKPOINT = 3
 EXIT_SPEC_MISMATCH = 4
+# an error's exit code is that of the first type it is an instance of
+EXIT_CODES = ((FileNotFoundError, EXIT_MISSING_INPUT),
+              (CheckpointError, EXIT_BAD_CHECKPOINT),
+              (SpecMismatchError, EXIT_SPEC_MISMATCH),
+              (Exception, EXIT_ERROR))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,8 +52,7 @@ def _config_entry(line: str):
 
 def read_config_file(path) -> dict[str, str]:
     """`key=value` lines; a line starting with `#` is a comment."""
-    entries = dataio.read_records(_existing(path, "config file"),
-                                  _config_entry)
+    entries = dataio.read_records(path, _config_entry)
     return dict(entry for entry in entries if entry is not None)
 
 
@@ -101,13 +106,14 @@ POSITIVE_FLAGS = ("classes", "levels", "channels", "in_channels", "fc_width",
 EVAL_MODES = ("single", "10view", "10view-pixels", "96view")
 
 
-def check_args(args):
-    """Reject a missing required option, a non-positive count or size, a
-    repeated scale, an unknown eval mode, an eval view larger than the
-    scales it is cut at, an NMS threshold outside [0, 1], a non-positive or
-    non-finite SVM C, a --net that is unknown, cannot take the given flags
-    or cannot map the windows a command pools, a --layer the network lacks,
-    or a bad PYRAPOOL_THREADS, naming the flag or the variable."""
+def check_args(args) -> net.NetworkSpec:
+    """The network the flags describe, built once. Reject a missing required
+    option, a non-positive count or size, a repeated scale, an unknown eval
+    mode, an eval view larger than the scales it is cut at, an NMS threshold
+    outside [0, 1], a non-positive or non-finite SVM C, a --net that is
+    unknown, cannot take the given flags or cannot map the windows a command
+    pools, a --layer the network lacks, or a bad PYRAPOOL_THREADS, naming
+    the flag or the variable."""
     for dest in args.required:
         if getattr(args, dest) is None:
             raise ShapeError(f"missing required option: {_flag(dest)}")
@@ -155,6 +161,7 @@ def check_args(args):
             raise ShapeError(f"--net {args.net} cannot map windows onto its "
                              f"feature maps, which {what} needs: {e}") from None
     thread_count()
+    return spec
 
 
 def build_network(args) -> net.NetworkSpec:
@@ -174,13 +181,17 @@ def build_network(args) -> net.NetworkSpec:
             raise ShapeError(
                 f"{_flag(dest)} applies to --net toy only, not {args.net}")
         kwargs[dest] = value
+    channels = kwargs.get("channels")
+    if channels is not None and len(channels) != 2:
+        raise ShapeError(f"--channels takes the toy net's 2 conv widths, got "
+                         f"{','.join(map(str, channels))}")
     return net.build_net(args.net, **kwargs)
 
 
 def load_store(args, spec: net.NetworkSpec) -> net.ParameterStore:
     """Load the checkpoint; its slots must be exactly the weight and bias of
     every conv and fc layer of `spec`."""
-    values = net.load_checkpoint(_existing(args.checkpoint, "--checkpoint"))
+    values = net.load_checkpoint(_existing(args, "checkpoint"))
     expected = {f"{layer.name}.{part}" for layer in spec.layers
                 if isinstance(layer, (net.Conv, net.FC))
                 for part in ("weight", "bias")}
@@ -190,7 +201,7 @@ def load_store(args, spec: net.NetworkSpec) -> net.ParameterStore:
             raise SpecMismatchError(
                 f"checkpoint {args.checkpoint} {what} slot(s) "
                 f"{', '.join(sorted(names))} for this network")
-    store = net.ParameterStore(seed=args.seed)
+    store = net.ParameterStore()
     store.load_values(values)
     return store
 
@@ -205,17 +216,28 @@ def _load_pixels(path, spec: net.NetworkSpec) -> np.ndarray:
     return pixels
 
 
-def _existing(path, what):
+def _existing(args, dest):
+    """The path that flag `dest` names, which must exist."""
+    path = getattr(args, dest)
     if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} {path} does not exist")
+        raise FileNotFoundError(f"{_flag(dest)} {path} does not exist")
     return path
+
+
+def _listed(args, dest, read, what):
+    """`read` of the file that flag `dest` names, which must list `what`."""
+    records = read(_existing(args, dest))
+    if not records:
+        raise FileNotFoundError(
+            f"{_flag(dest)} {getattr(args, dest)} lists no {what}")
+    return records
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_train(args) -> int:
+def cmd_train(args, spec: net.NetworkSpec) -> int:
     try:
         config = training.TrainConfig(
             lr=args.lr, momentum=args.momentum, batch_size=args.batch_size,
@@ -224,13 +246,12 @@ def cmd_train(args) -> int:
     except ValueError as e:  # the message opens with the field's name
         field, rest = str(e).split(" ", 1)
         raise ShapeError(f"{_flag(field)} {rest}") from None
-    manifest = _existing(args.train_manifest, "--train-manifest")
-    dataset = dataio.load_dataset(manifest)
-    if not dataset:
-        raise FileNotFoundError(f"train manifest {manifest} lists no images")
-    eval_set = (dataio.load_dataset(args.test_manifest)
-                if args.test_manifest else None)
-    spec = build_network(args)
+    manifests = [
+        _listed(args, "train_manifest", dataio.load_manifest, "images"),
+        _listed(args, "test_manifest", dataio.load_manifest, "images")
+        if args.test_manifest else []]
+    dataset, eval_set = [[(dataio.load_image(p).pixels, label)
+                          for p, label in entries] for entries in manifests]
     params, reports = training.train(spec, dataset, config, eval_set=eval_set)
     net.save_checkpoint(params, args.out)
     if args.log:
@@ -240,12 +261,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    manifest = _existing(args.test_manifest, "--test-manifest")
-    dataset = dataio.load_manifest(manifest)
-    if not dataset:
-        raise FileNotFoundError(f"test manifest {manifest} lists no images")
-    spec = build_network(args)
+def cmd_eval(args, spec: net.NetworkSpec) -> int:
+    dataset = _listed(args, "test_manifest", dataio.load_manifest, "images")
     training.checked_labels(spec, [label for _, label in dataset], "test")
     params = load_store(args, spec)
     mode, scale, view = args.mode, args.scale, args.view
@@ -275,15 +292,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    manifest = _existing(args.manifest, "--manifest")
-    entries = dataio.load_manifest(manifest)
-    if not entries:
-        raise FileNotFoundError(f"manifest {manifest} lists no images")
-    spec = build_network(args)
+def cmd_extract(args, spec: net.NetworkSpec) -> int:
+    entries = _listed(args, "manifest", dataio.load_manifest, "images")
     params = load_store(args, spec)
     lines = []
-    base = os.path.dirname(os.path.abspath(manifest))
+    base = os.path.dirname(os.path.abspath(args.manifest))
     for path, _ in entries:
         pixels = _load_pixels(path, spec)
         vec = inference.full_image_representation(
@@ -295,29 +308,18 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _load_images(manifest_path, flag: str, spec: net.NetworkSpec):
-    """The pixels of every image a detection manifest lists, by image id; a
-    missing or empty manifest raises FileNotFoundError naming it."""
-    by_id = dataio.load_detection_manifest(_existing(manifest_path, flag))
-    if not by_id:
-        raise FileNotFoundError(
-            f"{flag} manifest {manifest_path} lists no images")
-    return {image_id: _load_pixels(p, spec) for image_id, p in by_id.items()}
-
-
-def cmd_detect(args) -> int:
-    spec = build_network(args)
-    params = load_store(args, spec)
-    train_images = _load_images(args.train_images, "--train-images", spec)
-    train_props = detection.read_proposals(
-        _existing(args.train_proposals, "--train-proposals"))
-    train_gt = detection.read_ground_truth(
-        _existing(args.train_gt, "--train-gt"))
-    images = _load_images(args.images, "--images", spec)
-    proposals = detection.read_proposals(
-        _existing(args.proposals, "--proposals"))
-    gt = (detection.read_ground_truth(_existing(args.gt, "--gt"))
+def cmd_detect(args, spec: net.NetworkSpec) -> int:
+    manifests = [_listed(args, dest, dataio.load_detection_manifest, "images")
+                 for dest in ("train_images", "images")]
+    train_props = detection.read_proposals(_existing(args, "train_proposals"))
+    train_gt = _listed(args, "train_gt", detection.read_ground_truth, "boxes")
+    proposals = detection.read_proposals(_existing(args, "proposals"))
+    gt = (_listed(args, "gt", detection.read_ground_truth, "boxes")
           if args.gt else None)
+    params = load_store(args, spec)
+    train_images, images = [
+        {image_id: _load_pixels(p, spec) for image_id, p in by_id.items()}
+        for by_id in manifests]
     classes = sorted({c for entries in train_gt.values()
                       for c, _ in entries})
     extractor = detection.RegionFeatureExtractor(
@@ -342,15 +344,14 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    spec = build_network(args)
+def cmd_bench(args, spec: net.NetworkSpec) -> int:
     if args.checkpoint:
         params = load_store(args, spec)
     else:
         params = net.ParameterStore(seed=args.seed)
         net.instantiate(spec, (args.window_size,) * 2, params)
     if args.image:
-        pixels = _load_pixels(_existing(args.image, "--image"), spec)
+        pixels = _load_pixels(_existing(args, "image"), spec)
     else:
         rng = np.random.default_rng(args.seed)
         pixels = rng.uniform(0, 255, size=(spec.in_channels, 96, 128)) \
@@ -405,7 +406,6 @@ def _add_net_flags(p):
     p.add_argument("--channels", type=_int_tuple, default=None)
     p.add_argument("--in-channels", type=int, default=None)
     p.add_argument("--fc-width", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -432,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-size", type=int, default=None)
     p.add_argument("--out", default=None, help="checkpoint path")
     p.add_argument("--log", default=None, help="epoch log path")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train, required=("train_manifest", "out"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -490,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--scales", type=_int_tuple, default=(480,))
     p.add_argument("--window-size", type=int, default=224)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench, required=())
     return parser
@@ -500,26 +502,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            config = read_config_file(args.config)
+            config = read_config_file(_existing(args, "config"))
             sub = next(a for a in parser._actions
                        if isinstance(a, argparse._SubParsersAction))
             apply_config_defaults(sub.choices[args.command], config,
                                   args.config)
             args = parser.parse_args(argv)
-        check_args(args)
-        return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except CheckpointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_CHECKPOINT
-    except SpecMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SPEC_MISMATCH
+        spec = check_args(args)
+        return args.func(args, spec)
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

@@ -363,11 +363,16 @@ def generate_toy_detection_dataset(root, seed: int, n_images: int,
 
 
 def load_detection_manifest(path):
-    """Detection manifest lines `image_id,relative path` -> dict id -> path."""
+    """Detection manifest lines `image_id,relative path` -> dict id -> path;
+    an id that repeats is a malformed line."""
     base = os.path.dirname(os.path.abspath(path))
+    seen = set()
 
     def entry(line):
         image_id, rel = line.split(",", 1)
+        if image_id in seen:
+            raise ValueError(f"image id {image_id} repeats")
+        seen.add(image_id)
         return image_id, os.path.join(base, rel)
 
     return dict(read_records(path, entry))

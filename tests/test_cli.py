@@ -99,7 +99,7 @@ class TestConfigFile:
     def test_store_true_words(self, tmp_path, monkeypatch, word, value):
         seen = []
         monkeypatch.setattr(cli, "cmd_extract",
-                            lambda args: seen.append(args.l2) or 0)
+                            lambda args, spec: seen.append(args.l2) or 0)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# comment\nl2 = {word}\n"
                        "manifest=m.txt\ncheckpoint=m.ckpt\nout=f.txt\n")
@@ -221,7 +221,7 @@ class TestDetect:
                 "--images", det_paths["manifest"],
                 "--proposals", det_paths["proposals"],
                 "--gt", det_paths["gt"],
-                "--scales", "48,64", "--view-size", "32", "--seed", "3",
+                "--scales", "48,64", "--view-size", "32",
                 "--out", str(out), "--map-report", str(out) + ".map",
             ])
             assert rc == 0
@@ -488,7 +488,6 @@ class TestExitCodes:
                             lambda *a, **k: pytest.fail("fitted"))
         if flag == "--manifest":
             argv = ["extract", "--manifest", str(empty), "--scale", "28"]
-            name = "manifest"
         else:
             manifests = {"--train-images": det_paths["manifest"],
                          "--images": det_paths["manifest"], flag: str(empty)}
@@ -497,12 +496,38 @@ class TestExitCodes:
                     "--proposals", det_paths["proposals"],
                     "--scales", "48", "--view-size", "32",
                     *(v for item in manifests.items() for v in item)]
-            name = f"{flag} manifest"
         rc = cli.main([*argv, "--checkpoint", str(checkpoint),
                        "--out", str(out)])
         assert rc == cli.EXIT_MISSING_INPUT
         assert capsys.readouterr().err == \
-            f"error: {name} {empty} lists no images\n"
+            f"error: {flag} {empty} lists no images\n"
+        assert not out.exists()
+
+    def test_repeated_detection_id_names_line(self, corpus, checkpoint,
+                                              tmp_path, capsys, monkeypatch):
+        # before: the second line replaced the first, and detect scored the
+        # first id's proposals on the second line's pixels
+        _, det_paths = corpus
+        by_id = dataio.load_detection_manifest(det_paths["manifest"])
+        first, second = list(by_id)[:2]
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{first},{by_id[first]}\n"
+                            f"{second},{by_id[second]}\n"
+                            f"{first},{by_id[second]}\n")
+        monkeypatch.setattr(dataio, "load_image",
+                            lambda *a: pytest.fail("decoded an image"))
+        out = tmp_path / "dets.txt"
+        rc = cli.main([
+            "detect", "--checkpoint", str(checkpoint),
+            "--train-images", det_paths["manifest"],
+            "--train-proposals", det_paths["proposals"],
+            "--train-gt", det_paths["gt"],
+            "--images", str(manifest),
+            "--proposals", det_paths["proposals"],
+            "--scales", "48", "--view-size", "32", "--out", str(out)])
+        assert rc == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {manifest}:3: image id {first} repeats\n"
         assert not out.exists()
 
     def test_eval_label_out_of_range(self, corpus, checkpoint, tmp_path,
@@ -670,13 +695,20 @@ class TestFlagValues:
          "--channels applies to --net toy only, not zf5"),
         (["extract", "--layer", "bogus"],
          "--layer must be one of conv1, relu1, pool1, conv2, relu2, spp1, "
-         "fc1, relu3, drop1, fc2, softmax1, got 'bogus'")],
-        ids=["unknown-net", "toy-flag-on-zf5", "unknown-layer"])
+         "fc1, relu3, drop1, fc2, softmax1, got 'bogus'"),
+        (["train", "--channels", "4,8,16"],
+         "--channels takes the toy net's 2 conv widths, got 4,8,16"),
+        (["train", "--channels", "4"],
+         "--channels takes the toy net's 2 conv widths, got 4")],
+        ids=["unknown-net", "toy-flag-on-zf5", "unknown-layer", "channels-3",
+             "channels-1"])
     def test_net_and_layer_rejected_before_any_read(
             self, corpus, checkpoint, tmp_path, capsys, monkeypatch, argv,
             message):
         # before: train decoded every training image and extract loaded the
-        # checkpoint and one image, and extract's message named no flag
+        # checkpoint and one image, and extract's message named no flag; a
+        # --channels count other than 2 failed with Python's unpacking
+        # message
         def no_work(*args):
             raise AssertionError("read before the flags were checked")
 
@@ -937,6 +969,13 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "extract", "detect"])
+    def test_seed_only_where_something_is_drawn(self, capsys, command):
+        # eval, extract and detect load every parameter and draw nothing
+        assert cli.main([command, "--seed", "3"]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: unrecognized arguments: --seed 3\n"
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             cli.main(["detect", "--help"])
@@ -952,6 +991,96 @@ class TestFlagValues:
                        str(root / "cls" / "train.txt")])
         assert rc == cli.EXIT_ERROR
         assert "missing required option: --out" in capsys.readouterr().err
+
+
+# every flag that names an input file, by subcommand
+FILE_FLAGS = {
+    "train": ("--config", "--train-manifest", "--test-manifest"),
+    "eval": ("--config", "--checkpoint", "--test-manifest"),
+    "extract": ("--config", "--checkpoint", "--manifest"),
+    "detect": ("--config", "--checkpoint", "--train-images",
+               "--train-proposals", "--train-gt", "--images", "--proposals",
+               "--gt"),
+    "bench": ("--config", "--checkpoint", "--image"),
+}
+# the flags whose file must list something, and what it lists
+LISTING_FLAGS = {"--train-manifest": "images", "--test-manifest": "images",
+                 "--manifest": "images", "--train-images": "images",
+                 "--images": "images", "--train-gt": "boxes",
+                 "--gt": "boxes"}
+
+
+class TestInputFiles:
+    def _argv(self, command, corpus, checkpoint, tmp_path, files=()):
+        """A valid, small `command` run writing under tmp_path/out, with the
+        input files in `files` (flag -> path) in place of the corpus's."""
+        root, det_paths = corpus
+        test = root / "cls" / "test.txt"
+        config = tmp_path / "run.cfg"
+        config.write_text("# no values\n")
+        inputs = {"--config": config, "--checkpoint": checkpoint}
+        inputs.update({
+            "train": {"--train-manifest": root / "cls" / "train.txt",
+                      "--test-manifest": test},
+            "eval": {"--test-manifest": test},
+            "extract": {"--manifest": test},
+            "detect": {"--train-images": det_paths["manifest"],
+                       "--train-proposals": det_paths["proposals"],
+                       "--train-gt": det_paths["gt"],
+                       "--images": det_paths["manifest"],
+                       "--proposals": det_paths["proposals"],
+                       "--gt": det_paths["gt"]},
+            "bench": {"--image": dataio.load_manifest(test)[0][0]},
+        }[command])
+        inputs.update(files)
+        out = tmp_path / "out"
+        out.mkdir()
+        work = {
+            "train": ["--epochs", "1", "--sizes", "24", "--out", out / "m",
+                      "--log", out / "log"],
+            "eval": ["--scale", "28", "--out", out / "report"],
+            "extract": ["--scale", "28", "--out", out / "feats"],
+            "detect": ["--scales", "48", "--view-size", "32",
+                       "--out", out / "dets", "--map-report", out / "map"],
+            "bench": ["--n-proposals", "2", "--repeats", "1", "--scales",
+                      "64", "--window-size", "48", "--out", out / "bench"],
+        }[command]
+        return [command, *(str(v) for item in inputs.items()
+                           if item[0] in FILE_FLAGS[command] for v in item),
+                *map(str, work)]
+
+    @pytest.mark.parametrize("command,flag,kind", [
+        (command, flag, kind) for command, flags in FILE_FLAGS.items()
+        for flag in flags for kind in ("missing", "empty")
+        if kind == "missing" or flag in LISTING_FLAGS])
+    def test_bad_file_exits_2_naming_the_flag(self, corpus, checkpoint,
+                                              tmp_path, capsys, monkeypatch,
+                                              command, flag, kind):
+        # before: train decoded its training set before it found a missing
+        # --test-manifest, and named no flag; an empty --test-manifest,
+        # --train-gt or --gt ran with nothing to evaluate, fit or score
+        monkeypatch.setattr(dataio, "load_image",
+                            lambda *a: pytest.fail("decoded an image"))
+        bad = tmp_path / f"{kind}.txt"
+        if kind == "empty":
+            bad.write_text("")
+        argv = self._argv(command, corpus, checkpoint, tmp_path, {flag: bad})
+        assert cli.main(argv) == cli.EXIT_MISSING_INPUT
+        reason = ("does not exist" if kind == "missing"
+                  else f"lists no {LISTING_FLAGS[flag]}")
+        assert capsys.readouterr().err == f"error: {flag} {bad} {reason}\n"
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("command", sorted(FILE_FLAGS))
+    def test_network_built_once_per_run(self, corpus, checkpoint, tmp_path,
+                                        monkeypatch, command):
+        built, build_network = [], cli.build_network
+        monkeypatch.setattr(cli, "build_network", lambda args: (
+            built.append(args.command), build_network(args))[1])
+        argv = self._argv(command, corpus, checkpoint, tmp_path)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert built == [command]
+        assert os.listdir(tmp_path / "out")
 
 
 class TestCheckpointSlots:

@@ -246,6 +246,15 @@ class TestOperatorFiles:
             READERS[fmt](str(path))
         assert str(err.value).startswith(f"{path}:{i + 1}: ")
 
+    def test_repeated_detection_id_names_path_and_line(self, tmp_path):
+        # before: the later line silently replaced the earlier one
+        path = tmp_path / "manifest.txt"
+        path.write_text("det_0000,a.pgm\ndet_0001,b.pgm\n\n"
+                        "det_0000,b.pgm\n")
+        with pytest.raises(ShapeError) as err:
+            dataio.load_detection_manifest(str(path))
+        assert str(err.value) == f"{path}:4: image id det_0000 repeats"
+
     def test_non_utf8_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_bytes(b"a,1\n\xff\xfe,2\n")
