@@ -192,9 +192,7 @@ def load_store(args, spec: net.NetworkSpec) -> net.ParameterStore:
     """Load the checkpoint; its slots must be exactly the weight and bias of
     every conv and fc layer of `spec`."""
     values = net.load_checkpoint(_existing(args, "checkpoint"))
-    expected = {f"{layer.name}.{part}" for layer in spec.layers
-                if isinstance(layer, (net.Conv, net.FC))
-                for part in ("weight", "bias")}
+    expected = set(spec.slot_names())
     for names, what in ((expected - set(values), "lacks"),
                         (set(values) - expected, "has unknown")):
         if names:
@@ -317,8 +315,11 @@ def cmd_detect(args, spec: net.NetworkSpec) -> int:
     gt = (_listed(args, "gt", detection.read_ground_truth, "boxes")
           if args.gt else None)
     params = load_store(args, spec)
+    # a file both manifests name is decoded once
+    paths = dict.fromkeys(p for by_id in manifests for p in by_id.values())
+    pixels = {p: _load_pixels(p, spec) for p in paths}
     train_images, images = [
-        {image_id: _load_pixels(p, spec) for image_id, p in by_id.items()}
+        {image_id: pixels[p] for image_id, p in by_id.items()}
         for by_id in manifests]
     classes = sorted({c for entries in train_gt.values()
                       for c, _ in entries})

@@ -124,8 +124,7 @@ class RegionFeatureExtractor:
 
     @property
     def feature_length(self) -> int:
-        convs = [l for l in self.spec.layers[:self.spec.spp_index]
-                 if isinstance(l, Conv)]
+        convs = [l for l in self.spec.trunk_layers() if isinstance(l, Conv)]
         return self.pyramid.output_length(convs[-1].out_channels)
 
     def prepare(self, image_id: str, pixels: np.ndarray):

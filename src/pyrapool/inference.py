@@ -240,6 +240,6 @@ def full_image_representation(spec: NetworkSpec, params: ParameterStore,
     optionally l2-normalized for classifier export."""
     inst, x = network_input(spec, params, pixels, s, (False,))
     if layer is None:
-        layer = spec.layers[spec.spp_index].name
+        layer = spec.pyramid().name
     feat = inst.feature_at(x, layer)[0].reshape(-1)
     return l2_normalize(feat) if l2 else feat

@@ -2,10 +2,12 @@
 input-size instantiations, and forward/backward execution.
 
 A `NetworkSpec` is an ordered chain of conv / maxpool / spp / fc / relu /
-dropout / softmax layers. Instantiating it at a concrete input size resolves
-every feature-map shape; all instantiations of one spec resolve their
-parameter slots to the identical arrays in one `ParameterStore`, which is
-what makes multi-size training a single model rather than several.
+dropout / softmax layers. A layer is the spec its kernel runs with: `Conv`
+is a `tensor.ConvSpec` and `SPP` an `spp.PyramidSpec`, each plus a name.
+Instantiating a spec at a concrete input size resolves every feature-map
+shape; all instantiations of one spec resolve their parameter slots to the
+identical arrays in one `ParameterStore`, which is what makes multi-size
+training a single model rather than several.
 
 With a pyramid layer present, the pooled length k*M is independent of the
 input size, so the fully-connected stack (and therefore the whole parameter
@@ -57,31 +59,37 @@ stats = ForwardStats()
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Conv:
-    out_channels: int
-    kernel: int
-    stride: int = 1
-    padding: int | None = None  # None -> floor(kernel/2)
+class Conv(tensor.ConvSpec):
+    """The `tensor.ConvSpec` a conv kernel runs with, plus a name. Padding
+    None resolves to floor(kernel/2) when built, before the spec's checks."""
+
+    padding: int | None = None
     name: str = ""
 
-    def pad(self) -> int:
-        return self.kernel // 2 if self.padding is None else self.padding
+    def __post_init__(self):
+        if self.padding is None:
+            object.__setattr__(self, "padding", self.kernel // 2)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
 class MaxPool:
     window: int
     stride: int
-    padding: int | None = None  # None -> floor(window/2)
+    padding: int | None = None  # None -> floor(window/2), when built
     name: str = ""
+    # the window side, under the name a conv layer gives its own
+    kernel = property(lambda self: self.window)
 
-    def pad(self) -> int:
-        return self.window // 2 if self.padding is None else self.padding
+    def __post_init__(self):
+        if self.padding is None:
+            object.__setattr__(self, "padding", self.window // 2)
 
 
 @dataclass(frozen=True)
-class SPP:
-    levels: tuple[int, ...]
+class SPP(PyramidSpec):
+    """The `spp.PyramidSpec` the pyramid kernels pool with, plus a name."""
+
     name: str = ""
 
 
@@ -154,29 +162,37 @@ class NetworkSpec:
                 return layer
         raise GraphError(f"no layer named {name!r}")
 
-    def trunk_geometry(self) -> FeatureGeometry:
-        """Stride/padding record of the conv trunk (everything before the
-        pyramid layer); fails if any padding breaks the mapping rule."""
+    def _pyramid_index(self) -> int:
         if self.spp_index is None:
             raise GraphError("network has no pyramid layer")
-        geom = []
-        for layer in self.layers[:self.spp_index]:
-            if isinstance(layer, Conv):
-                geom.append(GeomLayer(layer.kernel, layer.stride, layer.pad()))
-            elif isinstance(layer, MaxPool):
-                geom.append(GeomLayer(layer.window, layer.stride, layer.pad()))
-        return FeatureGeometry(geom)
+        return self.spp_index
 
-    def pyramid(self) -> PyramidSpec:
-        if self.spp_index is None:
-            raise GraphError("network has no pyramid layer")
-        return PyramidSpec(self.layers[self.spp_index].levels)
+    def trunk_layers(self):
+        """Layers before the pyramid layer (conv / maxpool / relu)."""
+        return self.layers[:self._pyramid_index()]
+
+    def pyramid(self) -> SPP:
+        """The pyramid pooling layer."""
+        return self.layers[self._pyramid_index()]
 
     def head_layers(self):
         """Layers after the pyramid layer (fc / relu / dropout / softmax)."""
-        if self.spp_index is None:
-            raise GraphError("network has no pyramid layer")
-        return self.layers[self.spp_index + 1:]
+        return self.layers[self._pyramid_index() + 1:]
+
+    def trunk_geometry(self) -> FeatureGeometry:
+        """Stride/padding record of the conv trunk (everything before the
+        pyramid layer); fails if any padding breaks the mapping rule."""
+        return FeatureGeometry(
+            GeomLayer(layer.kernel, layer.stride, layer.padding)
+            for layer in self.trunk_layers()
+            if isinstance(layer, (Conv, MaxPool)))
+
+    def slot_names(self) -> list[str]:
+        """The parameter slots an instance binds, in the order it binds
+        them: each conv and fc layer's weight, then its bias."""
+        return [f"{layer.name}.{part}" for layer in self.layers
+                if isinstance(layer, (Conv, FC))
+                for part in ("weight", "bias")]
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +285,18 @@ def compute_shapes(spec: NetworkSpec, input_size) -> list[tuple[str, tuple]]:
     shape: tuple = (spec.in_channels, h, w)
     out = []
     for layer in spec.layers:
-        if isinstance(layer, Conv):
+        if isinstance(layer, (Conv, MaxPool)):
             c, hh, ww = _require_spatial(shape, layer)
-            oh = tensor.conv_out_size(hh, layer.kernel, layer.stride, layer.pad())
-            ow = tensor.conv_out_size(ww, layer.kernel, layer.stride, layer.pad())
+            oh, ow = (tensor.conv_out_size(n, layer.kernel, layer.stride,
+                                           layer.padding) for n in (hh, ww))
             if oh < 1 or ow < 1:
                 raise GraphError(
                     f"feature map collapses to {oh}x{ow} at layer {layer.name}")
-            shape = (layer.out_channels, oh, ow)
-        elif isinstance(layer, MaxPool):
-            c, hh, ww = _require_spatial(shape, layer)
-            oh = tensor.conv_out_size(hh, layer.window, layer.stride, layer.pad())
-            ow = tensor.conv_out_size(ww, layer.window, layer.stride, layer.pad())
-            if oh < 1 or ow < 1:
-                raise GraphError(
-                    f"feature map collapses to {oh}x{ow} at layer {layer.name}")
-            shape = (c, oh, ow)
+            shape = (layer.out_channels if isinstance(layer, Conv) else c,
+                     oh, ow)
         elif isinstance(layer, SPP):
             c, hh, ww = _require_spatial(shape, layer)
-            shape = (PyramidSpec(layer.levels).output_length(c),)
+            shape = (layer.output_length(c),)
         elif isinstance(layer, FC):
             shape = (layer.out_features,)
         # relu/dropout/softmax keep the shape
@@ -314,23 +323,15 @@ class NetworkInstance:
     def _bind_slots(self):
         in_shape: tuple = (self.spec.in_channels, *self.input_size)
         self.slots: dict[str, tuple] = {}
+        names = iter(self.spec.slot_names())
         for layer, (name, out_shape) in zip(self.spec.layers, self.shapes):
-            if isinstance(layer, Conv):
-                wshape = (layer.out_channels, in_shape[0], layer.kernel,
-                          layer.kernel)
+            if isinstance(layer, (Conv, FC)):
+                wshape = ((layer.out_channels, in_shape[0], layer.kernel,
+                           layer.kernel) if isinstance(layer, Conv) else
+                          (layer.out_features, int(np.prod(in_shape))))
                 self.slots[name] = (
-                    self.params.slot(f"{name}.weight", wshape, "gauss"),
-                    self.params.slot(f"{name}.bias", (layer.out_channels,),
-                                     "zeros"),
-                )
-            elif isinstance(layer, FC):
-                flat = int(np.prod(in_shape))
-                self.slots[name] = (
-                    self.params.slot(f"{name}.weight",
-                                     (layer.out_features, flat), "gauss"),
-                    self.params.slot(f"{name}.bias", (layer.out_features,),
-                                     "zeros"),
-                )
+                    self.params.slot(next(names), wshape, "gauss"),
+                    self.params.slot(next(names), wshape[:1], "zeros"))
             in_shape = out_shape
 
     @property
@@ -344,11 +345,13 @@ class NetworkInstance:
         """Run the chain; returns (logits, saved activations for backward).
 
         Logits are the activations entering the softmax layer (or the final
-        layer's output when no softmax is declared).
+        layer's output when no softmax is declared). Train mode draws its
+        dropout masks from `rng`, which it requires.
         """
-        self._begin_pass(batch)
         if train_mode and rng is None:
-            rng = np.random.default_rng(0)
+            raise GraphError("train-mode forward needs an rng to draw "
+                             "dropout masks from")
+        self._begin_pass(batch)
         x, caches = forward_layers(self.spec.layers, batch, self.slots,
                                    train_mode, rng)
         return x, {"train_mode": train_mode, "caches": caches}
@@ -387,11 +390,9 @@ class NetworkInstance:
     def conv_features(self, batch: np.ndarray) -> np.ndarray:
         """Eval-mode feature maps entering the pyramid layer, one per image
         of the batch (one trunk pass per image)."""
-        if self.spec.spp_index is None:
-            raise GraphError("network has no pyramid layer")
+        layers = self.spec.trunk_layers()
         self._begin_pass(batch)
-        x, _ = forward_layers(self.spec.layers[:self.spec.spp_index], batch,
-                              self.slots)
+        x, _ = forward_layers(layers, batch, self.slots)
         return x
 
     def head_forward(self, pooled: np.ndarray) -> np.ndarray:
@@ -414,11 +415,6 @@ def instantiate(spec: NetworkSpec, input_size,
 # the layer interpreter
 # ---------------------------------------------------------------------------
 
-def _conv_spec(layer: Conv) -> tensor.ConvSpec:
-    return tensor.ConvSpec(layer.out_channels, layer.kernel, layer.stride,
-                           layer.pad())
-
-
 def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
                    rng: np.random.Generator | None = None):
     """Run a slice of a layer chain on `x`; returns (output, caches).
@@ -435,10 +431,11 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
         if isinstance(layer, Conv):
             wslot, bslot = slots[layer.name]
             out, cache = tensor.conv_forward(x, wslot.value, bslot.value,
-                                             _conv_spec(layer))
+                                             layer)
         elif isinstance(layer, MaxPool):
             args = (x, (layer.window, layer.window),
-                    (layer.stride, layer.stride), (layer.pad(), layer.pad()))
+                    (layer.stride, layer.stride),
+                    (layer.padding, layer.padding))
             if train_mode:
                 out, argmax = tensor.maxpool_forward(*args)
                 cache = (argmax, x.shape)
@@ -446,10 +443,10 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
                 out = tensor.maxpool_values(*args)
         elif isinstance(layer, SPP):
             if train_mode:
-                out, argmax = spp_forward_batch(x, PyramidSpec(layer.levels))
+                out, argmax = spp_forward_batch(x, layer)
                 cache = (argmax, x.shape)
             else:
-                out = pool_maps(x, PyramidSpec(layer.levels))
+                out = pool_maps(x, layer)
         elif isinstance(layer, FC):
             flat = x.reshape(x.shape[0], -1)
             wslot, bslot = slots[layer.name]
@@ -482,8 +479,7 @@ def backward_layers(layers, caches, slots, grad: np.ndarray) -> None:
         if isinstance(layer, Conv):
             wslot, bslot = slots[layer.name]
             grad, gw, gb = tensor.conv_backward(grad, cache, wslot.value,
-                                                _conv_spec(layer),
-                                                input_grad=i > 0)
+                                                layer, input_grad=i > 0)
             wslot.grad += gw
             bslot.grad += gb
         elif isinstance(layer, FC):

@@ -46,11 +46,13 @@ from .tensor import scatter_to_argmax
 
 @dataclass(frozen=True)
 class PyramidSpec:
-    """Pyramid grid sizes, e.g. (6, 3, 2, 1). Total bins M = sum(n*n)."""
+    """Pyramid grid sizes, e.g. (6, 3, 2, 1). Total bins M = sum(n*n).
+    Levels are stored as ints; bad ones raise ShapeError when built."""
 
     levels: tuple[int, ...]
 
-    def __init__(self, levels):
+    def __post_init__(self):
+        levels = self.levels
         object.__setattr__(self, "levels", tuple(int(n) for n in levels))
         if not self.levels or any(n < 1 for n in self.levels):
             raise ShapeError(f"pyramid levels must all be >= 1, got {levels}")

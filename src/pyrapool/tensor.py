@@ -198,8 +198,8 @@ def _pool_taps(x: np.ndarray, window, stride, padding):
             f"{h + 2 * ph}x{w + 2 * pw}")
 
     xp = _padded(x, padding, -np.inf)
-    oh = (h + 2 * ph - wh) // sh + 1
-    ow = (w + 2 * pw - ww) // sw + 1
+    oh = conv_out_size(h, wh, sh, ph)
+    ow = conv_out_size(w, ww, sw, pw)
     return [xp[:, :, dy:dy + sh * (oh - 1) + 1:sh, dx:dx + sw * (ow - 1) + 1:sw]
             for dy in range(wh) for dx in range(ww)]
 

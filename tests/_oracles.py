@@ -188,7 +188,7 @@ def oracle_train_step(layers, x, slots, rng, grad_fn):
 
     def conv_spec(layer):
         return tensor.ConvSpec(layer.out_channels, layer.kernel, layer.stride,
-                               layer.pad())
+                               layer.padding)
 
     caches = []
     for layer in layers:
@@ -200,7 +200,7 @@ def oracle_train_step(layers, x, slots, rng, grad_fn):
         elif isinstance(layer, net.MaxPool):
             out, argmax = tensor.maxpool_forward(
                 x, (layer.window, layer.window), (layer.stride, layer.stride),
-                (layer.pad(), layer.pad()))
+                (layer.padding, layer.padding))
             cache = (argmax, x.shape)
         elif isinstance(layer, net.SPP):
             out, argmax = spp.spp_forward_batch(x, spp.PyramidSpec(layer.levels))

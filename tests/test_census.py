@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pyrapool
 
-SETTABLE_VALUES = 65
+SETTABLE_VALUES = 64
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

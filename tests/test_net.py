@@ -47,6 +47,31 @@ class TestSpecValidation:
         names = [l.name for l in spec.layers]
         assert names == ["conv1", "relu1", "pool1", "spp1", "fc1", "softmax1"]
 
+    @pytest.mark.parametrize("build", [
+        lambda: net.Conv(2, 0), lambda: net.Conv(2, 3, 0),
+        lambda: net.Conv(2, 3, 1, -1), lambda: net.SPP((0,)),
+        lambda: net.SPP(())], ids=["kernel-0", "stride-0", "padding-neg",
+                                   "level-0", "no-levels"])
+    def test_bad_layer_rejected_when_built(self, build):
+        # before, a bad kernel, stride or padding failed at the first
+        # forward pass, and bad levels at the first shape resolution
+        with pytest.raises(ShapeError):
+            build()
+
+    def test_padding_resolved_when_built(self):
+        assert net.Conv(8, 3).padding == 1
+        assert net.Conv(8, 5, 2, 0).padding == 0
+        assert net.MaxPool(3, 2).padding == 1
+        assert net.SPP([3, 2, 1]).levels == (3, 2, 1)
+
+    def test_slot_names_are_the_bound_slots(self):
+        for spec in (tiny_spec(), net.toy_shape_net(), net.zf5_net(
+                fc_dims=(8,), n_classes=4)):
+            params = net.ParameterStore()
+            size = (64, 64) if spec.in_channels == 3 else (24, 24)
+            net.instantiate(spec, size, params)
+            assert spec.slot_names() == params.names()
+
 
 class TestShapes:
     def test_fc_length_size_independent(self):
@@ -112,8 +137,35 @@ class TestForwardBackward:
         rng = np.random.default_rng(4)
         x = np.round(rng.normal(size=(3, 1, 29, 35))).astype(np.float32)
         eval_logits, _ = inst.forward(x, train_mode=False)
-        train_logits, _ = inst.forward(x, train_mode=True)
+        train_logits, _ = inst.forward(x, train_mode=True, rng=rng)
         np.testing.assert_array_equal(eval_logits, train_logits)
+
+    def test_conv_layer_runs_as_its_conv_spec(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 3, 11, 9)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 5, 5)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        layer = net.Conv(4, 5, 2, name="conv1")
+        spec = tensor.ConvSpec(4, 5, 2, 2)
+        out, cache = tensor.conv_forward(x, w, b, layer)
+        ref, ref_cache = tensor.conv_forward(x, w, b, spec)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        g = rng.normal(size=out.shape).astype(np.float32)
+        got = tensor.conv_backward(g, cache, w, layer, input_grad=True)
+        want = tensor.conv_backward(g, ref_cache, w, spec, input_grad=True)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_train_mode_requires_rng(self):
+        # before, a missing rng fell back to default_rng(0), so every such
+        # call drew the same dropout masks
+        inst = net.instantiate(net.toy_shape_net(), (24, 24),
+                               net.ParameterStore())
+        with pytest.raises(GraphError, match="rng"):
+            inst.forward(np.zeros((2, 1, 24, 24), np.float32),
+                         train_mode=True)
+        assert inst.forward(np.zeros((2, 1, 24, 24), np.float32))[0].shape \
+            == (2, 5)
 
     def test_batch_shape_validated(self):
         spec = tiny_spec()
