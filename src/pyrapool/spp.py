@@ -108,49 +108,45 @@ def bin_range(i: int, j: int, n: int, w: int, h: int) -> BinRange:
     return BinRange(*_bounds(j - 1, n, h), *_bounds(i - 1, n, w))
 
 
+@lru_cache(maxsize=16)
+def _bin_grid(levels: tuple[int, ...]) -> np.ndarray:
+    """(3, M) read-only rows n, j, i of every bin of a pyramid: its level's
+    grid size, bin row and bin column, in `spp_forward` order. Cached, as
+    every call pools with one of a few pyramids."""
+    grid = np.array([(n, j, i) for n in levels
+                     for j in range(n) for i in range(n)]).T
+    grid.flags.writeable = False
+    return grid
+
+
 def spp_forward_batch(x: np.ndarray, pyr: PyramidSpec):
     """Pool (B,K,H,W) into (B, K*M) plus an argmax map of flat k*H*W + r*W + c
-    indices, ordered (level, bin row-major, channel)."""
+    indices, ordered (level, bin row-major, channel): one `argmax` per bin
+    picks each channel's first max (or NaN) in row-major order, and one
+    gather at the flat indices reads every value."""
     if x.ndim != 4:
         raise ShapeError(f"expected (B,K,H,W) feature maps, got {x.shape}")
     b, k, h, w = x.shape
     if h < 1 or w < 1:
         raise ShapeError(f"cannot pool an empty {h}x{w} feature map")
     m = pyr.num_bins
-    out = np.empty((b, m, k), dtype=x.dtype)
-    argmax = np.empty((b, m, k), dtype=np.int64)
-    chan_base = np.arange(k) * (h * w)
-    t = 0
-    for n in pyr.levels:
-        cols = [_bounds(i, n, w) for i in range(n)]
-        for j in range(n):
-            r0, r1 = _bounds(j, n, h)
-            for c0, c1 in cols:
-                bw = c1 - c0
-                flat = x[:, :, r0:r1, c0:c1].reshape(b, k, (r1 - r0) * bw)
-                local = flat.argmax(axis=-1)
-                out[:, t, :] = np.take_along_axis(
-                    flat, local[..., None], axis=-1)[..., 0]
-                argmax[:, t, :] = (chan_base + (r0 + local // bw) * w
-                                   + c0 + local % bw)
-                t += 1
-    return out.reshape(b, m * k), argmax.reshape(b, m * k)
+    n, j, i = _bin_grid(pyr.levels)
+    r0, r1 = _bounds(j, n, h)
+    c0, c1 = _bounds(i, n, w)
+    local = np.empty((b, m, k), dtype=np.int64)
+    for t, (y0, y1, x0, x1) in enumerate(zip(r0.tolist(), r1.tolist(),
+                                             c0.tolist(), c1.tolist())):
+        local[:, t] = x[:, :, y0:y1, x0:x1].reshape(b, k, -1).argmax(axis=-1)
+    # bin-local cell -> flat k*H*W + r*W + c index, then one gather
+    row, col = np.divmod(local, (c1 - c0)[:, None])
+    argmax = ((row + r0[:, None]) * w + col + c0[:, None]
+              + np.arange(k) * (h * w)).reshape(b, m * k)
+    return np.take_along_axis(x.reshape(b, k * h * w), argmax, axis=1), argmax
 
 
 # Floor on the values in one gathered block of `pool_rects`, so that a small
 # map is not pooled a handful of bins at a time.
 _MIN_BLOCK_VALUES = 1 << 16
-
-
-@lru_cache(maxsize=16)
-def _bin_grid(levels: tuple[int, ...]) -> np.ndarray:
-    """(3, M) read-only rows n, j, i of every bin of a pyramid: its level's
-    grid size, bin row and bin column, in `spp_forward` order. Cached, as
-    every eval call pools with one of a few pyramids."""
-    grid = np.array([(n, j, i) for n in levels
-                     for j in range(n) for i in range(n)]).T
-    grid.flags.writeable = False
-    return grid
 
 
 def pool_rects(featmaps, rects, pyr: PyramidSpec) -> np.ndarray:

@@ -13,8 +13,10 @@ to float64 as it goes, fills a C-ordered (B,OH,OW,C,K,K) array from an
 (channel, ky, kx) taps. `conv_forward` returns the matrix in a `ConvCache`
 beside its output, training hands that to `conv_backward` so the weight
 gradient reuses it, and the input gradient is computed only when a caller
-asks for it. Its output is C-contiguous (B,O,OH,OW), so the ReLU mask and
-the gradients that meet it in backward share one memory order.
+asks for it, as one product per kernel tap of the gradient matrix that the
+weight gradient also uses, added into a channel-last float64 buffer that is
+cast to NCHW once. The forward output is C-contiguous (B,O,OH,OW), so the
+ReLU mask and the gradients that meet it in backward share one memory order.
 
 Max ties are broken by the first index in row-major scan order, which makes
 backward routing deterministic. `maxpool_forward` finds that index by
@@ -146,8 +148,11 @@ def conv_backward(grad_out: np.ndarray, cache: ConvCache,
 
     `cache` is the `ConvCache` of the forward pass, whose patch matrix gives
     the weight gradient; `grad_out` must match the forward output shape. The
-    input gradient, a K*K loop of scatters, is computed only when
-    `input_grad` is set; otherwise None stands in its place.
+    input gradient is computed only when `input_grad` is set; otherwise None
+    stands in its place. It is a K*K loop, taps in row-major order, of one
+    float64 product each of the (B*OH*OW, O) gradient matrix and the tap's
+    (O, C) weights, added into a strided slice of a (B, H+2p, W+2p, C)
+    buffer; the crop is cast once into C-contiguous (B,C,H,W).
     """
     if not isinstance(cache, ConvCache):
         raise ShapeError("conv_backward requires the ConvCache saved by "
@@ -169,13 +174,16 @@ def conv_backward(grad_out: np.ndarray, cache: ConvCache,
     if not input_grad:
         return None, grad_weights, grad_bias
 
-    gxp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    # channel-last, so each tap's (B*OH*OW, C) product adds in without a
+    # transpose; every element sums its taps in the same order as NCHW would
+    gxp = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=np.float64)
     w64 = weights.astype(np.float64, copy=False)
     for dy in range(k):
         for dx in range(k):
-            t = np.tensordot(g64, w64[:, :, dy, dx], axes=([1], [0]))
-            gxp[:, :, dy:dy + s * oh:s, dx:dx + s * ow:s] += t.transpose(0, 3, 1, 2)
-    grad_input = gxp[:, :, p:p + h, p:p + w].astype(cache.dtype)
+            t = np.dot(gmat, w64[:, :, dy, dx])
+            gxp[:, dy:dy + s * oh:s, dx:dx + s * ow:s] += t.reshape(b, oh, ow, c)
+    grad_input = gxp[:, p:p + h, p:p + w].transpose(0, 3, 1, 2).astype(
+        cache.dtype, order="C")
     return grad_input, grad_weights, grad_bias
 
 

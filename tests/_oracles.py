@@ -105,8 +105,9 @@ def oracle_resize_to(img, new_h, new_w):
 # ---------------------------------------------------------------------------
 # The training kernels as they were before the patch matrix was cached and
 # the scatters became bincounts: a float32 im2col converted to float64 in
-# both passes, an input gradient for every layer, and `np.add.at` scatters.
-# The current kernels must reproduce them bit for bit.
+# both passes, an input gradient for every layer from one `np.tensordot`
+# per tap into an NCHW buffer, `np.add.at` scatters, and a per-bin gather
+# for the pyramid. The current kernels must reproduce them bit for bit.
 # ---------------------------------------------------------------------------
 
 def _oracle_acc_matmul(a, b, out_dtype):
@@ -171,6 +172,32 @@ def oracle_maxpool_backward(grad_out, argmax, input_shape):
     return grad.reshape(b, c, h, w).astype(grad_out.dtype)
 
 
+def oracle_spp_forward_batch(x, levels):
+    """The parent's `spp_forward_batch` before its argmax became one gather:
+    per bin, an argmax, a `take_along_axis` and the flat index arithmetic,
+    with `_bounds` inlined and the argument checks left out."""
+    b, k, h, w = x.shape
+    m = sum(n * n for n in levels)
+    out = np.empty((b, m, k), dtype=x.dtype)
+    argmax = np.empty((b, m, k), dtype=np.int64)
+    chan_base = np.arange(k) * (h * w)
+    t = 0
+    for n in levels:
+        cols = [(i * w // n, -(-(i + 1) * w // n)) for i in range(n)]
+        for j in range(n):
+            r0, r1 = j * h // n, -(-(j + 1) * h // n)
+            for c0, c1 in cols:
+                bw = c1 - c0
+                flat = x[:, :, r0:r1, c0:c1].reshape(b, k, (r1 - r0) * bw)
+                local = flat.argmax(axis=-1)
+                out[:, t, :] = np.take_along_axis(
+                    flat, local[..., None], axis=-1)[..., 0]
+                argmax[:, t, :] = (chan_base + (r0 + local // bw) * w
+                                   + c0 + local % bw)
+                t += 1
+    return out.reshape(b, m * k), argmax.reshape(b, m * k)
+
+
 def oracle_spp_backward_batch(grad_out, argmax, featmap_shape):
     b, k, h, w = featmap_shape
     grad = np.zeros((b, k * h * w), dtype=np.float64)
@@ -184,7 +211,7 @@ def oracle_train_step(layers, x, slots, rng, grad_fn):
     above: the conv cache is the raw input, and every layer's input gradient
     is computed. `grad_fn(logits)` gives the loss gradient; parameter
     gradients accumulate into `slots`. Returns the logits."""
-    from pyrapool import net, spp, tensor
+    from pyrapool import net, tensor
 
     def conv_spec(layer):
         return tensor.ConvSpec(layer.out_channels, layer.kernel, layer.stride,
@@ -203,7 +230,7 @@ def oracle_train_step(layers, x, slots, rng, grad_fn):
                 (layer.padding, layer.padding))
             cache = (argmax, x.shape)
         elif isinstance(layer, net.SPP):
-            out, argmax = spp.spp_forward_batch(x, spp.PyramidSpec(layer.levels))
+            out, argmax = oracle_spp_forward_batch(x, layer.levels)
             cache = (argmax, x.shape)
         elif isinstance(layer, net.FC):
             flat = x.reshape(x.shape[0], -1)

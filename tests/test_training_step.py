@@ -2,15 +2,21 @@
 with less work done (no input gradient for the first layer of a slice, one
 patch matrix per conv layer per step)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pyrapool import net, spp, tensor
+from pyrapool import net, spp, tensor, training
 from _oracles import (oracle_conv_backward, oracle_conv_forward,
                       oracle_maxpool_backward, oracle_maxpool_forward,
-                      oracle_spp_backward_batch, oracle_train_step, tied_relu)
+                      oracle_spp_backward_batch, oracle_spp_forward_batch,
+                      oracle_train_step, tied_relu)
 
 TRIALS = 40
+# (in, out, kernel, stride) of zf5's conv1 to conv5
+ZF5_CONVS = [(3, 96, 7, 2), (96, 256, 5, 2), (256, 384, 3, 1),
+             (384, 384, 3, 1), (384, 256, 3, 1)]
 
 
 def assert_bits(actual, expected):
@@ -34,11 +40,12 @@ def _with_special_values(rng, x):
 
 
 class TestKernelsMatchOracles:
-    @pytest.mark.parametrize("trial", range(TRIALS + 16))
+    @pytest.mark.parametrize("trial", range(TRIALS + 16 + len(ZF5_CONVS)))
     def test_conv_forward_and_gradients(self, trial):
         # small random shapes, then 16 trials at the workloads' shapes: up
         # to 16 channels in and out, sides up to 60, kernels 3, 5 and 7 at
-        # strides 1 and 2, some on a row-reversed view
+        # strides 1 and 2, some on a row-reversed view; then zf5's channel
+        # counts on small maps
         rng = np.random.default_rng(700 + trial)
         dtype = np.float64 if trial % 4 == 3 else np.float32
         if trial < TRIALS:
@@ -48,6 +55,11 @@ class TestKernelsMatchOracles:
             k = int(rng.integers(1, min(h, w) + 2 * p + 1))
             s = int(rng.integers(1, 4))
             o = int(rng.integers(1, 6))
+        elif trial >= TRIALS + 16:
+            c, o, k, s = ZF5_CONVS[trial - TRIALS - 16]
+            b = int(rng.integers(1, 3))
+            p = int(rng.integers(0, k // 2 + 1))
+            h, w = (int(rng.integers(k, 16)) for _ in range(2))
         else:
             b = int(rng.integers(1, 3))
             c, o = (int(rng.integers(1, 17)) for _ in range(2))
@@ -143,6 +155,27 @@ class TestKernelsMatchOracles:
         if kind == 3:
             assert out[0, 0, 0, 0] == 50.0
 
+    @pytest.mark.parametrize("trial", range(TRIALS + 2))
+    def test_spp_forward_batch(self, trial):
+        # the train workload's two map shapes, then random shapes and
+        # pyramids, many with grids finer than the map; every map holds
+        # -0.0 ties, NaN cells and an all -inf plane
+        rng = np.random.default_rng(1100 + trial)
+        if trial < 2:
+            shape, levels = ((32, 16, 8, 8), (32, 16, 6, 6))[trial], (3, 2, 1)
+        else:
+            shape = tuple(int(rng.integers(1, n)) for n in (5, 6, 11, 11))
+            levels = tuple(int(n) for n in
+                           rng.integers(1, 9, size=rng.integers(1, 5)))
+        dtype = np.float64 if trial % 4 == 3 else np.float32
+        x = _with_special_values(rng, tied_relu(rng, shape, dtype))
+        if trial % 5 == 4:
+            x = x[:, :, ::-1]  # a non-contiguous map
+        out, argmax = spp.spp_forward_batch(x, spp.PyramidSpec(levels))
+        expected_out, expected_argmax = oracle_spp_forward_batch(x, levels)
+        assert_bits(out, expected_out)
+        assert_bits(argmax, expected_argmax)
+
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_spp_backward_batch(self, trial):
         rng = np.random.default_rng(900 + trial)
@@ -158,12 +191,13 @@ class TestKernelsMatchOracles:
                     oracle_spp_backward_batch(g, argmax, x.shape))
 
 
-def _toy_step(size, seed):
+def _toy_step(size, seed, batch=6):
     spec = net.toy_shape_net()
     inst = net.instantiate(spec, (size, size), net.ParameterStore(seed=seed))
     rng = np.random.default_rng(seed)
-    x = np.round(rng.normal(size=(6, 1, size, size)) * 2.0).astype(np.float32)
-    labels = rng.integers(0, 5, size=6)
+    x = np.round(rng.normal(size=(batch, 1, size, size)) * 2.0).astype(
+        np.float32)
+    labels = rng.integers(0, 5, size=batch)
     return spec, inst, x, labels
 
 
@@ -201,22 +235,33 @@ class TestToyNetStep:
             assert mask.flags.c_contiguous
 
 
+def _traced_peak(fn):
+    """Peak bytes that `tracemalloc` sees allocated while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStepDoesLess:
     def test_input_gradient_loop_runs_for_conv2_only(self, monkeypatch):
-        # conv_backward's input gradient is a K*K loop of tensordots with
-        # one (out, in) weight tap each: (16, 8) is conv2, (8, 1) conv1
+        # conv_backward's input gradient is a K*K loop of products of the
+        # gradient matrix with one (out, in) weight tap each: (16, 8) is
+        # conv2, (8, 1) conv1
         spec, inst, x, labels = _toy_step(32, 1)
         logits, saved = inst.forward(x, train_mode=True,
                                      rng=np.random.default_rng(0))
         _, grad = tensor.softmax_cross_entropy(logits, labels)
         taps = []
-        real = np.tensordot
+        real = np.dot
 
-        def spy(a, b, axes=2):
+        def spy(a, b, out=None):
             taps.append(np.shape(b))
-            return real(a, b, axes)
+            return real(a, b, out)
 
-        monkeypatch.setattr(tensor.np, "tensordot", spy)
+        monkeypatch.setattr(tensor.np, "dot", spy)
         inst.backward(saved, grad)
         assert taps == [(16, 8)] * 9
 
@@ -260,3 +305,36 @@ class TestStepDoesLess:
         _, grad = tensor.softmax_cross_entropy(logits, labels)
         inst.backward(saved, grad)
         assert len(calls) == 2
+
+    def test_toy_step_peak_memory(self):
+        # one train step of the train workload's larger size, B = 32 at
+        # 32 px: forward, backward and sgd_step. Both the channel-last input
+        # gradient and the NCHW one it replaced peaked at 9.27 MiB (numpy
+        # 2.4); the bound leaves 0.03 MiB for allocator and version drift
+        _, inst, x, labels = _toy_step(32, 1, batch=32)
+        rng = np.random.default_rng(0)
+
+        def step():
+            logits, saved = inst.forward(x, train_mode=True, rng=rng)
+            _, grad = tensor.softmax_cross_entropy(logits, labels)
+            inst.backward(saved, grad)
+            training.sgd_step(inst.params, 0.01, 0.9)
+
+        step()  # builds what the first step of a size builds once
+        peak = _traced_peak(step)
+        assert peak < 9.3 * 2**20, f"peak {peak / 2**20:.3f} MiB"
+
+    def test_input_gradient_peak_memory(self):
+        # the step's peak is conv1's weight gradient, so conv2's input
+        # gradient is pinned on its own: 1.52 MiB channel-last, where the
+        # NCHW buffer and its per-tap transposed copies took 1.65 MiB
+        rng = np.random.default_rng(0)
+        x = tied_relu(rng, (32, 8, 16, 16))
+        wt = rng.normal(size=(16, 8, 3, 3)).astype(np.float32)
+        spec = tensor.ConvSpec(16, 3, 2, 1)
+        out, cache = tensor.conv_forward(x, wt, np.zeros(16, np.float32),
+                                         spec)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        peak = _traced_peak(
+            lambda: tensor.conv_backward(g, cache, wt, spec, input_grad=True))
+        assert peak < 1.55 * 2**20, f"peak {peak / 2**20:.3f} MiB"
