@@ -424,8 +424,10 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
     Caches for `backward_layers` are kept in train mode only (a conv layer
     keeps its float64 patch matrix, not its input); in eval mode the list is
     empty, max pooling and the pyramid compute no argmax, and ReLU no mask.
+    ReLU writes over the array it is handed, unless that is `x` itself.
     """
     caches = []
+    batch = x
     for layer in layers:
         cache = None  # in eval mode, frees the last layer's cache
         if isinstance(layer, Conv):
@@ -454,9 +456,8 @@ def forward_layers(layers, x: np.ndarray, slots, train_mode: bool = False,
             cache = (flat, x.shape)
         elif isinstance(layer, ReLU):
             if train_mode:
-                out, cache = tensor.relu_forward(x)
-            else:
-                out = np.maximum(x, 0)
+                cache = x > 0
+            out = np.maximum(x, 0, out=None if x is batch else x)
         elif isinstance(layer, Dropout):
             out, cache = tensor.dropout(x, layer.rate, train_mode, rng)
         elif isinstance(layer, Softmax):
@@ -473,7 +474,9 @@ def backward_layers(layers, caches, slots, grad: np.ndarray) -> None:
     """Back-propagate `grad` through the slice `forward_layers` ran in train
     mode, accumulating conv / fc parameter gradients into `slots`. Nothing
     reads the gradient with respect to the slice's input, so it is not
-    computed: the first layer yields only its parameter gradients."""
+    computed: the first layer yields only its parameter gradients. ReLU
+    masks the gradient it is handed in place, unless that is `grad` itself."""
+    grad_in = grad
     for i in range(len(layers) - 1, -1, -1):
         layer, cache = layers[i], caches[i]
         if isinstance(layer, Conv):
@@ -498,7 +501,8 @@ def backward_layers(layers, caches, slots, grad: np.ndarray) -> None:
         elif isinstance(layer, SPP):
             grad = spp_backward_batch(grad, *cache)
         elif isinstance(layer, ReLU):
-            grad = tensor.relu_backward(grad, cache)
+            grad = np.multiply(grad, cache,
+                               out=None if grad is grad_in else grad)
         elif isinstance(layer, Dropout):
             grad = tensor.dropout_backward(grad, cache)
         # softmax: the loss gradient is already w.r.t. the logits

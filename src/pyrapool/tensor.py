@@ -6,17 +6,18 @@ Values are stored in 32-bit floats during training; every reduction (matmul,
 sum) accumulates in 64-bit and casts back, so gradient checks run to tight
 tolerances when fed float64 inputs.
 
-Convolution is an im2col matmul. The patch matrix is built once per call:
-the input is zero-padded in its own dtype, and one strided copy, which casts
-to float64 as it goes, fills a C-ordered (B,OH,OW,C,K,K) array from an
-`as_strided` window view of it; rows are output positions and columns
-(channel, ky, kx) taps. `conv_forward` returns the matrix in a `ConvCache`
-beside its output, training hands that to `conv_backward` so the weight
-gradient reuses it, and the input gradient is computed only when a caller
-asks for it, as one product per kernel tap of the gradient matrix that the
-weight gradient also uses, added into a channel-last float64 buffer that is
-cast to NCHW once. The forward output is C-contiguous (B,O,OH,OW), so the
-ReLU mask and the gradients that meet it in backward share one memory order.
+Convolution is an im2col matmul. The float64 (B*OH*OW, C*K*K) patch matrix,
+rows output positions and columns (channel, ky, kx) taps, is built once per
+call by one gather: the input is cast once into a zero-padded float64 frame,
+and `np.take` reads it at flat frame offsets, one small index per band of
+output rows (`_im2col`). The float64 product is cast once into the
+C-contiguous (B,O,OH,OW) output and the bias added in place, so the ReLU
+mask and the gradients that meet it in backward share one memory order.
+`conv_forward` returns the matrix in a `ConvCache` beside its output,
+training hands that to `conv_backward` so the weight gradient reuses it, and
+the input gradient is computed only when a caller asks for it, as one
+product per kernel tap of the gradient matrix that the weight gradient also
+uses, added into a channel-last float64 buffer that is cast to NCHW once.
 
 Max ties are broken by the first index in row-major scan order, which makes
 backward routing deterministic. `maxpool_forward` finds that index by
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeError
 
@@ -79,6 +79,14 @@ class ConvCache:
     dtype: np.dtype
 
 
+# Most entries in one band of conv_forward's two strided copies: of the
+# gather index (intp) that builds the patch matrix, and of the float64
+# product cast into NCHW order; 512 KiB either way. Gathers with bands of
+# 2^14 or 2^15 entries were faster at fewer than half of ten benchmark and
+# zf5 shapes (CHANGES.md).
+BAND = 1 << 16
+
+
 def _padded(x: np.ndarray, padding, fill: float) -> np.ndarray:
     """(B,C,H,W) `x` framed by (ph, pw) rows and columns of `fill` per side;
     `x` itself when there is no padding. Cheaper than `np.pad` here."""
@@ -93,18 +101,47 @@ def _padded(x: np.ndarray, padding, fill: float) -> np.ndarray:
 
 def _im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """(B,C,H,W) -> float64 (B*OH*OW, C*K*K) patch matrix of the zero-padded
-    input: one strided copy, cast to float64 on the way, from a
-    (B,OH,OW,C,K,K) window view of the padded input."""
+    input, by one gather.
+
+    `x` is cast once into a zero-padded float64 frame. A band of output
+    positions, at most `BAND` (position, tap) entries, gets the flat
+    frame offset of each of its taps; `np.take` gathers them. When a whole
+    image fits in a band, one take along the frame's flat axis covers the
+    batch. Otherwise the index is taken band by band into slices of the
+    matrix, from the image's frame shifted to the band's first position.
+    """
     p, k, s = spec.padding, spec.kernel, spec.stride
     b, c, h, w = x.shape
     oh, ow = spec.out_size(h), spec.out_size(w)
-    xp = _padded(x, (p, p), 0.0)
-    sb, sc, sy, sx = xp.strides
-    win = as_strided(xp, (b, oh, ow, c, k, k),
-                     (sb, sy * s, sx * s, sc, sy, sx), writeable=False)
-    cols = np.empty((b, oh, ow, c, k, k), dtype=np.float64)
-    cols[...] = win
-    return cols.reshape(b * oh * ow, c * k * k)
+    hp, wp = h + 2 * p, w + 2 * p
+    frame = np.zeros((b, c, hp, wp), dtype=np.float64)
+    frame[:, :, p:p + h, p:p + w] = x
+    frame = frame.reshape(b, c * hp * wp)
+
+    # a band is whole output rows, or part of one row when a row is too long
+    taps = c * k * k
+    per_band = max(1, BAND // taps)
+    rows, cols = min(oh, max(1, per_band // ow)), min(ow, per_band)
+    tap_off = (np.arange(c).reshape(-1, 1, 1) * (hp * wp)
+               + np.arange(k).reshape(-1, 1) * wp + np.arange(k)).reshape(-1)
+    # one output row's offsets, then the band's rows: long inner loops
+    row_off = (np.arange(cols).reshape(-1, 1) * s + tap_off).reshape(-1)
+    index = (np.arange(rows).reshape(-1, 1) * (s * wp) + row_off).reshape(
+        -1, taps)
+    out = np.empty((b * oh * ow, taps), dtype=np.float64)
+    # mode="clip" writes straight into `out`; the default mode buffers it
+    if rows * cols == oh * ow:
+        np.take(frame, index, axis=1, mode="clip",
+                out=out.reshape(b, oh * ow, taps))
+        return out
+    for i in range(b):
+        for oy in range(0, oh, rows):
+            for ox in range(0, ow, cols):
+                n = min(rows, oh - oy) * min(cols, ow - ox)
+                r = (i * oh + oy) * ow + ox
+                np.take(frame[i, (oy * wp + ox) * s:], index[:n],
+                        mode="clip", out=out[r:r + n])
+    return out
 
 
 def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -132,13 +169,23 @@ def conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             f"smaller than the {spec.kernel}x{spec.kernel} kernel")
 
     cols = _im2col(x, spec)
-    out = _acc_matmul(cols, weights.reshape(o, -1).T, x.dtype)
+    prod = cols @ weights.reshape(o, -1).T.astype(np.float64, copy=False)
     oh, ow = spec.out_size(h), spec.out_size(w)
-    # the bias add writes NCHW memory order; `+` would keep the matmul's
-    # channel-last order, and every later elementwise op would mix layouts
+    # the float64 product is rounded once into NCHW memory order, then the
+    # bias is added in x's dtype; channel-last order would make every later
+    # elementwise op mix layouts. The transposing cast reads the product at
+    # a stride of O float64s, so an image larger than a band goes by bands
+    # of output rows: 12.9 -> 6.9 ms at zf5 conv1, B = 2, 224 px
     res = np.empty((b, o, oh, ow), dtype=x.dtype)
-    np.add(out.reshape(b, oh, ow, o).transpose(0, 3, 1, 2),
-           bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False), out=res)
+    nchw = prod.reshape(b, oh, ow, o).transpose(0, 3, 1, 2)
+    if oh * ow * o <= BAND:
+        res[...] = nchw
+    else:
+        rows = max(1, BAND // (ow * o))
+        for i in range(b):
+            for r in range(0, oh, rows):
+                res[i, :, r:r + rows] = nchw[i, :, r:r + rows]
+    res += bias.reshape(1, o, 1, 1).astype(x.dtype, copy=False)
     return res, ConvCache(cols, x.shape, x.dtype)
 
 
@@ -166,9 +213,11 @@ def conv_backward(grad_out: np.ndarray, cache: ConvCache,
         raise ShapeError(
             f"grad_out shaped {grad_out.shape}, expected {(b, o, oh, ow)}")
 
-    g64 = grad_out.astype(np.float64, copy=False)
-    grad_bias = g64.sum(axis=(0, 2, 3)).astype(cache.dtype)
-    gmat = g64.transpose(0, 2, 3, 1).reshape(-1, o)
+    grad_bias = grad_out.astype(np.float64, copy=False).sum(
+        axis=(0, 2, 3)).astype(cache.dtype)
+    # one casting copy, after the bias's float64 NCHW copy is freed
+    gmat = grad_out.transpose(0, 2, 3, 1).astype(np.float64, order="C")
+    gmat = gmat.reshape(-1, o)
     grad_weights = (gmat.T @ cache.cols).reshape(o, c, k, k).astype(
         weights.dtype)
     if not input_grad:
